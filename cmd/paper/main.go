@@ -43,8 +43,6 @@ var (
 	flagScale      = flag.Int("scale", 0, "proxy downscale factor (0: auto)")
 	flagFine       = flag.Bool("fine", false, "use the full 816-point crf x refs grid (slow)")
 	flagSVGDir     = flag.String("svgdir", "", "also write figures as SVG files into this directory")
-	flagNoRC       = flag.Bool("no-replay-cache", false, "decode the mezzanine live at every point instead of replaying the cached decode trace")
-	flagNoAC       = flag.Bool("no-analysis-cache", false, "run the lookahead and AQ analysis live at every point instead of reusing the shared per-video artifact")
 	flagProgress   = flag.Bool("progress", false, "report per-point sweep progress on stderr")
 	flagMetricsOut = flag.String("metrics-out", "", "write the JSON run manifest (inputs, git rev, metrics snapshot, wall time) to this file")
 )
@@ -156,11 +154,7 @@ func workload() core.Workload {
 }
 
 func sweepOpts() core.SweepOpts {
-	return core.SweepOpts{
-		NoReplayCache:   *flagNoRC,
-		NoAnalysisCache: *flagNoAC,
-		Progress:        cli.Progress("paper", !*flagProgress),
-	}
+	return core.SweepOpts{Progress: cli.Progress("paper", !*flagProgress)}
 }
 
 // --- tables --------------------------------------------------------------------
@@ -499,7 +493,7 @@ func fig8(ctx context.Context) error {
 			}
 			opt.Refs = cb.refs
 
-			base, err := core.Run(ctx, core.Job{Workload: w, Options: opt, Config: uarch.Baseline(), NoReplayCache: *flagNoRC, NoAnalysisCache: *flagNoAC})
+			base, err := core.Run(ctx, core.Job{Workload: w, Options: opt, Config: uarch.Baseline()})
 			if err != nil {
 				return err
 			}
@@ -507,13 +501,13 @@ func fig8(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
-			fdo, err := core.Run(ctx, core.Job{Workload: w, Options: opt, Config: uarch.Baseline(), Image: img, NoReplayCache: *flagNoRC})
+			fdo, err := core.Run(ctx, core.Job{Workload: w, Options: opt, Config: uarch.Baseline(), Image: img})
 			if err != nil {
 				return err
 			}
 			gopt := opt
 			gopt.Tune = graphite.All().Tuning()
-			gr, err := core.Run(ctx, core.Job{Workload: w, Options: gopt, Config: uarch.Baseline(), NoReplayCache: *flagNoRC, NoAnalysisCache: *flagNoAC})
+			gr, err := core.Run(ctx, core.Job{Workload: w, Options: gopt, Config: uarch.Baseline()})
 			if err != nil {
 				return err
 			}

@@ -31,9 +31,6 @@ var (
 	flagFrames     = flag.Int("frames", 16, "frames per clip")
 	flagCRFs       = flag.String("crfs", "1,6,11,16,21,26,31,36,41,46,51", "comma-separated crf values")
 	flagRefs       = flag.String("refs", "1,2,3,4,6,8,12,16", "comma-separated refs values")
-	flagNoRC       = flag.Bool("no-replay-cache", false, "decode the mezzanine live at every sweep point instead of replaying the cached decode trace")
-	flagNoAC       = flag.Bool("no-analysis-cache", false, "run the lookahead and AQ analysis live at every sweep point instead of reusing the shared per-video artifact")
-	flagNoPC       = flag.Bool("no-parse-cache", false, "stream replays through the raw varint trace instead of the shared pre-parsed event slab")
 	flagProgress   = flag.Bool("progress", false, "report per-point progress on stderr")
 	flagMetricsOut = flag.String("metrics-out", "", "write the JSON run manifest (inputs, git rev, metrics snapshot, wall time) to this file")
 	flagWorkers    = flag.Int("workers", 0, "intra-encode worker count for crf-refs and videos modes (0/1: serial; output is byte-identical at any count)")
@@ -76,9 +73,6 @@ func run(ctx context.Context) error {
 	start := time.Now()
 	w := core.Workload{Video: *flagVideo, Frames: *flagFrames}
 	opts := core.SweepOpts{
-		NoReplayCache:   *flagNoRC,
-		NoParseCache:    *flagNoPC,
-		NoAnalysisCache: *flagNoAC,
 		// Stage histograms ride along whenever the run is being observed
 		// anyway (manifest or live progress); the benchmarked silent path
 		// stays timing-call free.

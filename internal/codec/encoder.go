@@ -33,7 +33,6 @@ type Encoder struct {
 	nextVA uint64         // bump allocator for traced buffer addresses
 	pool   []*frame.Frame // retired reconstruction buffers for reuse
 	qpPrev int
-	stats  Stats
 	// basePTS is the first input frame's PTS. Segment encodes hand EncodeAll
 	// a mid-clip frame range whose PTS values are absolute clip positions
 	// (so frame headers survive stitching); rate-control bookkeeping indexed
@@ -200,7 +199,9 @@ func (e *Encoder) EncodeAll(frames []*frame.Frame) ([]byte, *Stats, error) {
 	}
 	types := e.decideTypes(frames, lc)
 
-	e.stats = Stats{Width: e.w, Height: e.h, FPS: e.fps}
+	// A per-call value, not encoder state: the returned *Stats must not pin
+	// the encoder (recon frames, tracer) or change under a later EncodeAll.
+	stats := &Stats{Width: e.w, Height: e.h, FPS: e.fps}
 
 	writeSeqHeader(e.bw, seqHeader{
 		mbw: e.w / 16, mbh: e.h / 16, fps: e.fps, frames: len(frames),
@@ -228,7 +229,7 @@ func (e *Encoder) EncodeAll(frames []*frame.Frame) ([]byte, *Stats, error) {
 		if err != nil {
 			return err
 		}
-		e.stats.Frames = append(e.stats.Frames, fs)
+		stats.Frames = append(stats.Frames, fs)
 		return nil
 	}
 	for i, t := range types {
@@ -255,12 +256,12 @@ func (e *Encoder) EncodeAll(frames []*frame.Frame) ([]byte, *Stats, error) {
 
 	out := e.bw.Bytes()
 	var psnrSum float64
-	for i := range e.stats.Frames {
-		e.stats.TotalBits += e.stats.Frames[i].Bits
-		psnrSum += e.stats.Frames[i].PSNR
+	for i := range stats.Frames {
+		stats.TotalBits += stats.Frames[i].Bits
+		psnrSum += stats.Frames[i].PSNR
 	}
-	e.stats.AveragePSNR = psnrSum / float64(len(e.stats.Frames))
-	return out, &e.stats, nil
+	stats.AveragePSNR = psnrSum / float64(len(stats.Frames))
+	return out, stats, nil
 }
 
 // pushAnchor inserts a reconstructed anchor at the head of the DPB,

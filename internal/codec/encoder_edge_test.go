@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/frame"
@@ -129,5 +130,29 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if stats.FPS != 30 || stats.Width != frames[0].Width {
 		t.Fatal("stats metadata wrong")
+	}
+}
+
+// TestEncodeAllStatsNotAliased pins that the *Stats EncodeAll returns is the
+// caller's own value: it does not point into the encoder (which would keep
+// the encoder's recon frames and tracer alive for as long as a sweep point
+// holds its stats) and a later EncodeAll on the same encoder leaves it alone.
+func TestEncodeAllStatsNotAliased(t *testing.T) {
+	frames := makeClip(t, "cricket", 4, 16)
+	enc, err := NewEncoder(frames[0].Width, frames[0].Height, 30, Defaults(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first, err := enc.EncodeAll(frames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *first
+	want.Frames = append([]FrameStats(nil), first.Frames...)
+	if _, _, err := enc.EncodeAll(frames[:2]); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(*first, want) {
+		t.Fatalf("first call's stats changed under the second EncodeAll:\ngot  %+v\nwant %+v", *first, want)
 	}
 }

@@ -109,28 +109,20 @@ func parsedAnalysisTrace(ctx context.Context, w Workload, dopt codec.DecoderOpti
 
 // analysisMachine returns the cached post-decode, post-lookahead machine
 // snapshot, building it on first use by cloning the decode snapshot and
-// replaying the artifact's recorded events into it — from the shared
-// parsed slab by default, or streaming the raw buffer when noParse is set
-// (bit-identical builds either way). Callers must Clone the snapshot
-// before feeding it further events.
-func analysisMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, a *codec.Analysis, noParse bool) (*uarch.Machine, error) {
+// replaying the shared parsed slab of the artifact's recorded events into
+// it. Callers must Clone the snapshot before feeding it further events.
+func analysisMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, a *codec.Analysis) (*uarch.Machine, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
 	key := anaSnapKey{w: w, dopt: dopt, cfg: cfg, p: a.Params}
 	return anaSnapCache.get(ctx, key, func() (*uarch.Machine, error) {
-		snap, err := decodedMachine(context.Background(), w, dopt, cfg, noParse)
+		snap, err := decodedMachine(context.Background(), w, dopt, cfg)
 		if err != nil {
 			return nil, err
 		}
 		m := snap.Clone()
-		if noParse {
-			if err := trace.Replay(a.Events(), m); err != nil {
-				return nil, fmt.Errorf("core: replay of %s analysis trace: %w", w.Video, err)
-			}
-			return m, nil
-		}
 		parsed, err := parsedAnalysisTrace(context.Background(), w, dopt, a)
 		if err != nil {
 			return nil, err

@@ -11,10 +11,10 @@ import (
 
 // TestAnalysisRunEquivalence is the fidelity guarantee for the shared
 // analysis layer at the experiment level: a job that reuses the memoized
-// lookahead artifact produces a profile and stats bit-for-bit identical to a
-// job that runs its own lookahead. Covered across the option families that
-// change what the lookahead does: the defaults (AQ + b-adapt 1), b-adapt 2
-// with trace sampling, and ultrafast.
+// lookahead artifact produces a profile and stats bit-for-bit identical to
+// the reference transcode, whose encoder runs its own lookahead. Covered
+// across the option families that change what the lookahead does: the
+// defaults (AQ + b-adapt 1), b-adapt 2 with trace sampling, and ultrafast.
 func TestAnalysisRunEquivalence(t *testing.T) {
 	w := tinyWorkload("cricket")
 	badapt2 := codec.Defaults()
@@ -28,50 +28,34 @@ func TestAnalysisRunEquivalence(t *testing.T) {
 		"medium": codec.Defaults(), "badapt2_sampled": badapt2, "ultrafast": ultra,
 	} {
 		t.Run(name, func(t *testing.T) {
-			job := Job{Workload: w, Options: opt, Config: uarch.Baseline()}
-			shared, err := Run(context.Background(), job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			job.NoAnalysisCache = true
-			live, err := Run(context.Background(), job)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(shared.Report, live.Report) {
-				t.Fatalf("analysis-reuse report differs from live-lookahead report:\nshared: %+v\nlive:   %+v",
-					shared.Report, live.Report)
-			}
-			if !reflect.DeepEqual(shared.Stats, live.Stats) {
-				t.Fatal("analysis-reuse codec stats differ from live-lookahead stats")
-			}
+			requireReference(t, Job{Workload: w, Options: opt, Config: uarch.Baseline()})
 		})
 	}
 }
 
-// TestAnalysisSweepDeterminism runs the crf x refs sweep with and without
-// the shared artifact and requires every point's report and stats to match —
-// the sweep-level form of the determinism.sh CSV gate.
+// TestAnalysisSweepDeterminism runs the crf x refs sweep through the shared
+// artifact and requires every point's report and stats to match the
+// reference transcode of that point — the sweep-level form of the
+// determinism.sh CSV gate.
 func TestAnalysisSweepDeterminism(t *testing.T) {
 	w := tinyWorkload("desktop")
 	base := codec.Defaults()
 	crfs, refs := []int{23, 41}, []int{1, 4}
-	shared := SweepCRFRefsWith(context.Background(), w, base, uarch.Baseline(), crfs, refs, SweepOpts{})
-	live := SweepCRFRefsWith(context.Background(), w, base, uarch.Baseline(), crfs, refs,
-		SweepOpts{NoAnalysisCache: true})
-	if err := shared.FirstErr(); err != nil {
+	pts := SweepCRFRefs(context.Background(), w, base, uarch.Baseline(), crfs, refs)
+	if err := pts.FirstErr(); err != nil {
 		t.Fatal(err)
 	}
-	if err := live.FirstErr(); err != nil {
-		t.Fatal(err)
+	if len(pts) != len(crfs)*len(refs) {
+		t.Fatalf("got %d points, want %d", len(pts), len(crfs)*len(refs))
 	}
-	if len(shared) != len(live) {
-		t.Fatalf("point count differs: %d vs %d", len(shared), len(live))
-	}
-	for i := range shared {
-		if !reflect.DeepEqual(shared[i], live[i]) {
-			t.Errorf("point %d (crf %d refs %d) differs between shared-analysis and live sweeps",
-				i, shared[i].CRF, shared[i].Refs)
+	for _, pt := range pts {
+		opt := base
+		opt.RC = codec.RCCRF
+		opt.CRF = pt.CRF
+		opt.Refs = pt.Refs
+		want := referenceTranscode(t, Job{Workload: w, Options: opt, Config: uarch.Baseline()})
+		if !reflect.DeepEqual(pt.Report, want.Report) || !reflect.DeepEqual(pt.Stats, want.Stats) {
+			t.Errorf("point crf %d refs %d differs from the uncached reference transcode", pt.CRF, pt.Refs)
 		}
 	}
 }

@@ -97,25 +97,6 @@ type Job struct {
 	// microbenchmarks); full transcodes decode a cached mezzanine stream
 	// first, exactly as a production transcode does.
 	SkipDecode bool
-	// NoReplayCache forces the decode half to run live through codec.Decoder
-	// instead of replaying the cached recorded trace. The two paths produce
-	// bit-for-bit identical profiles (asserted by TestReplayRunEquivalence);
-	// this escape hatch exists for fidelity A/B checks and for measuring the
-	// replay layer's own speedup.
-	NoReplayCache bool
-	// NoParseCache forces replays to stream the raw varint trace through
-	// trace.Replay instead of fanning out from the cached pre-parsed event
-	// slab via Machine.ReplayEvents. The two paths are bit-for-bit identical
-	// (TestParsedRunEquivalence, TestReplayEventsEquivalence); this escape
-	// hatch exists for fidelity A/B checks and for measuring the parsed
-	// layer's own speedup.
-	NoParseCache bool
-	// NoAnalysisCache disables the shared per-video analysis artifact: the
-	// encoder runs its own lookahead and AQ variance pass instead of reusing
-	// the memoized one. Like NoReplayCache the two paths are bit-for-bit
-	// identical (TestAnalysisRunEquivalence); this escape hatch exists for
-	// fidelity A/B checks and for measuring the analysis layer's own speedup.
-	NoAnalysisCache bool
 	// StageMetrics attaches a per-encode-stage latency observer that feeds
 	// the encode_stage_<stage>_ns histograms in obs.Default(). Opt-in: the
 	// timing calls cost real wall time per macroblock, so throughput-critical
@@ -336,29 +317,16 @@ var snapCache = flightCache[snapKey, *uarch.Machine]{name: "snapshot"}
 
 // decodedMachine returns the cached post-decode machine snapshot for a
 // (workload, decoder options, configuration) triple, building it on first
-// use by replaying the recorded decode trace into a fresh machine. The
-// default build fans out from the shared parsed slab (one trace decode
-// serves every configuration); noParse streams the raw buffer through
-// trace.Replay instead — the two builds are bit-identical, so the cached
-// snapshot is the same machine either way. Callers must Clone the snapshot
-// before feeding it further events.
-func decodedMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, noParse bool) (*uarch.Machine, error) {
+// use by replaying the shared parsed slab of the recorded decode trace into
+// a fresh machine (one trace decode serves every configuration). Callers
+// must Clone the snapshot before feeding it further events.
+func decodedMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config) (*uarch.Machine, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
 	return snapCache.get(ctx, snapKey{w: w, opt: dopt, cfg: cfg}, func() (*uarch.Machine, error) {
 		m := uarch.NewMachine(cfg, trace.NewImage(nil))
-		if noParse {
-			_, events, err := DecodedMezzanine(context.Background(), w, dopt)
-			if err != nil {
-				return nil, err
-			}
-			if err := trace.Replay(events, m); err != nil {
-				return nil, fmt.Errorf("core: replay of %s decode trace: %w", w.Video, err)
-			}
-			return m, nil
-		}
 		parsed, err := ParsedDecodeTrace(context.Background(), w, dopt)
 		if err != nil {
 			return nil, err
@@ -415,31 +383,19 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-	case job.NoReplayCache:
-		// Live path: simulate the decode directly into this job's machine.
-		machine = uarch.NewMachine(job.Config, img)
-		stream, err := Mezzanine(ctx, job.Workload)
-		if err != nil {
-			return nil, err
-		}
-		dec := codec.NewDecoder(decoderOptions(job.Options), machine)
-		input, _, err = dec.Decode(stream)
-		if err != nil {
-			return nil, fmt.Errorf("core: mezzanine decode of %s: %w", job.Workload.Video, err)
-		}
 	default:
-		// Cached path: the decode is simulated once per (workload, decoder
-		// options) and its event stream recorded; each job then gets the
-		// post-decode machine state without re-running codec.Decoder. The
-		// machine is a deterministic event consumer, so its state — and
-		// therefore the profile — is bit-for-bit what the live path
+		// The decode is simulated once per (workload, decoder options) and
+		// its event stream recorded; each job then gets the post-decode
+		// machine state without re-running codec.Decoder. The machine is a
+		// deterministic event consumer, so its state — and therefore the
+		// profile — is bit-for-bit what a live decode into the job's machine
 		// produces (TestReplayRunEquivalence).
 		dopt := decoderOptions(job.Options)
-		frames, events, err := DecodedMezzanine(ctx, job.Workload, dopt)
+		frames, _, err := DecodedMezzanine(ctx, job.Workload, dopt)
 		if err != nil {
 			return nil, err
 		}
-		if job.Image == nil && !job.NoAnalysisCache && job.Options.RC != codec.RCABR2 {
+		if job.Image == nil && job.Options.RC != codec.RCABR2 {
 			// Shared analysis: the crf/refs-invariant lookahead work is
 			// memoized once per workload, and the machine snapshot has already
 			// consumed both the decode trace and the artifact's recorded
@@ -450,7 +406,7 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 			if analysis, err = sharedAnalysis(ctx, job.Workload, dopt, job.Options, job.Segment); err != nil {
 				return nil, err
 			}
-			snap, err := analysisMachine(ctx, job.Workload, dopt, job.Config, analysis, job.NoParseCache)
+			snap, err := analysisMachine(ctx, job.Workload, dopt, job.Config, analysis)
 			if err != nil {
 				return nil, err
 			}
@@ -458,28 +414,21 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 		} else if job.Image == nil {
 			// Default code image: clone the cached post-decode machine
 			// snapshot — the decode half at memcpy speed.
-			snap, err := decodedMachine(ctx, job.Workload, dopt, job.Config, job.NoParseCache)
+			snap, err := decodedMachine(ctx, job.Workload, dopt, job.Config)
 			if err != nil {
 				return nil, err
 			}
 			machine = snap.Clone()
 		} else {
 			// Custom image (e.g. the AutoFDO study): snapshots are keyed on
-			// the default layout, so re-drive the recorded events into this
-			// job's machine instead — from the shared parsed slab unless the
-			// job opted out.
+			// the default layout, so re-drive the shared parsed slab into
+			// this job's machine instead.
 			machine = uarch.NewMachine(job.Config, img)
-			if job.NoParseCache {
-				if err := trace.Replay(events, machine); err != nil {
-					return nil, fmt.Errorf("core: replay of %s decode trace: %w", job.Workload.Video, err)
-				}
-			} else {
-				parsed, err := ParsedDecodeTrace(ctx, job.Workload, dopt)
-				if err != nil {
-					return nil, err
-				}
-				machine.ReplayEvents(parsed)
+			parsed, err := ParsedDecodeTrace(ctx, job.Workload, dopt)
+			if err != nil {
+				return nil, err
 			}
+			machine.ReplayEvents(parsed)
 		}
 		input = cloneFrames(frames)
 	}
@@ -627,16 +576,6 @@ func (ps Points) Failed() Points {
 
 // SweepOpts adjusts how a sweep executes without changing what it measures.
 type SweepOpts struct {
-	// NoReplayCache runs every point's decode live instead of replaying the
-	// recorded decode trace (see Job.NoReplayCache).
-	NoReplayCache bool
-	// NoParseCache streams every replay through the raw varint buffer
-	// instead of the shared parsed event slab (see Job.NoParseCache).
-	NoParseCache bool
-	// NoAnalysisCache runs every point's lookahead and AQ analysis live
-	// instead of reusing the shared per-video artifact (see
-	// Job.NoAnalysisCache).
-	NoAnalysisCache bool
 	// StageMetrics turns on per-encode-stage latency histograms for every
 	// point (see Job.StageMetrics).
 	StageMetrics bool
@@ -666,7 +605,7 @@ type Plan struct {
 	// error marks the point failed and the runner skips it — the job is
 	// never executed, so the original error survives into Point.Err.
 	Build func(i int) (Job, Point, error)
-	// Opts adjusts execution (replay cache, progress reporting).
+	// Opts adjusts execution (stage metrics, progress reporting).
 	Opts SweepOpts
 }
 
@@ -682,8 +621,11 @@ func Sweep(ctx context.Context, p Plan) Points {
 	if len(p.Warm) > 0 {
 		warmSpan := met.Histogram("core_sweep_warmup_ns").Start()
 		errs, err := exec.Pool{Policy: exec.FailFast}.Map(ctx, len(p.Warm), func(ctx context.Context, i int) error {
+			// The snapshot build pulls in the mezzanine, the decoded frames
+			// and the parsed decode trace underneath it.
 			t := p.Warm[i]
-			return warmDecode(ctx, t.Workload, t.Decoder, t.Config, p.Opts)
+			_, err := decodedMachine(ctx, t.Workload, t.Decoder, t.Config)
+			return err
 		})
 		warmSpan.End()
 		if err != nil {
@@ -708,6 +650,7 @@ func Sweep(ctx context.Context, p Plan) Points {
 			points[i].Err = err
 			continue
 		}
+		job.StageMetrics = job.StageMetrics || p.Opts.StageMetrics
 		jobs[i] = job
 		runnable[i] = true
 	}
@@ -740,19 +683,6 @@ func Sweep(ctx context.Context, p Plan) Points {
 	return points
 }
 
-// warmDecode pre-builds the caches a sweep's points will hit: always the
-// mezzanine, and — unless the sweep opts out of replay — the decoded
-// frames, the recorded decode trace and the post-decode machine snapshot
-// for the sweep's configuration.
-func warmDecode(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, opts SweepOpts) error {
-	if opts.NoReplayCache {
-		_, err := Mezzanine(ctx, w)
-		return err
-	}
-	_, err := decodedMachine(ctx, w, dopt, cfg, opts.NoParseCache)
-	return err
-}
-
 // SweepCRFRefs profiles every (crf, refs) combination on one video — the
 // §III-C1 experiment behind Figures 3, 4 and 5.
 func SweepCRFRefs(ctx context.Context, w Workload, base codec.Options, cfg uarch.Config, crfs, refs []int) Points {
@@ -773,9 +703,7 @@ func SweepCRFRefsWith(ctx context.Context, w Workload, base codec.Options, cfg u
 			opt.RC = codec.RCCRF
 			opt.CRF = crf
 			opt.Refs = rf
-			return Job{Workload: w, Options: opt, Config: cfg,
-					NoReplayCache: opts.NoReplayCache, NoParseCache: opts.NoParseCache, NoAnalysisCache: opts.NoAnalysisCache,
-					StageMetrics: opts.StageMetrics},
+			return Job{Workload: w, Options: opt, Config: cfg},
 				Point{Video: w.Video, CRF: crf, Refs: rf}, nil
 		},
 		Opts: opts,
@@ -805,9 +733,7 @@ func SweepPresetsWith(ctx context.Context, w Workload, cfg uarch.Config, presets
 			}
 			opt.Refs = refs
 			opt.TraceSampleLog2 = 0
-			return Job{Workload: w, Options: opt, Config: cfg,
-				NoReplayCache: opts.NoReplayCache, NoParseCache: opts.NoParseCache, NoAnalysisCache: opts.NoAnalysisCache,
-				StageMetrics: opts.StageMetrics}, pt, nil
+			return Job{Workload: w, Options: opt, Config: cfg}, pt, nil
 		},
 		Opts: opts,
 	})
@@ -836,9 +762,7 @@ func SweepVideosWith(ctx context.Context, videos []string, frames, scale int, ba
 		N:    len(videos),
 		Build: func(i int) (Job, Point, error) {
 			w := Workload{Video: videos[i], Frames: frames, Scale: scale}
-			return Job{Workload: w, Options: base, Config: cfg,
-					NoReplayCache: opts.NoReplayCache, NoParseCache: opts.NoParseCache, NoAnalysisCache: opts.NoAnalysisCache,
-					StageMetrics: opts.StageMetrics},
+			return Job{Workload: w, Options: base, Config: cfg},
 				Point{Video: videos[i], CRF: base.CRF, Refs: base.Refs}, nil
 		},
 		Opts: opts,

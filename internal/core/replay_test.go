@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/perf"
 	"repro/internal/trace"
 	"repro/internal/uarch"
 )
@@ -55,33 +56,81 @@ func TestReplayMachineEquivalence(t *testing.T) {
 	}
 }
 
-// TestReplayRunEquivalence is the fidelity guarantee at the experiment
-// level: the profile of a full transcode is identical whether the decode
-// half was replayed from the cache or simulated live, so every figure stays
-// bit-for-bit unchanged by the cache.
+// referenceTranscode is the oracle every Run equivalence test is pinned
+// against: the job's transcode with no cache layer and no shared artifact
+// anywhere — the mezzanine is encoded here, decoded live into a fresh
+// machine by codec.Decoder, and the encoder runs its own lookahead on the
+// same machine. It shares only the codec and simulator primitives with Run.
+func referenceTranscode(t *testing.T, job Job) *Result {
+	t.Helper()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := job.Workload.normalized()
+	must(err)
+	src, info, err := sourceFrames(w)
+	must(err)
+	mo, err := mezzanineOptions()
+	must(err)
+	menc, err := codec.NewEncoder(src[0].Width, src[0].Height, info.FPS, mo, nil)
+	must(err)
+	mezz, _, err := menc.EncodeAll(src)
+	must(err)
+
+	img := job.Image
+	if img == nil {
+		img = trace.NewImage(nil)
+	}
+	m := uarch.NewMachine(job.Config, img)
+	input, _, err := codec.NewDecoder(decoderOptions(job.Options), m).Decode(mezz)
+	must(err)
+	if !job.Segment.IsZero() {
+		input = input[job.Segment.Start:job.Segment.End]
+	}
+	enc, err := codec.NewEncoder(input[0].Width, input[0].Height, info.FPS, job.Options, m)
+	must(err)
+	_, stats, err := enc.EncodeAll(input)
+	must(err)
+	return &Result{Report: perf.FromResult(m.Result(), enc.SampleFactor()), Stats: stats}
+}
+
+// requireReference runs job through Run and requires its profile and codec
+// stats to be bit-for-bit those of referenceTranscode.
+func requireReference(t *testing.T, job Job) *Result {
+	t.Helper()
+	got, err := Run(context.Background(), job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceTranscode(t, job)
+	if !reflect.DeepEqual(got.Report, want.Report) {
+		t.Fatalf("Run report differs from the uncached reference transcode:\nrun: %+v\nref: %+v", got.Report, want.Report)
+	}
+	if !reflect.DeepEqual(got.Stats, want.Stats) {
+		t.Fatal("Run codec stats differ from the uncached reference transcode")
+	}
+	return got
+}
+
+// TestReplayRunEquivalence is the fidelity guarantee of the decode-replay
+// layers at the experiment level: the profile of a full transcode whose
+// decode half is a cloned snapshot equals a live decode into the job's own
+// machine, so every figure stays bit-for-bit unchanged by the cache. The
+// two-pass ABR job bypasses the shared analysis artifact, so it exercises
+// the bare post-decode snapshot.
 func TestReplayRunEquivalence(t *testing.T) {
 	w := tinyWorkload("cricket")
 	opt := codec.Defaults()
 	opt.CRF = 27
 	opt.Refs = 2
-	job := Job{Workload: w, Options: opt, Config: uarch.Baseline()}
+	requireReference(t, Job{Workload: w, Options: opt, Config: uarch.Baseline()})
 
-	cached, err := Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job.NoReplayCache = true
-	livePath, err := Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cached.Report, livePath.Report) {
-		t.Fatalf("replay-path report differs from live-decode report:\ncached: %+v\nlive:   %+v",
-			cached.Report, livePath.Report)
-	}
-	if !reflect.DeepEqual(cached.Stats, livePath.Stats) {
-		t.Fatal("replay-path codec stats differ from live-decode stats")
-	}
+	opt.RC = codec.RCABR2
+	opt.BitrateKbps = 400
+	requireReference(t, Job{Workload: w, Options: opt, Config: uarch.Baseline()})
 }
 
 // TestParsedReplayMachineEquivalence pins the parsed fan-out at the
@@ -115,53 +164,21 @@ func TestParsedReplayMachineEquivalence(t *testing.T) {
 	}
 }
 
-// TestParsedRunEquivalence is the fidelity guarantee at the experiment
-// level: a run whose replays stream the raw varint buffer (NoParseCache)
-// produces exactly the profile of the default parsed fan-out. The custom
-// code image forces Run's per-job replay branch, so both replay paths
-// actually execute rather than sharing a cached snapshot.
+// TestParsedRunEquivalence is the fidelity guarantee of the parsed fan-out
+// at the experiment level. The custom code image forces Run's per-job
+// replay branch (the parsed slab driven straight into the job's machine);
+// the unique seed forces every cache layer to build cold through the
+// default snapshot path.
 func TestParsedRunEquivalence(t *testing.T) {
 	w := tinyWorkload("cricket")
 	opt := codec.Defaults()
 	opt.CRF = 29
 	opt.Refs = 2
-	job := Job{Workload: w, Options: opt, Config: uarch.Baseline(), Image: trace.NewImage(nil)}
+	requireReference(t, Job{Workload: w, Options: opt, Config: uarch.Baseline(), Image: trace.NewImage(nil)})
 
-	parsedPath, err := Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job.NoParseCache = true
-	streamPath, err := Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(parsedPath.Report, streamPath.Report) {
-		t.Fatalf("parsed-path report differs from streaming-path report:\nparsed: %+v\nstream: %+v",
-			parsedPath.Report, streamPath.Report)
-	}
-	if !reflect.DeepEqual(parsedPath.Stats, streamPath.Stats) {
-		t.Fatal("parsed-path codec stats differ from streaming-path stats")
-	}
-
-	// And through the default (snapshot) path: a full job pair without the
-	// custom image, cold snapshots forced by a unique seed so both runs
-	// build through their respective replay branch.
 	cold := w
 	cold.Seed = 424242
-	job = Job{Workload: cold, Options: opt, Config: uarch.Baseline(), NoParseCache: true}
-	streamSnap, err := Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job.NoParseCache = false
-	parsedSnap, err := Run(context.Background(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(parsedSnap.Report, streamSnap.Report) {
-		t.Fatal("snapshot-path reports differ between parsed and streaming builds")
-	}
+	requireReference(t, Job{Workload: cold, Options: opt, Config: uarch.Baseline()})
 }
 
 // TestDecodedMezzanineCached verifies hits share one entry and that the

@@ -36,7 +36,7 @@ func TestSegmentsFor(t *testing.T) {
 // TestSegmentRunEquivalence is the core-level fidelity guarantee for
 // segment jobs: a per-segment Run through the cached decode + shared
 // analysis fast path produces a profile and stats bit-for-bit identical to
-// the same segment run fully live (no replay cache, no analysis cache).
+// the reference transcode of the same segment.
 func TestSegmentRunEquivalence(t *testing.T) {
 	w := tinyWorkload("cricket")
 	segs, err := SegmentsFor(w, 3)
@@ -44,30 +44,8 @@ func TestSegmentRunEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, seg := range segs {
-		job := Job{Workload: w, Options: codec.Defaults(), Config: uarch.Baseline(), Segment: seg}
-		cached, err := Run(context.Background(), job)
-		if err != nil {
-			t.Fatalf("seg %v cached: %v", seg, err)
-		}
-		job.NoAnalysisCache = true
-		noAna, err := Run(context.Background(), job)
-		if err != nil {
-			t.Fatalf("seg %v no-analysis: %v", seg, err)
-		}
-		job.NoReplayCache = true
-		live, err := Run(context.Background(), job)
-		if err != nil {
-			t.Fatalf("seg %v live: %v", seg, err)
-		}
-		for name, got := range map[string]*Result{"no-analysis": noAna, "live": live} {
-			if !reflect.DeepEqual(cached.Report, got.Report) {
-				t.Fatalf("seg %v: %s report differs from cached fast path", seg, name)
-			}
-			if !reflect.DeepEqual(cached.Stats, got.Stats) {
-				t.Fatalf("seg %v: %s stats differ from cached fast path", seg, name)
-			}
-		}
-		if n := len(cached.Stats.Frames); n != seg.Len() {
+		got := requireReference(t, Job{Workload: w, Options: codec.Defaults(), Config: uarch.Baseline(), Segment: seg})
+		if n := len(got.Stats.Frames); n != seg.Len() {
 			t.Fatalf("seg %v: stats cover %d frames, want %d", seg, n, seg.Len())
 		}
 	}

@@ -122,27 +122,18 @@ func AssignPool(tasks []Task, baselineReports []*perf.Report, pool Pool) ([]int,
 	return Hungarian(cost)
 }
 
-// AssignDynamic is the dynamic-fleet variant of AssignPool: it places jobs
-// onto whatever servers are free *right now*. The free set is a snapshot —
-// workers join and leave between calls (registration, heartbeat loss,
-// crashes), so unlike AssignPool there is no fixed pool identity: the
-// caller re-snapshots before every batch and maps the returned indices
-// back onto its own slot bookkeeping. Rows may exceed columns (overload);
-// unplaceable rows come back as -1 instead of failing the batch, and rows
-// with a nil report (no baseline characterization yet) are never matched —
-// they return -1 so the caller can place them by its cold-start rule.
-func AssignDynamic(reports []*perf.Report, free []uarch.Config) []int {
-	return AssignDynamicBiased(reports, free, nil)
-}
-
-// AssignDynamicBiased is AssignDynamic with a per-slot additive cost bias:
-// bias[j] (nil: all zero) is added to every job's cost of taking slot j.
-// The intended use is load spreading — the dispatcher feeds a small term
-// proportional to each worker's reported utilization, so that among slots
-// of near-equal affinity the matcher prefers the idler machine, while a
-// real affinity gap still dominates. Bias magnitudes should stay well below
-// typical affinity spreads (the Affinity weights sum to ~1) or placement
-// quality degrades into pure load balancing.
+// AssignDynamicBiased is the dynamic-fleet variant of AssignPool: it places
+// jobs onto whatever servers are free *right now* by raw affinity. The
+// online dispatcher places through AssignHetero; this stays as the affinity
+// oracle its software-only placements are tested against. Rows may exceed
+// columns (overload); unplaceable rows come back as -1 instead of failing
+// the batch, and rows with a nil report (no baseline characterization yet)
+// are never matched — they return -1 too.
+//
+// bias[j] (nil: all zero) is added to every job's cost of taking slot j —
+// a load-spreading term. Bias magnitudes should stay well below typical
+// affinity spreads (the Affinity weights sum to ~1) or placement quality
+// degrades into pure load balancing.
 func AssignDynamicBiased(reports []*perf.Report, free []uarch.Config, bias []float64) []int {
 	out := make([]int, len(reports))
 	var warm []int

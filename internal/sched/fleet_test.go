@@ -155,7 +155,7 @@ func TestAssignDynamic(t *testing.T) {
 
 	// Batch 1: both specialists free — each job routes to its bottleneck fix.
 	free := []uarch.Config{byName("fe_op"), byName("bs_op")}
-	assign := AssignDynamic([]*perf.Report{feBound, bsBound}, free)
+	assign := AssignDynamicBiased([]*perf.Report{feBound, bsBound}, free, nil)
 	if free[assign[0]].Name != "fe_op" || free[assign[1]].Name != "bs_op" {
 		t.Fatalf("assign %v routed to %s/%s, want fe_op/bs_op",
 			assign, free[assign[0]].Name, free[assign[1]].Name)
@@ -164,7 +164,7 @@ func TestAssignDynamic(t *testing.T) {
 	// Batch 2: the fe_op worker left (crashed mid-heartbeat); the same
 	// front-end-bound job must still place on what remains.
 	free = []uarch.Config{byName("bs_op"), byName("be_op1")}
-	assign = AssignDynamic([]*perf.Report{feBound}, free)
+	assign = AssignDynamicBiased([]*perf.Report{feBound}, free, nil)
 	if assign[0] < 0 || assign[0] >= len(free) {
 		t.Fatalf("assign %v: job unplaced despite free workers", assign)
 	}
@@ -172,7 +172,7 @@ func TestAssignDynamic(t *testing.T) {
 	// Batch 3: overload — three jobs, one free worker. Exactly one places;
 	// the rest report -1 and stay queued.
 	free = []uarch.Config{byName("fe_op")}
-	assign = AssignDynamic([]*perf.Report{feBound, bsBound, feBound}, free)
+	assign = AssignDynamicBiased([]*perf.Report{feBound, bsBound, feBound}, free, nil)
 	placed := 0
 	for _, j := range assign {
 		if j >= 0 {
@@ -185,7 +185,7 @@ func TestAssignDynamic(t *testing.T) {
 
 	// Cold rows (nil report) are never matched, even with workers to spare.
 	free = []uarch.Config{byName("fe_op"), byName("bs_op")}
-	assign = AssignDynamic([]*perf.Report{nil, bsBound}, free)
+	assign = AssignDynamicBiased([]*perf.Report{nil, bsBound}, free, nil)
 	if assign[0] != -1 {
 		t.Fatalf("cold row placed at %d, want -1", assign[0])
 	}
@@ -194,7 +194,7 @@ func TestAssignDynamic(t *testing.T) {
 	}
 
 	// A joined worker set larger than the batch leaves the extras idle.
-	if got := AssignDynamic(nil, free); len(got) != 0 {
+	if got := AssignDynamicBiased(nil, free, nil); len(got) != 0 {
 		t.Fatalf("empty batch assigned %v", got)
 	}
 }
@@ -237,10 +237,10 @@ func TestAssignDynamicBiased(t *testing.T) {
 		t.Fatalf("bias overrode affinity: placed on %s", free[assign[0]].Name)
 	}
 
-	// Nil bias is plain AssignDynamic.
+	// Nil bias is the all-zero bias.
 	a := AssignDynamicBiased([]*perf.Report{feBound}, free, nil)
-	b := AssignDynamic([]*perf.Report{feBound}, free)
+	b := AssignDynamicBiased([]*perf.Report{feBound}, free, []float64{0, 0})
 	if a[0] != b[0] {
-		t.Fatalf("nil-bias assignment %v differs from AssignDynamic %v", a, b)
+		t.Fatalf("nil-bias assignment %v differs from zero-bias %v", a, b)
 	}
 }

@@ -22,32 +22,11 @@ func FleetFromPool(p Pool) Fleet {
 	return f
 }
 
-// Configs projects the software view of a fleet for code that only
-// understands uarch configs (accel servers project their zero config).
-func (f Fleet) Configs() Pool {
-	p := make(Pool, len(f))
-	for i, s := range f {
-		p[i] = s.Config
-	}
-	return p
-}
-
-// AllSoftware reports whether no server in the fleet is an accelerator.
-func (f Fleet) AllSoftware() bool {
-	for _, s := range f {
-		if s.Backend == backend.Accel {
-			return false
-		}
-	}
-	return true
-}
-
 // Objective selects what the placement matrix minimizes.
 type Objective string
 
 const (
-	// ObjectiveSeconds minimizes predicted fleet-seconds (the legacy
-	// behavior, and the default).
+	// ObjectiveSeconds minimizes predicted fleet-seconds (the default).
 	ObjectiveSeconds Objective = "seconds"
 	// ObjectiveCost minimizes predicted dollars: seconds × the assigned
 	// server's hourly price.
@@ -139,7 +118,7 @@ const maskPenalty = 1e12
 // bias, when non-nil, is a per-server load-spreading term in [0,1]-ish
 // units (typically utilization fractions); it is scaled by the mean
 // feasible cell magnitude so it breaks ties without fighting the
-// objective, mirroring AssignDynamicBiased.
+// objective.
 func AssignHetero(jobs []HeteroJob, free []backend.ServerSpec, model backend.AccelModel, obj Objective, bias []float64) []int {
 	out := make([]int, len(jobs))
 	var warm []int
@@ -220,16 +199,4 @@ func FeasibleAnywhere(job HeteroJob, specs []backend.ServerSpec, model backend.A
 		}
 	}
 	return false
-}
-
-// FleetCost prices a vector of (seconds, server) outcomes; a convenience
-// for reports and tests.
-func FleetCost(seconds []float64, specs []backend.ServerSpec) float64 {
-	var cents float64
-	for i, s := range seconds {
-		if i < len(specs) {
-			cents += specs[i].CostCents(s)
-		}
-	}
-	return cents
 }

@@ -171,11 +171,4 @@ func TestFleetFromPoolDefaults(t *testing.T) {
 			t.Fatalf("spec not defaulted: %+v", s)
 		}
 	}
-	if !f.AllSoftware() {
-		t.Fatal("AllSoftware false for software pool")
-	}
-	f = append(f, accelSpec(250))
-	if f.AllSoftware() {
-		t.Fatal("AllSoftware true with accel present")
-	}
 }

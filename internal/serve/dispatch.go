@@ -21,11 +21,12 @@ import (
 // paper's one-shot Hungarian placement, split into placement (here) and
 // delivery (transport.go / fleet.go). Each cycle it takes the next dequeued
 // job, tops the batch up with whatever else is waiting (bounded by the
-// free-slot count), and solves the batch×free-slots assignment with the
-// same affinity cost model the offline smart scheduler uses — a batch of
-// one degenerates to greedy argmax-affinity, a fuller batch recovers the
-// regret-aware matching (a job only concedes its best server when another
-// job loses more by missing it). Videos without a cached baseline
+// free-slot count), and solves the batch×free-slots assignment over
+// predicted seconds, built from the same affinity model the offline smart
+// scheduler uses — a batch of one on a software fleet degenerates to
+// greedy argmax-affinity, a fuller batch recovers the regret-aware
+// matching (a job only concedes its best server when another job loses
+// more by missing it). Videos without a cached baseline
 // characterization fall back to seeded-random placement, the cold-start
 // behaviour the random control policy uses for everything.
 
@@ -161,40 +162,27 @@ func (s *Server) place(batch []*record, free []slot) []placement {
 	}
 	taken := make([]bool, len(free))
 	if s.cfg.Policy == PolicySmart {
-		var assigned []int
-		if s.heteroPlacement(free) {
-			// Economic path: mixed backends and/or the cost objective. The
-			// matrix is built from predicted seconds (affinity-scaled for
-			// software, closed-form for the accelerator), priced when the
-			// objective is dollars, with infeasible cells (option surface,
-			// quality floor, deadline) masked before the solve.
-			specs := make([]backend.ServerSpec, len(free))
-			bias := make([]float64, len(free))
-			jobs := make([]sched.HeteroJob, len(batch))
-			for j, sl := range free {
-				specs[j] = sl.spec
-				bias[j] = utilBias * sl.util / 100
-			}
-			for bi, rec := range batch {
-				jobs[bi] = s.heteroJob(rec, reports[bi])
-			}
-			assigned = sched.AssignHetero(jobs, specs, s.accel, s.cfg.Objective, bias)
-		} else {
-			// Legacy affinity path (software-only fleet, seconds objective):
-			// bit-identical to the pre-economic dispatcher.
-			configs := make([]uarch.Config, len(free))
-			bias := make([]float64, len(free))
-			for j, sl := range free {
-				configs[j] = sl.cfg
-				// Live-load tiebreak: each slot's cost carries a small term from
-				// its worker's reported utilization, so equal-affinity choices
-				// prefer the idler machine. utilBias spans [0, 0.05] across the
-				// 0-100% range — well under typical affinity gaps, so a real
-				// bottleneck match still dominates.
-				bias[j] = utilBias * sl.util / 100
-			}
-			assigned = sched.AssignDynamicBiased(reports, configs, bias)
+		// One placement matrix for every fleet: predicted seconds
+		// (affinity-scaled for software, closed-form for the accelerator),
+		// priced when the objective is dollars, with infeasible cells (option
+		// surface, quality floor, deadline) masked before the solve.
+		specs := make([]backend.ServerSpec, len(free))
+		bias := make([]float64, len(free))
+		jobs := make([]sched.HeteroJob, len(batch))
+		for j, sl := range free {
+			specs[j] = sl.spec
+			// Live-load tiebreak: each slot's cost carries a small term from
+			// its worker's reported utilization, so near-equal choices prefer
+			// the idler machine. AssignHetero scales it by the mean predicted
+			// cell, so it spans [0, 5%] of that mean across the 0-100% range —
+			// well under typical affinity gaps, so a real bottleneck match
+			// still dominates.
+			bias[j] = utilBias * sl.util / 100
 		}
+		for bi, rec := range batch {
+			jobs[bi] = s.heteroJob(rec, reports[bi])
+		}
+		assigned := sched.AssignHetero(jobs, specs, s.accel, s.cfg.Objective, bias)
 		for bi, j := range assigned {
 			if j >= 0 {
 				out[bi].slot = j
@@ -227,21 +215,6 @@ func (s *Server) place(batch []*record, free []slot) []placement {
 		taken[j] = true
 	}
 	return out
-}
-
-// heteroPlacement reports whether this free snapshot needs the economic
-// matrix: always under the cost objective, and whenever an accelerator
-// slot is free (the affinity model cannot price or time it).
-func (s *Server) heteroPlacement(free []slot) bool {
-	if s.cfg.Objective == sched.ObjectiveCost {
-		return true
-	}
-	for _, sl := range free {
-		if sl.spec.Backend == backend.Accel {
-			return true
-		}
-	}
-	return false
 }
 
 // heteroJob projects a record into the economic placement row.

@@ -71,7 +71,6 @@ type lease struct {
 
 type fleetWorker struct {
 	id   string
-	cfg  uarch.Config
 	spec backend.ServerSpec // full economic capability from the last message
 	last time.Time          // last message of any kind
 	util float64
@@ -211,7 +210,7 @@ func (f *fleetTransport) freeSlots() []slot {
 	out := make([]slot, len(ids))
 	for i, id := range ids {
 		w := f.workers[id]
-		out[i] = slot{id: id, label: id, cfg: w.cfg, spec: w.spec, util: w.util}
+		out[i] = slot{id: id, label: id, spec: w.spec, util: w.util}
 	}
 	return out
 }
@@ -412,7 +411,6 @@ func (f *fleetTransport) upsertLocked(id string, spec backend.ServerSpec, now ti
 		w = &fleetWorker{id: id}
 		f.workers[id] = w
 	}
-	w.cfg = spec.Config
 	w.spec = spec
 	w.last = now
 	w.gone = false
@@ -645,7 +643,7 @@ func (f *fleetTransport) workerViews() []WorkerView {
 	for i, id := range ids {
 		w := f.workers[id]
 		v := WorkerView{
-			ID: id, Config: w.cfg.Name, Busy: w.lease != nil,
+			ID: id, Config: w.spec.Config.Name, Busy: w.lease != nil,
 			Backend: string(w.spec.Backend), PriceCentsHour: w.spec.PriceCentsHour,
 			Spot:   w.spec.Spot,
 			Parked: w.park != nil, Gone: w.gone, JobsDone: w.jobs,

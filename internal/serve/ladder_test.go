@@ -254,10 +254,10 @@ func TestPlaceUtilBias(t *testing.T) {
 	s.learn("desktop", rep)
 	rec := &record{seq: 1, task: sched.Task{Video: "desktop"}}
 
-	base := uarch.Baseline()
+	base := sched.FleetFromPool(sched.Pool{uarch.Baseline()})[0]
 	free := []slot{
-		{id: "w-a", label: "w-a", cfg: base, util: 90},
-		{id: "w-b", label: "w-b", cfg: base, util: 10},
+		{id: "w-a", label: "w-a", spec: base, util: 90},
+		{id: "w-b", label: "w-b", spec: base, util: 10},
 	}
 	got := s.place([]*record{rec}, free)
 	if got[0].mode != "smart" || got[0].slot != 1 {

@@ -66,11 +66,10 @@ type Config struct {
 	// Servers is the full heterogeneous fleet — backend kind, uarch
 	// config, hourly price and spot flag per server. When empty it is
 	// derived from Pool at default on-demand prices; when set it overrides
-	// Pool (which becomes its software projection). Like Pool it drives
-	// only the loopback transport.
+	// Pool. Like Pool it drives only the loopback transport.
 	Servers sched.Fleet
-	// Objective selects what placement minimizes: fleet-seconds (default,
-	// the legacy behavior) or dollars under per-job deadlines and quality
+	// Objective selects what placement minimizes: fleet-seconds (the
+	// default) or dollars under per-job deadlines and quality
 	// floors (sched.ObjectiveCost).
 	Objective sched.Objective
 	// Policy selects smart (default) or random placement.
@@ -396,8 +395,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Fleet == nil {
 		// Loopback: resolve the economic fleet view. Servers overrides Pool;
-		// a plain Pool is lifted to default on-demand prices, so existing
-		// callers see the legacy behavior with costs attached.
+		// a plain Pool is lifted to default on-demand prices.
 		if len(cfg.Servers) == 0 {
 			cfg.Servers = sched.FleetFromPool(cfg.Pool)
 		} else {
@@ -407,7 +405,6 @@ func New(cfg Config) (*Server, error) {
 			}
 			cfg.Servers = servers
 		}
-		cfg.Pool = cfg.Servers.Configs()
 	}
 	if cfg.Policy == "" {
 		cfg.Policy = PolicySmart
@@ -420,8 +417,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg.Objective = obj
-	if cfg.Fleet == nil && (cfg.Workers <= 0 || cfg.Workers > len(cfg.Pool)) {
-		cfg.Workers = len(cfg.Pool)
+	if cfg.Fleet == nil && (cfg.Workers <= 0 || cfg.Workers > len(cfg.Servers)) {
+		cfg.Workers = len(cfg.Servers)
 	}
 	reg := cfg.Metrics
 	if reg == nil {

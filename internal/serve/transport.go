@@ -12,7 +12,6 @@ import (
 	"repro/internal/perf"
 	"repro/internal/queue"
 	"repro/internal/sched"
-	"repro/internal/uarch"
 )
 
 // This file is the transport half of the dispatcher split: the dispatcher
@@ -27,12 +26,10 @@ import (
 // crashed or its poll timed out), which Start reports as an error so the
 // dispatcher requeues instead of losing the job.
 type slot struct {
-	id    string       // transport-unique slot key
-	label string       // what JobView.Server reports (config name / worker id)
-	cfg   uarch.Config // capability metadata driving placement
-	// spec is the slot's full economic capability: backend kind, uarch
-	// config, hourly price, spot flag. cfg duplicates spec.Config for the
-	// legacy affinity path.
+	id    string // transport-unique slot key
+	label string // what JobView.Server reports (config name / worker id)
+	// spec is the slot's capability, the metadata driving placement: backend
+	// kind, uarch config, hourly price, spot flag.
 	spec backend.ServerSpec
 	// util is the slot's reported utilization percent (fleet heartbeats;
 	// loopback slots are dedicated simulated servers and report 0). The
@@ -84,8 +81,7 @@ type transport interface {
 // flag per configured server. It is the transport behind RunComparison and
 // any serve instance without Fleet options.
 type loopback struct {
-	pool    sched.Pool
-	fleet   sched.Fleet // per-server specs, aligned with pool indices
+	fleet   sched.Fleet // per-server specs
 	accel   backend.AccelModel
 	workers int
 	proto   core.Workload
@@ -102,7 +98,6 @@ type loopback struct {
 
 func newLoopback(cfg Config, reg *obs.Registry) *loopback {
 	l := &loopback{
-		pool:    cfg.Servers.Configs(),
 		fleet:   cfg.Servers,
 		accel:   backend.DefaultAccel(),
 		workers: cfg.Workers,
@@ -120,7 +115,7 @@ func (l *loopback) open(ctx context.Context) {
 	l.stream = exec.Pool{Workers: l.workers, Metrics: l.metrics}.Stream(ctx)
 }
 
-func (l *loopback) size() int { return len(l.pool) }
+func (l *loopback) size() int { return len(l.fleet) }
 
 func (l *loopback) freeSlots() []slot {
 	l.mu.Lock()
@@ -128,10 +123,7 @@ func (l *loopback) freeSlots() []slot {
 	var out []slot
 	for i, b := range l.busy {
 		if !b {
-			out = append(out, slot{
-				id: "local-" + itoa(i), label: l.fleet[i].Label(),
-				cfg: l.pool[i], spec: l.fleet[i],
-			})
+			out = append(out, slot{id: "local-" + itoa(i), label: l.fleet[i].Label(), spec: l.fleet[i]})
 		}
 	}
 	return out
@@ -182,16 +174,15 @@ func (l *loopback) start(ctx context.Context, sl slot, tk *queue.Ticket[*record]
 	}
 	l.busy[i] = true
 	l.free--
-	l.busySrv.Set(int64(len(l.pool) - l.free))
+	l.busySrv.Set(int64(len(l.fleet) - l.free))
 	l.mu.Unlock()
 
 	rec := tk.Payload()
 	if err := l.stream.Submit(ctx, func(jctx context.Context) error {
 		spec := l.fleet[i]
-		cfg := l.pool[i]
 		w := l.proto
 		w.Video = rec.task.Video
-		job := core.Job{Workload: w, Options: rec.opts, Config: cfg, Segment: rec.seg, KeepStream: rec.wantStream}
+		job := core.Job{Workload: w, Options: rec.opts, Config: spec.Config, Segment: rec.seg, KeepStream: rec.wantStream}
 		if spec.Backend == backend.Accel {
 			// Fixed-function path: the encode runs with no uarch simulation
 			// attached (same bits, no profile) and the wall clock comes from
@@ -213,10 +204,10 @@ func (l *loopback) start(ctx context.Context, sl slot, tk *queue.Ticket[*record]
 		// settle must find the fleet capacity already restored.
 		l.release(i)
 		if err != nil {
-			finish(outcome{config: cfg.Name, spec: spec, err: err})
+			finish(outcome{config: spec.Label(), spec: spec, err: err})
 			return err
 		}
-		finish(outcome{seconds: res.Report.Seconds, report: res.Report, config: cfg.Name, spec: spec, stream: res.Stream})
+		finish(outcome{seconds: res.Report.Seconds, report: res.Report, config: spec.Label(), spec: spec, stream: res.Stream})
 		return nil
 	}); err != nil {
 		l.release(i)
@@ -230,7 +221,7 @@ func (l *loopback) release(i int) {
 	l.mu.Lock()
 	l.busy[i] = false
 	l.free++
-	l.busySrv.Set(int64(len(l.pool) - l.free))
+	l.busySrv.Set(int64(len(l.fleet) - l.free))
 	l.cond.Broadcast()
 	l.mu.Unlock()
 }
@@ -244,7 +235,7 @@ func (l *loopback) close() {
 // index resolves a loopback slot id back to its pool index.
 func (l *loopback) index(id string) (int, error) {
 	var i int
-	if _, err := fmt.Sscanf(id, "local-%d", &i); err != nil || i < 0 || i >= len(l.pool) {
+	if _, err := fmt.Sscanf(id, "local-%d", &i); err != nil || i < 0 || i >= len(l.fleet) {
 		return 0, fmt.Errorf("serve: unknown loopback slot %q", id)
 	}
 	return i, nil

@@ -33,14 +33,6 @@ go run ./cmd/sweep "${args[@]}" -workers 4 >"$tmp/b.csv"
 cmp "$tmp/a.csv" "$tmp/b.csv"
 echo "determinism ok: serial and 4-worker cold-cache sweeps produced byte-identical CSV ($(wc -c <"$tmp/a.csv") bytes)"
 
-# Parsed vs streaming replay: the default sweep fans every simulated replay
-# out from one pre-parsed event slab; -no-parse-cache streams the raw
-# varint trace instead. The fast path's byte-identical promise (pinned
-# in-process by TestParsedRunEquivalence) is gated here end to end.
-go run ./cmd/sweep "${args[@]}" -no-parse-cache >"$tmp/c.csv"
-cmp "$tmp/a.csv" "$tmp/c.csv"
-echo "determinism ok: parsed-slab and streaming-replay sweeps produced byte-identical CSV"
-
 go build -o "$tmp/transcode" ./cmd/transcode
 enc=(-video desktop -frames 8 -scale 8 -crf 28)
 

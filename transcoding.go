@@ -60,7 +60,7 @@ type (
 	// Points is a sweep result with error-inspection helpers (FirstErr,
 	// Failed).
 	Points = core.Points
-	// SweepOpts adjusts sweep execution (e.g. the replay-cache escape hatch).
+	// SweepOpts adjusts sweep execution (stage metrics, progress reporting).
 	SweepOpts = core.SweepOpts
 	// Plan is a declarative sweep for the generic Sweep engine: warm-up
 	// targets plus an indexed point builder.
@@ -201,11 +201,8 @@ func SweepCRFRefs(ctx context.Context, w Workload, base Options, cfg Config, crf
 	return core.SweepCRFRefs(ctx, w, base, cfg, crfs, refs)
 }
 
-// SweepCRFRefsWith is SweepCRFRefs with explicit execution options, e.g.
-// SweepOpts{NoReplayCache: true} to re-simulate every point's decode live
-// instead of replaying the cached decode trace, or
-// SweepOpts{NoAnalysisCache: true} to run every point's lookahead live
-// instead of reusing the shared per-video analysis artifact.
+// SweepCRFRefsWith is SweepCRFRefs with explicit execution options
+// (per-stage metrics, a progress callback).
 func SweepCRFRefsWith(ctx context.Context, w Workload, base Options, cfg Config, crfs, refs []int, opts SweepOpts) Points {
 	return core.SweepCRFRefsWith(ctx, w, base, cfg, crfs, refs, opts)
 }
