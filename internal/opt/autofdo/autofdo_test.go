@@ -81,6 +81,34 @@ func TestApplyCanonicalizesBiasedBranches(t *testing.T) {
 	}
 }
 
+// TestApplyTwiceLeavesFirstImageAlone: re-optimizing an already optimized
+// image with a second profile must not write the second profile's
+// canonicalizations into the first image, or into a Clone of it.
+func TestApplyTwiceLeavesFirstImageAlone(t *testing.T) {
+	first := trainedCollector().Profile().Apply(trace.NewImage(nil), Options{})
+	clone := first.Clone()
+	c := NewCollector()
+	for i := 0; i < 100; i++ {
+		c.Branch(trace.FnCAVLC, 5, true) // the site the first profile saw as unbiased
+		c.Branch(trace.FnDeblock, 2, true)
+	}
+	second := c.Profile().Apply(first, Options{})
+	if !second.BranchCanonical(trace.FnCAVLC, 5) || !second.BranchCanonical(trace.FnDeblock, 2) {
+		t.Fatal("second profile not applied")
+	}
+	if !second.BranchCanonical(trace.FnCAVLC, 4) {
+		t.Fatal("second image lost the marks it inherited from the first")
+	}
+	for name, img := range map[string]*trace.Image{"input": first, "clone of input": clone} {
+		if img.BranchCanonical(trace.FnCAVLC, 5) || img.BranchCanonical(trace.FnDeblock, 2) {
+			t.Fatalf("second Apply canonicalized branches in its %s", name)
+		}
+		if !img.BranchCanonical(trace.FnCAVLC, 4) || !img.BranchCanonical(trace.FnSAD, 7) {
+			t.Fatalf("%s lost its own canonical marks", name)
+		}
+	}
+}
+
 func TestMinSamplesGate(t *testing.T) {
 	c := NewCollector()
 	for i := 0; i < 10; i++ { // below the 64-sample default

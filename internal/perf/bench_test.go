@@ -138,6 +138,35 @@ func TestCompareBenchIgnoresMarkerRows(t *testing.T) {
 	}
 }
 
+// TestMetaRowFieldsIgnored: scripts/bench.sh records the machine in the
+// "_meta" row (estimator, nproc, gomaxprocs, go_version, git_rev, and
+// whatever it grows next). The gate must read such a file and compare only
+// the benchmarks in it, whichever side carries the row.
+func TestMetaRowFieldsIgnored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "b.json")
+	const body = `[
+  {"name": "BenchmarkDecodeReplay", "ns_per_op": 100, "allocs_per_op": 10},
+  {"name": "_meta", "estimator": "min", "nproc": 16, "gomaxprocs": 16, "go_version": "go1.24.0", "git_rev": "abc1234-dirty", "some_later_field": {"x": [1, 2]}}
+]`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	withMeta, err := ReadBenchFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := []BenchEntry{{Name: "BenchmarkDecodeReplay", NsPerOp: 100, AllocsPerOp: 10}}
+	for _, pair := range [][2][]BenchEntry{{withMeta, plain}, {plain, withMeta}, {withMeta, withMeta}} {
+		deltas, err := CompareBench(pair[0], pair[1], 0.10, 0.20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(deltas) != 1 || deltas[0].Name != "BenchmarkDecodeReplay" || deltas[0].New || len(Regressions(deltas)) != 0 {
+			t.Fatalf("meta row leaked into the comparison: %+v", deltas)
+		}
+	}
+}
+
 func TestReadBenchFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "b.json")
 	const body = `[

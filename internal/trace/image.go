@@ -1,5 +1,7 @@
 package trace
 
+import "maps"
+
 // Region describes where one function's code lives in the (synthetic)
 // binary image and how much of it is hot.
 //
@@ -133,6 +135,7 @@ func NewImage(order []FuncID) *Image {
 // Clone returns a deep copy of the image.
 func (img *Image) Clone() *Image {
 	cp := *img
+	cp.canonical = maps.Clone(img.canonical)
 	return &cp
 }
 
@@ -144,7 +147,7 @@ func (img *Image) Region(fn FuncID) *Region { return &img.Regions[fn] }
 // primitive AutoFDO uses: hot functions first, contiguous, each reduced to
 // its hot footprint; cold remainder is moved out of the fetch path.
 func (img *Image) Relayout(order []FuncID, packed map[FuncID]bool) *Image {
-	out := &Image{canonical: img.canonical}
+	out := &Image{canonical: maps.Clone(img.canonical)}
 	addr := uint64(codeBase)
 	seen := make(map[FuncID]bool, NumFuncs)
 	place := func(f FuncID) {

@@ -30,41 +30,33 @@ func (s Stats) MissRate() float64 {
 
 // Cache is a set-associative cache with true-LRU replacement.
 //
-// Each way is one 16-byte entry (tag + LRU stamp, stamp 0 meaning invalid)
-// so a whole set is contiguous in memory: the lookup loop walks one array
-// with one bounds check instead of three parallel slices. The tag shift is
-// precomputed — this function is the single hottest loop of the simulator
-// and runs once per cache-line touch of the entire workload.
+// Each set is assoc contiguous keys held in recency order: way 0 is the
+// most recently used line, the last way the LRU victim. A key is the line
+// number plus one, so zero marks an invalid way; invalid ways only ever
+// sit behind valid ones, which makes "evict the last way" fill empty ways
+// before it evicts anything. Which physical way holds a line is not
+// observable, so the hit/miss sequence is exactly that of a cache that
+// records when each way was last touched and evicts the oldest (refCache
+// in the tests, which the fuzz target compares against access by access).
+//
+// Access is the single hottest function of the simulator and runs once per
+// cache-line touch of the entire workload; a touch of the line its set saw
+// last costs one compare.
 type Cache struct {
-	cfg      Config
-	sets     int
-	setShift uint
-	setMask  uint64
-	tagShift uint
-	assoc    int
-	ents     []entry // sets*assoc, set-major
-	clock    uint64
-	stats    Stats
-
-	// MRU short-circuit: index and line number of the most recently touched
-	// entry. mru < 0 means no valid MRU. The MRU entry carries the globally
-	// newest stamp, so it can never be another line's LRU victim — if the
-	// incoming address maps to the same line, the full set walk would find
-	// exactly this entry, making the short-circuit bit-identical.
-	mru     int
-	mruLine uint64
-}
-
-type entry struct {
-	tag   uint64
-	stamp uint64 // LRU clock at last touch; 0 = invalid
+	cfg       Config
+	lineShift uint
+	setMask   uint64
+	assoc     int
+	keys      []uint64 // sets*assoc, set-major
+	stats     Stats
 }
 
 // New builds a cache. Size must be a multiple of LineSize*Assoc and the set
 // count must be a power of two; New panics otherwise since configurations
-// are static data.
+// are static data. LineSize must be at least 2: every line number then
+// fits in 63 bits, so line+1 can never wrap onto the invalid marker.
 func New(cfg Config) *Cache {
-	if cfg.LineSize <= 0 || cfg.Assoc <= 0 || cfg.Size <= 0 {
+	if cfg.LineSize < 2 || cfg.Assoc <= 0 || cfg.Size <= 0 {
 		panic(fmt.Sprintf("cache %s: bad config %+v", cfg.Name, cfg))
 	}
 	sets := cfg.Size / (cfg.LineSize * cfg.Assoc)
@@ -75,17 +67,13 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineSize {
 		shift++
 	}
-	c := &Cache{
-		cfg:      cfg,
-		sets:     sets,
-		setShift: shift,
-		setMask:  uint64(sets - 1),
-		tagShift: uint(setBits(sets)),
-		assoc:    cfg.Assoc,
-		ents:     make([]entry, sets*cfg.Assoc),
-		mru:      -1,
+	return &Cache{
+		cfg:       cfg,
+		lineShift: shift,
+		setMask:   uint64(sets - 1),
+		assoc:     cfg.Assoc,
+		keys:      make([]uint64, sets*cfg.Assoc),
 	}
-	return c
 }
 
 // Config returns the cache geometry.
@@ -94,117 +82,53 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns the access counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// OffsetMask returns the address bits that select a byte within a line:
+// two addresses are on the same line exactly when they agree outside it.
+func (c *Cache) OffsetMask() uint64 { return 1<<c.lineShift - 1 }
+
 // Access looks up the line containing addr, inserting it on a miss, and
 // reports whether it hit. Writes allocate like reads (write-allocate,
 // write-back approximation).
 func (c *Cache) Access(addr uint64) bool {
-	c.clock++
 	c.stats.Accesses++
-	line := addr >> c.setShift
-	if c.mru >= 0 && line == c.mruLine {
-		// Same line as the previous access. Nothing has touched the cache
-		// since, so the entry is still resident; the set walk would hit it
-		// and perform exactly this stamp update.
-		c.ents[c.mru].stamp = c.clock
+	line := addr >> (c.lineShift & 63) // the mask lets the compiler drop its oversized-shift fixup
+	key := line + 1
+	base := int(line&c.setMask) * c.assoc
+	set := c.keys[base : base+c.assoc]
+	prev := set[0]
+	if prev == key {
 		return true
 	}
-	set := int(line & c.setMask)
-	tag := line >> c.tagShift
-	base := set * c.assoc
-	ents := c.ents[base : base+c.assoc]
-	// Hit scan first, victim scan only on a miss: the LRU victim is dead
-	// work on the (common) hit path, and which entry it would have been is
-	// unobservable when the walk returns early.
-	for i := range ents {
-		e := &ents[i]
-		if e.stamp != 0 && e.tag == tag {
-			e.stamp = c.clock
-			c.mru, c.mruLine = base+i, line
+	// Move to front in one pass: every way ahead of the hit slides back one
+	// place as the scan crosses it. A scan that runs off the end has pushed
+	// the last way — the LRU line, or an invalid way while any remain — out
+	// of the set.
+	set[0] = key
+	for i := 1; i < len(set); i++ {
+		cur := set[i]
+		set[i] = prev
+		if cur == key {
 			return true
 		}
-	}
-	victim := 0
-	oldest := ^uint64(0)
-	for i := range ents {
-		if s := ents[i].stamp; s < oldest {
-			victim = i
-			oldest = s
-		}
+		prev = cur
 	}
 	c.stats.Misses++
-	ents[victim] = entry{tag: tag, stamp: c.clock}
-	c.mru, c.mruLine = base+victim, line
 	return false
 }
 
-// Clone returns an independent deep copy of the cache: contents, LRU
-// clocks and statistics. Cloning a warmed cache is how core's decoded-
+// Clone returns an independent deep copy of the cache: contents, recency
+// order and statistics. Cloning a warmed cache is how core's decoded-
 // machine snapshots hand every sweep job post-decode cache state at memcpy
 // speed.
 func (c *Cache) Clone() *Cache {
 	n := *c
-	n.ents = append([]entry(nil), c.ents...)
+	n.keys = append([]uint64(nil), c.keys...)
 	return &n
 }
 
-// Reset clears contents and statistics.
-func (c *Cache) Reset() {
-	for i := range c.ents {
-		c.ents[i] = entry{}
-	}
-	c.stats = Stats{}
-	c.clock = 0
-	c.mru = -1
-	c.mruLine = 0
-}
-
-func setBits(sets int) int {
-	b := 0
-	for 1<<b < sets {
-		b++
-	}
-	return b
-}
-
-// TLB is a fully-structural translation buffer: a set-associative cache of
-// page numbers.
-type TLB struct {
-	inner    *Cache
-	pageBits uint
-}
-
-// NewTLB builds a TLB with the given entry count, associativity and page
-// size (bytes).
-func NewTLB(name string, entries, assoc, pageSize int) *TLB {
-	pb := uint(0)
-	for 1<<pb < pageSize {
-		pb++
-	}
-	return &TLB{
-		inner: New(Config{
-			Name:     name,
-			Size:     entries, // one "byte" per entry with LineSize 1
-			LineSize: 1,
-			Assoc:    assoc,
-		}),
-		pageBits: pb,
-	}
-}
-
-// Access translates addr, reporting whether the page was resident.
-func (t *TLB) Access(addr uint64) bool {
-	return t.inner.Access(addr >> t.pageBits)
-}
-
-// Stats returns hit/miss counters.
-func (t *TLB) Stats() Stats { return t.inner.Stats() }
-
-// Reset clears the TLB.
-func (t *TLB) Reset() { t.inner.Reset() }
-
-// Clone returns an independent deep copy of the TLB.
-func (t *TLB) Clone() *TLB {
-	n := *t
-	n.inner = t.inner.Clone()
-	return &n
+// NewTLB builds a translation buffer with the given entry count,
+// associativity and page size (bytes): structurally a cache whose lines are
+// pages.
+func NewTLB(name string, entries, assoc, pageSize int) *Cache {
+	return New(Config{Name: name, Size: entries * pageSize, LineSize: pageSize, Assoc: assoc})
 }

@@ -61,22 +61,12 @@ func TestAssociativityHoldsWays(t *testing.T) {
 	}
 }
 
-func TestResetClears(t *testing.T) {
-	c := New(Config{Name: "t", Size: 1024, LineSize: 64, Assoc: 2})
-	c.Access(0x40)
-	c.Reset()
-	if c.Stats().Accesses != 0 {
-		t.Fatal("stats not reset")
-	}
-	if c.Access(0x40) {
-		t.Fatal("contents not reset")
-	}
-}
-
 func TestNewPanicsOnBadGeometry(t *testing.T) {
 	bad := []Config{
 		{Name: "zero", Size: 0, LineSize: 64, Assoc: 2},
 		{Name: "nonpow2", Size: 3 * 64 * 2, LineSize: 64, Assoc: 2},
+		// Line numbers must leave room for the +1 of the key encoding.
+		{Name: "line1", Size: 16, LineSize: 1, Assoc: 4},
 	}
 	for _, cfg := range bad {
 		func() {
@@ -168,10 +158,222 @@ func TestTLBCapacity(t *testing.T) {
 	}
 }
 
+// BenchmarkCacheAccess prices the three paths through Access on an L1-sized
+// cache: a re-touch of the set's most recent line, a hit at a depth the
+// host's branch predictor cannot learn (a move to front of random length),
+// and a miss.
 func BenchmarkCacheAccess(b *testing.B) {
-	c := New(Config{Name: "l1", Size: 32 << 10, LineSize: 64, Assoc: 8})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		c.Access(uint64(i*64) & 0xFFFFF)
+	cfg := Config{Name: "l1", Size: 32 << 10, LineSize: 64, Assoc: 8}
+	const setStride = 32 << 10 / 8 // bytes between lines of one set
+	b.Run("mru", func(b *testing.B) {
+		c := New(cfg)
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i/8*64) & 0xFFF) // eight touches per line, one line per set
+		}
+	})
+	b.Run("deep-hit", func(b *testing.B) {
+		c := New(cfg)
+		r := uint64(1)
+		for i := 0; i < b.N; i++ {
+			r = r*6364136223846793005 + 1442695040888963407
+			c.Access(r >> 61 * setStride) // one of the eight resident lines of set 0
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		c := New(cfg)
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i*64) & 0xFFFFF) // stream 32x the capacity
+		}
+	})
+}
+
+// refCache is the stamp-LRU implementation the simulator ran on until the
+// recency-ordered sets replaced it, its Access kept verbatim as their
+// oracle: every way carries the global clock value of its last touch (0 =
+// invalid), a hit restamps, a miss evicts the smallest stamp.
+type refCache struct {
+	setShift uint
+	setMask  uint64
+	tagShift uint
+	assoc    int
+	ents     []refEntry // sets*assoc, set-major
+	clock    uint64
+	stats    Stats
+
+	// MRU short-circuit: index and line number of the most recently touched
+	// entry. mru < 0 means no valid MRU. The MRU entry carries the globally
+	// newest stamp, so it can never be another line's LRU victim — if the
+	// incoming address maps to the same line, the full set walk would find
+	// exactly this entry, making the short-circuit bit-identical.
+	mru     int
+	mruLine uint64
+}
+
+type refEntry struct {
+	tag   uint64
+	stamp uint64 // LRU clock at last touch; 0 = invalid
+}
+
+func newRefCache(cfg Config) *refCache {
+	sets := cfg.Size / (cfg.LineSize * cfg.Assoc)
+	shift := uint(0)
+	for 1<<shift < cfg.LineSize {
+		shift++
+	}
+	tagShift := uint(0)
+	for 1<<tagShift < sets {
+		tagShift++
+	}
+	return &refCache{
+		setShift: shift,
+		setMask:  uint64(sets - 1),
+		tagShift: tagShift,
+		assoc:    cfg.Assoc,
+		ents:     make([]refEntry, sets*cfg.Assoc),
+		mru:      -1,
+	}
+}
+
+func (c *refCache) Access(addr uint64) bool {
+	c.clock++
+	c.stats.Accesses++
+	line := addr >> c.setShift
+	if c.mru >= 0 && line == c.mruLine {
+		// Same line as the previous access. Nothing has touched the cache
+		// since, so the entry is still resident; the set walk would hit it
+		// and perform exactly this stamp update.
+		c.ents[c.mru].stamp = c.clock
+		return true
+	}
+	set := int(line & c.setMask)
+	tag := line >> c.tagShift
+	base := set * c.assoc
+	ents := c.ents[base : base+c.assoc]
+	// Hit scan first, victim scan only on a miss: the LRU victim is dead
+	// work on the (common) hit path, and which entry it would have been is
+	// unobservable when the walk returns early.
+	for i := range ents {
+		e := &ents[i]
+		if e.stamp != 0 && e.tag == tag {
+			e.stamp = c.clock
+			c.mru, c.mruLine = base+i, line
+			return true
+		}
+	}
+	victim := 0
+	oldest := ^uint64(0)
+	for i := range ents {
+		if s := ents[i].stamp; s < oldest {
+			victim = i
+			oldest = s
+		}
+	}
+	c.stats.Misses++
+	ents[victim] = refEntry{tag: tag, stamp: c.clock}
+	c.mru, c.mruLine = base+victim, line
+	return false
+}
+
+// fuzzGeometry maps three arbitrary bytes onto a legal geometry: 1-16
+// ways, 1-4096 sets (a power of two), 2-128 byte lines or the iTLB's 4 KB
+// pages. A 1-byte line is outside New's domain (see
+// TestNewPanicsOnBadGeometry): that is the guard that keeps line+1 from
+// wrapping.
+func fuzzGeometry(ways, setBits, lineBits uint8) Config {
+	assoc := int(ways%16) + 1
+	sets := 1 << (setBits % 13)
+	line := [...]int{2, 4, 8, 16, 32, 64, 128, 4096}[lineBits%8]
+	return Config{Name: "fuzz", Size: sets * assoc * line, LineSize: line, Assoc: assoc}
+}
+
+// FuzzCacheMatchesReference drives the recency-ordered cache and the
+// stamp-LRU oracle with the same address stream on an arbitrary geometry
+// and requires the same hit/miss answer on every access and the same
+// totals. The stream is decoded from the fuzz input two ways at once — a
+// few bytes select a line among a small conflicting population (deep hits
+// and evictions in one set), a full word is taken as a raw address — and
+// always ends on the all-ones address, the largest line number and so the
+// one closest to wrapping the +1 key.
+func FuzzCacheMatchesReference(f *testing.F) {
+	f.Add(uint8(7), uint8(6), uint8(5), []byte("\x00\x01\x02\x00\x09\x01\x00"))
+	f.Add(uint8(0), uint8(0), uint8(0), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 1, 0, 2})
+	f.Add(uint8(15), uint8(12), uint8(6), []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3})
+	f.Add(uint8(3), uint8(5), uint8(7), []byte{0, 32, 64, 96, 128, 0, 32, 64, 96, 128}) // the iTLB: 4 ways, 32 sets, 4 KB lines
+	f.Fuzz(func(t *testing.T, ways, setBits, lineBits uint8, stream []byte) {
+		cfg := fuzzGeometry(ways, setBits, lineBits)
+		got, want := New(cfg), newRefCache(cfg)
+		step := func(i int, addr uint64) {
+			g, w := got.Access(addr), want.Access(addr)
+			if g != w {
+				t.Fatalf("%+v access %d addr %#x: hit=%v, stamp-LRU says %v", cfg, i, addr, g, w)
+			}
+		}
+		setStride := uint64(cfg.Size / cfg.Assoc)
+		for i, b := range stream {
+			// Low bits pick one of 32 lines that all map to set 0 or 1.
+			step(i, uint64(b&31)*setStride+uint64(b>>7)*uint64(cfg.LineSize))
+			if i+8 <= len(stream) {
+				var raw uint64
+				for _, x := range stream[i : i+8] {
+					raw = raw<<8 | uint64(x)
+				}
+				step(i, raw)
+			}
+		}
+		step(len(stream), ^uint64(0))
+		step(len(stream), ^uint64(0))
+		if got.Stats() != want.stats {
+			t.Fatalf("%+v: stats %+v, stamp-LRU says %+v", cfg, got.Stats(), want.stats)
+		}
+	})
+}
+
+// The closed-form cases: miss counts that follow from LRU and the geometry
+// alone, on the shapes the machine instantiates plus a direct-mapped and a
+// fully associative one.
+func TestClosedFormMissCounts(t *testing.T) {
+	for _, cfg := range []Config{
+		{Name: "l1", Size: 32 << 10, LineSize: 64, Assoc: 8},
+		{Name: "l3", Size: 8 << 20, LineSize: 64, Assoc: 16},
+		{Name: "itlb", Size: 128 * 4096, LineSize: 4096, Assoc: 4},
+		{Name: "direct", Size: 4096, LineSize: 64, Assoc: 1},
+		{Name: "full", Size: 12 * 32, LineSize: 32, Assoc: 12},
+	} {
+		setStride := uint64(cfg.Size / cfg.Assoc) // sets * line
+		const rounds = 5
+
+		// assoc+1 lines of one set, swept cyclically: LRU always evicts the
+		// line needed next, so every access misses.
+		c := New(cfg)
+		n := cfg.Assoc + 1
+		for i := 0; i < rounds*n; i++ {
+			if c.Access(uint64(i%n) * setStride) {
+				t.Fatalf("%s: cyclic sweep of assoc+1 lines hit at access %d", cfg.Name, i)
+			}
+		}
+
+		// assoc lines of one set fit: only the first round misses.
+		c = New(cfg)
+		n = cfg.Assoc
+		for i := 0; i < rounds*n; i++ {
+			if hit := c.Access(uint64(i%n) * setStride); hit != (i >= n) {
+				t.Fatalf("%s: sweep of assoc lines, access %d: hit=%v", cfg.Name, i, hit)
+			}
+		}
+
+		// k <= assoc lines at stride sets*line, in any revisiting order:
+		// exactly k misses.
+		for k := 1; k <= cfg.Assoc; k++ {
+			c = New(cfg)
+			for i := 0; i < rounds*k; i++ {
+				c.Access(uint64(i*i%k)*setStride + uint64(i%cfg.LineSize)) // some of the k, scrambled, at varying offsets
+			}
+			for i := 0; i < k; i++ {
+				c.Access(uint64(i) * setStride)
+			}
+			if s := c.Stats(); s.Misses != uint64(k) || s.Accesses != uint64((rounds+1)*k) {
+				t.Fatalf("%s: %d lines at set stride: %+v, want %d misses", cfg.Name, k, s, k)
+			}
+		}
 	}
 }

@@ -26,12 +26,24 @@ type Machine struct {
 	l2   *cache.Cache
 	l3   *cache.Cache
 	l4   *cache.Cache // nil if not configured
-	itlb *cache.TLB
+	itlb *cache.Cache
 	pred branch.Predictor
 
 	// Fetch state: per-function cyclic cursor within the hot span.
 	curFn   trace.FuncID
 	fetchAt [trace.NumFuncs]int
+
+	// Front-end run batching. iLine and iPage identify the L1i line and the
+	// page of the previous icacheAccess (its address with the offset bits
+	// set; zero before the first fetch). Only icacheAccess touches the L1i
+	// and the iTLB, so that line and that page (a line lies within one page)
+	// are still the most recent way of their sets, and another fetch from
+	// them is a hit that changes nothing but the structure's access total. Such fetches are not looked
+	// up, only counted: lineRuns skipped both structures, pageRuns the iTLB
+	// alone. Result adds the counts to the totals.
+	iOffset, pOffset   uint64 // offset bits of an L1i line, of a page
+	iLine, iPage       uint64
+	lineRuns, pageRuns uint64
 
 	// Counters.
 	insts  float64
@@ -129,6 +141,7 @@ func NewMachine(cfg Config, img *trace.Image) *Machine {
 	}
 	m.itlb = cache.NewTLB("itlb", cfg.ITLBEntries, 4, 4096)
 	m.pred = branch.New(cfg.Predictor)
+	m.iOffset, m.pOffset = m.l1i.OffsetMask(), m.itlb.OffsetMask()
 	return m
 }
 
@@ -140,6 +153,7 @@ func (m *Machine) Config() Config { return m.cfg }
 // image is shared (it is immutable after construction). Cloning a machine
 // that has consumed a workload's decode gives each transcode job its
 // post-decode state for the cost of a memcpy instead of a re-simulation.
+// m is only read: snapshots are cloned from several goroutines at once.
 func (m *Machine) Clone() *Machine {
 	n := *m
 	n.l1i = m.l1i.Clone()
@@ -252,9 +266,27 @@ func (m *Machine) fetchSlow(fm *fetchMeta, fn trace.FuncID, instrs int) {
 
 // icacheAccess performs one instruction-line lookup: iTLB then L1i, with
 // misses escalating down the hierarchy and charging fetch-bubble cycles.
+// A fetch from the line the previous call fetched from is only counted.
 func (m *Machine) icacheAccess(addr uint64) {
-	if !m.itlb.Access(addr) {
-		m.feCycles += 18 // page walk
+	if addr|m.iOffset == m.iLine {
+		m.lineRuns++
+		return
+	}
+	m.icacheLookup(addr)
+}
+
+// icacheLookup is icacheAccess for a fetch that left the previous line; one
+// that stayed on the previous page counts its iTLB hit and looks up the L1i
+// alone.
+func (m *Machine) icacheLookup(addr uint64) {
+	m.iLine = addr | m.iOffset
+	if page := addr | m.pOffset; page == m.iPage {
+		m.pageRuns++
+	} else {
+		m.iPage = page
+		if !m.itlb.Access(addr) {
+			m.feCycles += 18 // page walk
+		}
 	}
 	if m.l1i.Access(addr) {
 		return

@@ -67,6 +67,9 @@ func (m *Machine) Result() *Result {
 	if m.l4 != nil {
 		r.L4 = m.l4.Stats()
 	}
+	// Hits icacheAccess counted without a lookup.
+	r.L1I.Accesses += m.lineRuns
+	r.ITLB.Accesses += m.lineRuns + m.pageRuns
 	return r
 }
 

@@ -15,6 +15,14 @@
 # segment-and-stitch split, and the Dispatch pair pins the serving
 # layer's per-batch placement overhead — the homogeneous fleet-seconds
 # path and the heterogeneous cost-matrix path (DispatchHeterogeneous).
+# The simulator's own kernels close the list: CacheAccess prices one cache
+# lookup on its three paths (most-recent way, a hit at unpredictable depth,
+# miss), MachineLoad2D one 16x16 block read through the data hierarchy and
+# the fetch walk, ReplayEvents a 20k-event trace into a fresh machine.
+#
+# The trailing "_meta" row records what the numbers were taken on — nproc,
+# GOMAXPROCS, Go version, git revision — so a 2-core record is never read
+# against a 16-core one.
 #
 # An interrupted run (Ctrl-C) still writes whatever benchmarks completed,
 # with a trailing {"name": "_note", "partial": true} entry so downstream
@@ -53,13 +61,23 @@ while [ "$rep" -le "$BENCHCOUNT" ]; do
 		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/codec | tee -a "$RAW" || PARTIAL=1
 	go test -run '^$' -bench 'BenchmarkDispatch' \
 		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/serve | tee -a "$RAW" || PARTIAL=1
+	go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkMachineLoad2D|BenchmarkReplayEvents' \
+		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/uarch/... | tee -a "$RAW" || PARTIAL=1
 	rep=$((rep + 1))
 done
 trap - INT TERM
 
-awk -v partial="$PARTIAL" '
+GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+[ -z "$(git status --porcelain 2>/dev/null)" ] || GIT_REV="$GIT_REV-dirty"
+
+awk -v partial="$PARTIAL" -v nproc="$(getconf _NPROCESSORS_ONLN)" \
+	-v goversion="$(go env GOVERSION)" -v gitrev="$GIT_REV" '
 /^Benchmark/ {
 	name = $1
+	# The -N suffix is the GOMAXPROCS the benchmark ran at; go test omits
+	# it at 1.
+	procs = 1
+	if (match(name, /-[0-9]+$/)) procs = substr(name, RSTART + 1) + 0
 	sub(/-[0-9]+$/, "", name)
 	ns = ""; allocs = ""
 	for (i = 2; i <= NF; i++) {
@@ -84,7 +102,7 @@ END {
 	}
 	if (partial + 0 != 0)
 		printf "  {\"name\": \"_note\", \"partial\": true},\n"
-	printf "  {\"name\": \"_meta\", \"estimator\": \"min\"}\n"
+	printf "  {\"name\": \"_meta\", \"estimator\": \"min\", \"nproc\": %d, \"gomaxprocs\": %d, \"go_version\": \"%s\", \"git_rev\": \"%s\"}\n", nproc, procs, goversion, gitrev
 	printf "]\n"
 	lshared = best["BenchmarkLadderSharedAnalysis/shared"]
 	llive = best["BenchmarkLadderSharedAnalysis/live"]

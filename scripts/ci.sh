@@ -36,6 +36,9 @@ go test ./...
 go test -race ./internal/exec/... ./internal/obs/... ./internal/queue/...
 go test -race ./internal/serve/... ./internal/worker/...
 go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestFlightCacheCancelDetach' ./internal/core/...
+# Sweep workers clone one shared machine snapshot concurrently: cloning a
+# machine with a live fetch-run count must not write to it.
+go test -race -run 'TestFrontEndRunBatchingEquivalence' ./internal/uarch
 # The race detector slows the simulator ~10x: internal/core takes ~200 s
 # under -race on 2 cores, too close to the default 10m per-package timeout
 # on a 1-CPU machine.
