@@ -242,6 +242,25 @@ func BenchmarkDecodeReplay(b *testing.B) {
 	}
 }
 
+// BenchmarkParse measures decoding the recorded decode trace into its
+// parsed columns — paid once per (workload, decoder options), then shared
+// by every configuration's snapshot build.
+func BenchmarkParse(b *testing.B) {
+	w, _ := benchSweepWorkload()
+	_, events, err := DecodedMezzanine(context.Background(), w, DecoderOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(events)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseTrace(events); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkReplayParsed measures fanning the pre-parsed decode trace into
 // a fresh machine via the devirtualized event loop — BenchmarkDecodeReplay
 // minus the per-point varint decode and Sink dispatch.

@@ -16,7 +16,7 @@ import (
 // lookahead cost curves and AQ variance map that do not depend on crf or refs
 // — and one machine snapshot that has already consumed both the decode trace
 // and the artifact's recorded lookahead events. Each point then starts its
-// encode from a memcpy-speed clone instead of re-running the lookahead.
+// encode from a memcpy-speed thaw instead of re-running the lookahead.
 // Fidelity is pinned by TestAnalysisRunEquivalence and the codec package's
 // TestAnalysisEncodeEquivalence: reports, stats and the bitstream are
 // bit-for-bit identical with and without the reuse.
@@ -83,7 +83,7 @@ type anaSnapKey struct {
 	p    codec.AnalysisParams
 }
 
-var anaSnapCache = flightCache[anaSnapKey, *uarch.Machine]{name: "ana_snapshot"}
+var anaSnapCache = flightCache[anaSnapKey, *uarch.Snapshot]{name: "ana_snapshot", size: snapshotBytes}
 
 // anaParsedCache holds the pre-parsed form of each shared artifact's
 // recorded lookahead events, keyed like the artifact itself (no uarch
@@ -108,26 +108,26 @@ func parsedAnalysisTrace(ctx context.Context, w Workload, dopt codec.DecoderOpti
 }
 
 // analysisMachine returns the cached post-decode, post-lookahead machine
-// snapshot, building it on first use by cloning the decode snapshot and
-// replaying the shared parsed slab of the artifact's recorded events into
-// it. Callers must Clone the snapshot before feeding it further events.
-func analysisMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, a *codec.Analysis) (*uarch.Machine, error) {
+// snapshot, building it on first use by thawing the decode snapshot,
+// replaying the shared parsed columns of the artifact's recorded events
+// into that machine and freezing it again.
+func analysisMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, a *codec.Analysis) (*uarch.Snapshot, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
 	key := anaSnapKey{w: w, dopt: dopt, cfg: cfg, p: a.Params}
-	return anaSnapCache.get(ctx, key, func() (*uarch.Machine, error) {
+	return anaSnapCache.get(ctx, key, func() (*uarch.Snapshot, error) {
 		snap, err := decodedMachine(context.Background(), w, dopt, cfg)
 		if err != nil {
 			return nil, err
 		}
-		m := snap.Clone()
+		m := snap.Machine()
 		parsed, err := parsedAnalysisTrace(context.Background(), w, dopt, a)
 		if err != nil {
 			return nil, err
 		}
 		m.ReplayEvents(parsed)
-		return m, nil
+		return m.Snapshot(), nil
 	})
 }

@@ -25,8 +25,8 @@ import (
 type flightCache[K comparable, V any] struct {
 	// name labels this cache's metrics; empty disables self-reporting.
 	name string
-	// size measures a built value's footprint for core_cache_bytes;
-	// nil skips the byte accounting.
+	// size measures a built value's footprint for core_cache_bytes; every
+	// named cache has one.
 	size func(V) int64
 
 	mu sync.Mutex
@@ -62,7 +62,7 @@ func (c *flightCache[K, V]) get(ctx context.Context, k K, build func() (V, error
 		go func() {
 			defer close(ent.done)
 			ent.val, ent.err = build()
-			if c.name != "" && ent.err == nil && c.size != nil {
+			if c.name != "" && ent.err == nil {
 				obs.Default().Counter("core_cache_bytes", "cache", c.name).Add(c.size(ent.val))
 			}
 		}()

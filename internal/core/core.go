@@ -313,26 +313,28 @@ type snapKey struct {
 	cfg uarch.Config
 }
 
-var snapCache = flightCache[snapKey, *uarch.Machine]{name: "snapshot"}
+var snapCache = flightCache[snapKey, *uarch.Snapshot]{name: "snapshot", size: snapshotBytes}
+
+func snapshotBytes(s *uarch.Snapshot) int64 { return int64(s.SizeBytes()) }
 
 // decodedMachine returns the cached post-decode machine snapshot for a
 // (workload, decoder options, configuration) triple, building it on first
-// use by replaying the shared parsed slab of the recorded decode trace into
-// a fresh machine (one trace decode serves every configuration). Callers
-// must Clone the snapshot before feeding it further events.
-func decodedMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config) (*uarch.Machine, error) {
+// use by replaying the shared parsed columns of the recorded decode trace
+// into a fresh machine (one trace decode serves every configuration) and
+// freezing it. A Snapshot takes no events: each job thaws its own Machine.
+func decodedMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config) (*uarch.Snapshot, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
-	return snapCache.get(ctx, snapKey{w: w, opt: dopt, cfg: cfg}, func() (*uarch.Machine, error) {
+	return snapCache.get(ctx, snapKey{w: w, opt: dopt, cfg: cfg}, func() (*uarch.Snapshot, error) {
 		m := uarch.NewMachine(cfg, trace.NewImage(nil))
 		parsed, err := ParsedDecodeTrace(context.Background(), w, dopt)
 		if err != nil {
 			return nil, err
 		}
 		m.ReplayEvents(parsed)
-		return m, nil
+		return m.Snapshot(), nil
 	})
 }
 
@@ -410,15 +412,15 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			machine = snap.Clone()
+			machine = snap.Machine()
 		} else if job.Image == nil {
-			// Default code image: clone the cached post-decode machine
+			// Default code image: thaw the cached post-decode machine
 			// snapshot — the decode half at memcpy speed.
 			snap, err := decodedMachine(ctx, job.Workload, dopt, job.Config)
 			if err != nil {
 				return nil, err
 			}
-			machine = snap.Clone()
+			machine = snap.Machine()
 		} else {
 			// Custom image (e.g. the AutoFDO study): snapshots are keyed on
 			// the default layout, so re-drive the shared parsed slab into

@@ -1,0 +1,86 @@
+package core
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/codec"
+	"repro/internal/obs"
+	"repro/internal/uarch"
+)
+
+// footprintWorkload is the title the retained-bytes figures in DESIGN.md
+// are stated on: 8 frames of cricket at 160x96.
+func footprintWorkload() Workload { return Workload{Video: "cricket", Frames: 8, Scale: 8} }
+
+// TestEveryCacheLayerReportsBytes: on-boarding one never-seen title on one
+// configuration misses once in each of the seven layers, and every one of
+// them must account for what it now retains in core_cache_bytes — the two
+// snapshot layers had no size func and reported nothing.
+func TestEveryCacheLayerReportsBytes(t *testing.T) {
+	layers := []string{"mezzanine", "decoded", "parsed", "snapshot", "analysis", "ana_parsed", "ana_snapshot"}
+	held := func() map[string]int64 {
+		snap, out := obs.Default().Snapshot(), make(map[string]int64)
+		for _, l := range layers {
+			out[l] = snap.Counters[obs.Key("core_cache_bytes", "cache", l)]
+		}
+		return out
+	}
+	w := footprintWorkload()
+	w.Seed = 0xB17E5 // content no other test in the package decodes
+	before := held()
+	if _, err := Run(context.Background(), Job{Workload: w, Options: codec.Defaults(), Config: uarch.Baseline()}); err != nil {
+		t.Fatal(err)
+	}
+	after := held()
+	for _, l := range layers {
+		if after[l] <= before[l] {
+			t.Errorf("core_cache_bytes{cache=%s} did not grow: %d -> %d", l, before[l], after[l])
+		}
+	}
+	t.Logf("retained by layer: %v", after)
+}
+
+// TestSnapshotFootprint pins the sparse snapshot's gain: after a decode the
+// frozen form of every configuration's machine is at most a quarter of its
+// dense cache arrays (8 bytes a way). (That the thawed machine carries on
+// bit-identically is TestReplayRunEquivalence's business.)
+func TestSnapshotFootprint(t *testing.T) {
+	ctx, w, dopt := context.Background(), footprintWorkload(), codec.DecoderOptions{}
+	for _, cfg := range uarch.Extended() {
+		snap, err := decodedMachine(ctx, w, dopt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ways := cfg.ITLBEntries
+		for _, p := range []*uarch.CacheParams{&cfg.L1I, &cfg.L1D, &cfg.L2, &cfg.L3, cfg.L4} {
+			if p != nil {
+				ways += p.Size / p.Line
+			}
+		}
+		dense, got := 8*ways, snap.SizeBytes()
+		t.Logf("%-8s snapshot %7d B, dense keys %8d B (%.1f%%)", cfg.Name, got, dense, 100*float64(got)/float64(dense))
+		if got <= 0 || got > dense/4 {
+			t.Errorf("%s: snapshot retains %d B, want at most a quarter of the %d B of dense keys", cfg.Name, got, dense)
+		}
+	}
+}
+
+// TestParsedSlabFootprint pins the columnar slab's gain on a real decode
+// trace: at most 16 bytes an event (the fixed-width record was 40), in
+// columns with no append slack.
+func TestParsedSlabFootprint(t *testing.T) {
+	parsed, err := ParsedDecodeTrace(context.Background(), footprintWorkload(), codec.DecoderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags, ops := parsed.Columns()
+	if cap(tags) != len(tags) || cap(ops) != len(ops) {
+		t.Errorf("cached slab keeps slack: tags %d/%d, operands %d/%d", len(tags), cap(tags), len(ops), cap(ops))
+	}
+	perEvent := float64(parsed.SizeBytes()) / float64(parsed.Len())
+	t.Logf("%d events, %d operands, %.2f B/event", parsed.Len(), len(ops), perEvent)
+	if parsed.Len() == 0 || perEvent > 16 {
+		t.Errorf("%.2f B/event in %d events, want at most 16", perEvent, parsed.Len())
+	}
+}

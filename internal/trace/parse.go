@@ -5,82 +5,79 @@ package trace
 // Replay decodes the varint stream once per sink: a sweep that replays one
 // decode trace into N machine configurations pays N full varint decodes and
 // N×events virtual Sink dispatches. Parse performs the decode exactly once
-// into a flat []Event slab; ReplayParsed then fans the fixed-width events
-// out to any number of consumers with a plain slice walk, and
-// uarch.Machine.ReplayEvents consumes the slab with no interface call at
+// into two flat columns; ReplayParsed then fans the events out to any
+// number of consumers with a plain slice walk, and
+// uarch.Machine.ReplayEvents walks the columns with no interface call at
 // all. Replay remains the pinned reference semantics — every consumer of
 // the parsed form must be observationally identical to it, which the
 // equivalence and fuzz tests in parse_test.go enforce.
 
-// Event is one decoded Sink call in fixed-width form. Operand fields are
-// wide enough to hold anything the varint encoding can carry, so parsing
-// never loses information relative to Replay:
+// EventBuf is a parsed trace in columnar form: the recorded tag byte of
+// every event (kind in the top three bits, FuncID in the low five) and one
+// operand column holding, event after event, exactly the operands that
+// kind carries — addresses delta-resolved, everything 64 bits wide, so
+// parsing never loses information relative to Replay:
 //
-//	Ops              A=n
-//	Load/Store       Addr, A=bytes
-//	Load2D/Store2D   Addr, A=w, B=h, C=stride
-//	Branch           Site, Taken
-//	Loop             Site, A=iters
+//	Ops              n
+//	Load/Store       addr, bytes
+//	Load2D/Store2D   addr, w, h, stride
+//	Branch           site<<1 | taken
+//	Loop             site, iters
 //	Call             (no operands)
-type Event struct {
-	Addr  uint64
-	A     int64
-	B, C  int64
-	Site  BranchID
-	Kind  EventKind
-	Fn    FuncID
-	Taken bool
-}
-
-// eventSize is the in-memory footprint of one Event (40 bytes: four 8-byte
-// operands plus the packed tag fields and padding).
-const eventSize = 40
-
-// EventBuf is a parsed trace: a reusable slab of fixed-width events.
-// The zero value is empty and ready for ParseFrom.
+//
+// A decode trace averages about 1.4 operands an event, 12 bytes against
+// the 40 of a fixed-width record. The zero value is empty and ready for
+// ParseFrom.
 type EventBuf struct {
-	events []Event
+	tags []byte
+	ops  []uint64
 }
 
 // Len returns the number of parsed events.
-func (b *EventBuf) Len() int { return len(b.events) }
+func (b *EventBuf) Len() int { return len(b.tags) }
 
-// Events returns the parsed event slice. The EventBuf retains ownership;
-// the slice is valid until the next ParseFrom into this buffer.
-func (b *EventBuf) Events() []Event { return b.events }
+// Columns returns the tag and operand columns for an in-place walk
+// (ReplayParsed is the model). The EventBuf retains ownership: read-only,
+// valid until the next ParseFrom into this buffer.
+func (b *EventBuf) Columns() (tags []byte, ops []uint64) { return b.tags, b.ops }
 
-// SizeBytes reports the slab's capacity footprint, for cache accounting.
-func (b *EventBuf) SizeBytes() int { return cap(b.events) * eventSize }
+// SizeBytes reports the columns' capacity footprint, for cache accounting.
+func (b *EventBuf) SizeBytes() int { return cap(b.tags) + 8*cap(b.ops) }
 
-// Reset empties the buffer, keeping the slab for reuse.
-func (b *EventBuf) Reset() { b.events = b.events[:0] }
+// Reset empties the buffer, keeping the columns for reuse.
+func (b *EventBuf) Reset() { b.tags, b.ops = b.tags[:0], b.ops[:0] }
 
-// Parse decodes a buffer produced by Recorder into a fresh EventBuf.
+// Parse decodes a buffer produced by Recorder into a fresh EventBuf whose
+// columns are exactly as long as the trace needs: the caches hold parsed
+// traces for the life of the process, so append's growth slack goes back
+// to the collector with the scratch columns.
 func Parse(buf []byte) (*EventBuf, error) {
 	var b EventBuf
 	if err := ParseFrom(buf, &b); err != nil {
 		return nil, err
 	}
-	return &b, nil
+	return &EventBuf{
+		tags: append(make([]byte, 0, len(b.tags)), b.tags...),
+		ops:  append(make([]uint64, 0, len(b.ops)), b.ops...),
+	}, nil
 }
 
-// ParseFrom decodes buf into dst, reusing dst's slab. On error dst holds
+// ParseFrom decodes buf into dst, reusing dst's columns. On error dst holds
 // the events decoded before the corruption, and the error carries the byte
 // offset and event index exactly as Replay would report them.
 func ParseFrom(buf []byte, dst *EventBuf) error {
-	dst.events = dst.events[:0]
+	dst.Reset()
 	p := replayReader{buf: buf}
 	for p.pos < len(buf) {
 		tag := buf[p.pos]
 		p.pos++
-		e := Event{Kind: EventKind(tag >> 5), Fn: FuncID(tag & 0x1f)}
-		switch e.Kind {
+		switch EventKind(tag >> 5) {
 		case EvOps:
 			n, err := p.int("operand")
 			if err != nil {
 				return err
 			}
-			e.A = int64(n)
+			dst.ops = append(dst.ops, uint64(n))
 		case EvLoad, EvStore:
 			addr, err := p.addr()
 			if err != nil {
@@ -90,7 +87,7 @@ func ParseFrom(buf []byte, dst *EventBuf) error {
 			if err != nil {
 				return err
 			}
-			e.Addr, e.A = addr, int64(bytes)
+			dst.ops = append(dst.ops, addr, uint64(bytes))
 		case EvLoad2D, EvStore2D:
 			addr, err := p.addr()
 			if err != nil {
@@ -108,13 +105,13 @@ func ParseFrom(buf []byte, dst *EventBuf) error {
 			if err != nil {
 				return err
 			}
-			e.Addr, e.A, e.B, e.C = addr, int64(w), int64(h), int64(stride)
+			dst.ops = append(dst.ops, addr, uint64(w), uint64(h), uint64(stride))
 		case EvBranch:
 			v, err := p.uint("branch operand")
 			if err != nil {
 				return err
 			}
-			e.Site, e.Taken = BranchID(v>>1), v&1 == 1
+			dst.ops = append(dst.ops, v)
 		case EvLoop:
 			site, err := p.uint("loop site")
 			if err != nil {
@@ -124,11 +121,11 @@ func ParseFrom(buf []byte, dst *EventBuf) error {
 			if err != nil {
 				return err
 			}
-			e.Site, e.A = BranchID(site), int64(iters)
+			dst.ops = append(dst.ops, site, uint64(iters))
 		case EvCall:
 			// no operands
 		}
-		dst.events = append(dst.events, e)
+		dst.tags = append(dst.tags, tag)
 		p.event++
 	}
 	return nil
@@ -139,25 +136,33 @@ func ParseFrom(buf []byte, dst *EventBuf) error {
 // parsed from; parsing already validated the encoding, so there is no
 // error to return.
 func ReplayParsed(b *EventBuf, sink Sink) {
-	for i := range b.events {
-		e := &b.events[i]
-		switch e.Kind {
+	o := b.ops
+	for _, tag := range b.tags {
+		fn := FuncID(tag & 0x1f)
+		switch EventKind(tag >> 5) {
 		case EvOps:
-			sink.Ops(e.Fn, int(e.A))
+			sink.Ops(fn, int(o[0]))
+			o = o[1:]
 		case EvLoad:
-			sink.Load(e.Fn, e.Addr, int(e.A))
+			sink.Load(fn, o[0], int(o[1]))
+			o = o[2:]
 		case EvStore:
-			sink.Store(e.Fn, e.Addr, int(e.A))
+			sink.Store(fn, o[0], int(o[1]))
+			o = o[2:]
 		case EvLoad2D:
-			sink.Load2D(e.Fn, e.Addr, int(e.A), int(e.B), int(e.C))
+			sink.Load2D(fn, o[0], int(o[1]), int(o[2]), int(o[3]))
+			o = o[4:]
 		case EvStore2D:
-			sink.Store2D(e.Fn, e.Addr, int(e.A), int(e.B), int(e.C))
+			sink.Store2D(fn, o[0], int(o[1]), int(o[2]), int(o[3]))
+			o = o[4:]
 		case EvBranch:
-			sink.Branch(e.Fn, e.Site, e.Taken)
+			sink.Branch(fn, BranchID(o[0]>>1), o[0]&1 == 1)
+			o = o[1:]
 		case EvLoop:
-			sink.Loop(e.Fn, e.Site, int(e.A))
+			sink.Loop(fn, BranchID(o[0]), int(o[1]))
+			o = o[2:]
 		case EvCall:
-			sink.Call(e.Fn)
+			sink.Call(fn)
 		}
 	}
 }

@@ -30,6 +30,11 @@ func TestParseReplayEquivalence(t *testing.T) {
 			t.Logf("Len() = %d, want %d", b.Len(), len(seq))
 			return false
 		}
+		// A fresh parse is held for the life of a cache entry: no append slack.
+		if cap(b.tags) != len(b.tags) || cap(b.ops) != len(b.ops) {
+			t.Logf("Parse kept slack: tags %d/%d, ops %d/%d", len(b.tags), cap(b.tags), len(b.ops), cap(b.ops))
+			return false
+		}
 		var parsed collector
 		ReplayParsed(b, &parsed)
 		if !reflect.DeepEqual(ref.events, parsed.events) {
@@ -48,8 +53,8 @@ func TestParseReplayEquivalence(t *testing.T) {
 	}
 }
 
-// TestParseFromReuse verifies the slab is reused across parses and that
-// Reset keeps capacity.
+// TestParseFromReuse verifies both columns are reused across parses and
+// that Reset keeps their capacity.
 func TestParseFromReuse(t *testing.T) {
 	rec := NewRecorder()
 	for i := 0; i < 64; i++ {
@@ -59,24 +64,24 @@ func TestParseFromReuse(t *testing.T) {
 	if err := ParseFrom(rec.Bytes(), &b); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 64 {
-		t.Fatalf("Len() = %d, want 64", b.Len())
+	if b.Len() != 64 || len(b.ops) != 128 {
+		t.Fatalf("Len() = %d with %d operands, want 64 with 128", b.Len(), len(b.ops))
 	}
-	slab := &b.events[0]
+	tags, ops := &b.tags[0], &b.ops[0]
 	rec.Reset()
 	rec.Ops(FnSAD, 9)
 	if err := ParseFrom(rec.Bytes(), &b); err != nil {
 		t.Fatal(err)
 	}
-	if b.Len() != 1 || &b.events[0] != slab {
-		t.Fatal("ParseFrom did not reuse the slab")
+	if b.Len() != 1 || &b.tags[0] != tags || &b.ops[0] != ops {
+		t.Fatal("ParseFrom did not reuse the columns")
 	}
-	if b.SizeBytes() < 64*eventSize {
-		t.Fatalf("SizeBytes() = %d, want >= %d", b.SizeBytes(), 64*eventSize)
+	if want := 64 + 8*128; b.SizeBytes() < want {
+		t.Fatalf("SizeBytes() = %d, want >= %d", b.SizeBytes(), want)
 	}
 	b.Reset()
-	if b.Len() != 0 || cap(b.events) < 64 {
-		t.Fatal("Reset dropped the slab")
+	if b.Len() != 0 || cap(b.tags) < 64 || cap(b.ops) < 128 {
+		t.Fatal("Reset dropped the columns")
 	}
 }
 
@@ -127,7 +132,8 @@ func TestReplayErrorPosition(t *testing.T) {
 
 // FuzzParseReplay feeds arbitrary byte buffers through both decoders:
 // they must agree on error/success, on error text, and on the observed
-// event streams.
+// event streams — on a corrupt buffer, the stream up to the corruption —
+// and the operand column must hold exactly what those events carry.
 func FuzzParseReplay(f *testing.F) {
 	rec := NewRecorder()
 	rec.Ops(FnSAD, 42)
@@ -150,12 +156,23 @@ func FuzzParseReplay(f *testing.F) {
 			if refErr.Error() != parseErr.Error() {
 				t.Fatalf("error mismatch:\n replay: %v\n parse:  %v", refErr, parseErr)
 			}
-			return
+			// ParseFrom's destination holds the events Replay delivered
+			// before the corruption and no operand of the broken one.
+			b = new(EventBuf)
+			if err := ParseFrom(buf, b); err == nil || err.Error() != refErr.Error() {
+				t.Fatalf("ParseFrom err %v, Replay err %v", err, refErr)
+			}
 		}
 		var parsed collector
 		ReplayParsed(b, &parsed)
-		if !reflect.DeepEqual(ref.events, parsed.events) {
-			t.Fatalf("ReplayParsed diverged:\n ref    %+v\n parsed %+v", ref.events, parsed.events)
+		if b.Len() != len(ref.events) || !reflect.DeepEqual(ref.events, parsed.events) {
+			t.Fatalf("ReplayParsed diverged (Len %d):\n ref    %+v\n parsed %+v", b.Len(), ref.events, parsed.events)
+		}
+		if _, ops := b.Columns(); len(ops) != operands(ref.events) {
+			t.Fatalf("%d operands in the column, the %d events carry %d", len(ops), b.Len(), operands(ref.events))
+		}
+		if refErr != nil {
+			return
 		}
 		var m1, m2 collector
 		if err := ReplayMulti(buf, &m1, &m2); err != nil {
@@ -165,4 +182,13 @@ func FuzzParseReplay(f *testing.F) {
 			t.Fatal("ReplayMulti diverged")
 		}
 	})
+}
+
+// operands counts the operand-column entries a sequence of events carries.
+func operands(evs []event) int {
+	n := 0
+	for _, e := range evs {
+		n += [...]int{EvOps: 1, EvLoad: 2, EvStore: 2, EvLoad2D: 4, EvStore2D: 4, EvBranch: 1, EvLoop: 2, EvCall: 0}[e.Kind]
+	}
+	return n
 }

@@ -25,7 +25,7 @@ type Recorder struct {
 // EventKind identifies one Sink method in the recorded encoding. Kinds are
 // packed into the tag byte's top three bits; they are exported so consumers
 // of the parsed representation (uarch.Machine.ReplayEvents) can dispatch on
-// Event.Kind without an interface call per event.
+// a tag's kind without an interface call per event.
 type EventKind uint8
 
 const (

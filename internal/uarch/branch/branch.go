@@ -6,7 +6,10 @@
 // the way hardware counters do.
 package branch
 
-import "maps"
+import (
+	"maps"
+	"unsafe"
+)
 
 // Predictor predicts conditional branch directions. PredictUpdate performs
 // the predict-then-train step for one dynamic branch and reports whether
@@ -21,6 +24,10 @@ type Predictor interface {
 	// Clone returns an independent deep copy of the predictor, including
 	// all trained table and history state.
 	Clone() Predictor
+	// SizeBytes is the heap the trained state occupies: the tables, plus an
+	// estimate for the loop detector's map (an entry's key and value bytes,
+	// rounded up to a power of two for the buckets' overhead).
+	SizeBytes() int
 }
 
 // Stats tracks aggregate accuracy.
@@ -68,6 +75,8 @@ func NewBimodal(bits uint) *Bimodal {
 }
 
 func (b *Bimodal) Name() string { return "bimodal" }
+
+func (b *Bimodal) SizeBytes() int { return len(b.table) }
 
 func (b *Bimodal) Reset() {
 	for i := range b.table {
@@ -123,6 +132,8 @@ func NewGShare(bits uint) *GShare {
 }
 
 func (g *GShare) Name() string { return "gshare" }
+
+func (g *GShare) SizeBytes() int { return len(g.table) }
 
 func (g *GShare) Reset() {
 	for i := range g.table {
@@ -202,6 +213,10 @@ func NewPentiumM() *PentiumM {
 }
 
 func (p *PentiumM) Name() string { return "pentium_m" }
+
+func (p *PentiumM) SizeBytes() int {
+	return p.bim.SizeBytes() + p.gsh.SizeBytes() + len(p.choose) + 32*len(p.loops)
+}
 
 func (p *PentiumM) Reset() {
 	p.bim.Reset()
@@ -303,6 +318,10 @@ func NewTAGE() *TAGE {
 }
 
 func (t *TAGE) Name() string { return "tage" }
+
+func (t *TAGE) SizeBytes() int {
+	return t.base.SizeBytes() + len(t.tables)*len(t.tables[0])*int(unsafe.Sizeof(tageEntry{})) + 64*len(t.loops)
+}
 
 func (t *TAGE) Reset() {
 	t.base.Reset()

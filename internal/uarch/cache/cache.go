@@ -4,7 +4,11 @@
 // instrumented codec produces, not from rates or formulas.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"unsafe"
+)
 
 // Config sizes one cache level.
 type Config struct {
@@ -54,9 +58,10 @@ type Cache struct {
 // New builds a cache. Size must be a multiple of LineSize*Assoc and the set
 // count must be a power of two; New panics otherwise since configurations
 // are static data. LineSize must be at least 2: every line number then
-// fits in 63 bits, so line+1 can never wrap onto the invalid marker.
+// fits in 63 bits, so line+1 can never wrap onto the invalid marker. A
+// set's way count must fit the 16 bits Frozen gives it.
 func New(cfg Config) *Cache {
-	if cfg.LineSize < 2 || cfg.Assoc <= 0 || cfg.Size <= 0 {
+	if cfg.LineSize < 2 || cfg.Assoc <= 0 || cfg.Assoc > math.MaxUint16 || cfg.Size <= 0 {
 		panic(fmt.Sprintf("cache %s: bad config %+v", cfg.Name, cfg))
 	}
 	sets := cfg.Size / (cfg.LineSize * cfg.Assoc)
@@ -117,13 +122,61 @@ func (c *Cache) Access(addr uint64) bool {
 }
 
 // Clone returns an independent deep copy of the cache: contents, recency
-// order and statistics. Cloning a warmed cache is how core's decoded-
-// machine snapshots hand every sweep job post-decode cache state at memcpy
-// speed.
+// order and statistics.
 func (c *Cache) Clone() *Cache {
 	n := *c
 	n.keys = append([]uint64(nil), c.keys...)
 	return &n
+}
+
+// Frozen is the immutable retained form of a Cache: geometry, statistics,
+// how many ways of each set are valid, and those keys in recency order.
+// Invalid ways only sit behind valid ones, so the valid prefix is the whole
+// set and an empty way costs nothing — after a decode the outer levels hold
+// a few thousand lines in a hundred thousand ways. A full set is a prefix
+// of assoc keys: sparseness is the encoding, not an assumption. Thaw only
+// reads, so concurrent sweep workers thaw one shared Frozen.
+type Frozen struct {
+	c    Cache    // keys nil
+	lens []uint16 // valid ways per set
+	keys []uint64 // the sets' valid prefixes, back to back
+}
+
+// Freeze captures the cache's contents, recency order and statistics.
+func (c *Cache) Freeze() *Frozen {
+	f := &Frozen{c: *c, lens: make([]uint16, len(c.keys)/c.assoc)}
+	f.c.keys = nil
+	valid := 0
+	for set := range f.lens {
+		for _, k := range c.keys[set*c.assoc:][:c.assoc] {
+			if k == 0 {
+				break
+			}
+			f.lens[set]++
+			valid++
+		}
+	}
+	f.keys = make([]uint64, 0, valid)
+	for set, n := range f.lens {
+		f.keys = append(f.keys, c.keys[set*c.assoc:][:n]...)
+	}
+	return f
+}
+
+// Thaw returns a live cache in exactly the frozen state.
+func (f *Frozen) Thaw() *Cache {
+	c, rest := f.c, f.keys
+	c.keys = make([]uint64, len(f.lens)*c.assoc)
+	for set, n := range f.lens {
+		copy(c.keys[set*c.assoc:], rest[:n])
+		rest = rest[n:]
+	}
+	return &c
+}
+
+// SizeBytes is the heap the frozen form retains.
+func (f *Frozen) SizeBytes() int {
+	return int(unsafe.Sizeof(*f)) + 2*len(f.lens) + 8*len(f.keys)
 }
 
 // NewTLB builds a translation buffer with the given entry count,

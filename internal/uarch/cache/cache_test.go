@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -67,6 +68,8 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 		{Name: "nonpow2", Size: 3 * 64 * 2, LineSize: 64, Assoc: 2},
 		// Line numbers must leave room for the +1 of the key encoding.
 		{Name: "line1", Size: 16, LineSize: 1, Assoc: 4},
+		// A set's valid-way count is frozen into 16 bits.
+		{Name: "ways", Size: 2 << 16, LineSize: 2, Assoc: 1 << 16},
 	}
 	for _, cfg := range bad {
 		func() {
@@ -158,10 +161,13 @@ func TestTLBCapacity(t *testing.T) {
 	}
 }
 
-// BenchmarkCacheAccess prices the three paths through Access on an L1-sized
-// cache: a re-touch of the set's most recent line, a hit at a depth the
-// host's branch predictor cannot learn (a move to front of random length),
-// and a miss.
+// BenchmarkCacheAccess prices the paths through Access on an L1-sized
+// cache: a re-touch of the set's most recent line, two lines of one set
+// taking turns (a hit at way 1 every time), a hit at a depth the host's
+// branch predictor cannot learn (a move to front of random length), and a
+// miss. In a cricket crf 23 encode (8 frames, 160x96, baseline) the way-1
+// hit is 58 % of L1d and 21 % of L1i lookups, against 37 % and 65 % at
+// way 0.
 func BenchmarkCacheAccess(b *testing.B) {
 	cfg := Config{Name: "l1", Size: 32 << 10, LineSize: 64, Assoc: 8}
 	const setStride = 32 << 10 / 8 // bytes between lines of one set
@@ -169,6 +175,12 @@ func BenchmarkCacheAccess(b *testing.B) {
 		c := New(cfg)
 		for i := 0; i < b.N; i++ {
 			c.Access(uint64(i/8*64) & 0xFFF) // eight touches per line, one line per set
+		}
+	})
+	b.Run("pair", func(b *testing.B) {
+		c := New(cfg)
+		for i := 0; i < b.N; i++ {
+			c.Access(uint64(i&1) * setStride)
 		}
 	})
 	b.Run("deep-hit", func(b *testing.B) {
@@ -294,11 +306,17 @@ func fuzzGeometry(ways, setBits, lineBits uint8) Config {
 // and evictions in one set), a full word is taken as a raw address — and
 // always ends on the all-ones address, the largest line number and so the
 // one closest to wrapping the +1 key.
+//
+// Bit 6 of a stream byte freezes the cache and carries on with the thawed
+// copy, so the frozen form answers to the oracle too: a thaw must restore
+// every way of every set — empty, partly filled and full ones, on one-way
+// caches as on sixteen-way ones — and the statistics.
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Add(uint8(7), uint8(6), uint8(5), []byte("\x00\x01\x02\x00\x09\x01\x00"))
-	f.Add(uint8(0), uint8(0), uint8(0), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 1, 0, 2})
+	f.Add(uint8(0), uint8(0), uint8(0), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 1, 0, 2}) // one way, one set, frozen at every access
 	f.Add(uint8(15), uint8(12), uint8(6), []byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3})
-	f.Add(uint8(3), uint8(5), uint8(7), []byte{0, 32, 64, 96, 128, 0, 32, 64, 96, 128}) // the iTLB: 4 ways, 32 sets, 4 KB lines
+	f.Add(uint8(3), uint8(5), uint8(7), []byte{0, 32, 64, 96, 128, 0, 32, 64, 96, 128})                        // the iTLB: 4 ways, 32 sets, 4 KB lines
+	f.Add(uint8(3), uint8(1), uint8(5), []byte{0, 1, 2, 3, 4, 0x44, 3, 2, 1, 0x40, 5, 0x45, 0x85, 0xC5, 0, 1}) // 4 ways, 2 sets: frozen with a full set
 	f.Fuzz(func(t *testing.T, ways, setBits, lineBits uint8, stream []byte) {
 		cfg := fuzzGeometry(ways, setBits, lineBits)
 		got, want := New(cfg), newRefCache(cfg)
@@ -310,6 +328,17 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		}
 		setStride := uint64(cfg.Size / cfg.Assoc)
 		for i, b := range stream {
+			if b&0x40 != 0 {
+				fz := got.Freeze()
+				thawed := fz.Thaw()
+				if !slices.Equal(thawed.keys, got.keys) || thawed.Stats() != got.Stats() || thawed.Config() != cfg {
+					t.Fatalf("%+v access %d: thaw differs from the cache it was frozen from:\n frozen %v %+v\n thawed %v %+v", cfg, i, got.keys, got.Stats(), thawed.keys, thawed.Stats())
+				}
+				if cap(fz.keys) != len(fz.keys) || len(fz.keys) > len(got.keys) {
+					t.Fatalf("%+v access %d: frozen form holds %d keys in room for %d, of %d ways", cfg, i, len(fz.keys), cap(fz.keys), len(got.keys))
+				}
+				got = thawed
+			}
 			// Low bits pick one of 32 lines that all map to set 0 or 1.
 			step(i, uint64(b&31)*setStride+uint64(b>>7)*uint64(cfg.LineSize))
 			if i+8 <= len(stream) {

@@ -38,25 +38,61 @@ func encodeTrace(tb testing.TB) *trace.EventBuf {
 	return parsed
 }
 
+// event is one captured Sink call; eventLog is the Sink that captures them,
+// so the tests can step machines through a trace one event at a time.
+type event struct {
+	kind    trace.EventKind
+	fn      trace.FuncID
+	addr    uint64
+	site    trace.BranchID
+	a, b, c int
+	taken   bool
+}
+
+type eventLog []event
+
+func (l *eventLog) Ops(fn trace.FuncID, n int) {
+	*l = append(*l, event{kind: trace.EvOps, fn: fn, a: n})
+}
+func (l *eventLog) Load(fn trace.FuncID, addr uint64, bytes int) {
+	*l = append(*l, event{kind: trace.EvLoad, fn: fn, addr: addr, a: bytes})
+}
+func (l *eventLog) Store(fn trace.FuncID, addr uint64, bytes int) {
+	*l = append(*l, event{kind: trace.EvStore, fn: fn, addr: addr, a: bytes})
+}
+func (l *eventLog) Load2D(fn trace.FuncID, addr uint64, w, h, stride int) {
+	*l = append(*l, event{kind: trace.EvLoad2D, fn: fn, addr: addr, a: w, b: h, c: stride})
+}
+func (l *eventLog) Store2D(fn trace.FuncID, addr uint64, w, h, stride int) {
+	*l = append(*l, event{kind: trace.EvStore2D, fn: fn, addr: addr, a: w, b: h, c: stride})
+}
+func (l *eventLog) Branch(fn trace.FuncID, site trace.BranchID, taken bool) {
+	*l = append(*l, event{kind: trace.EvBranch, fn: fn, site: site, taken: taken})
+}
+func (l *eventLog) Loop(fn trace.FuncID, site trace.BranchID, iters int) {
+	*l = append(*l, event{kind: trace.EvLoop, fn: fn, site: site, a: iters})
+}
+func (l *eventLog) Call(fn trace.FuncID) { *l = append(*l, event{kind: trace.EvCall, fn: fn}) }
+
 // replayOne is ReplayEvents' dispatch for a single event.
-func replayOne(m *Machine, e *trace.Event) {
-	switch e.Kind {
+func replayOne(m *Machine, e *event) {
+	switch e.kind {
 	case trace.EvOps:
-		m.Ops(e.Fn, int(e.A))
+		m.Ops(e.fn, e.a)
 	case trace.EvLoad:
-		m.Load(e.Fn, e.Addr, int(e.A))
+		m.Load(e.fn, e.addr, e.a)
 	case trace.EvStore:
-		m.Store(e.Fn, e.Addr, int(e.A))
+		m.Store(e.fn, e.addr, e.a)
 	case trace.EvLoad2D:
-		m.Load2D(e.Fn, e.Addr, int(e.A), int(e.B), int(e.C))
+		m.Load2D(e.fn, e.addr, e.a, e.b, e.c)
 	case trace.EvStore2D:
-		m.Store2D(e.Fn, e.Addr, int(e.A), int(e.B), int(e.C))
+		m.Store2D(e.fn, e.addr, e.a, e.b, e.c)
 	case trace.EvBranch:
-		m.Branch(e.Fn, e.Site, e.Taken)
+		m.Branch(e.fn, e.site, e.taken)
 	case trace.EvLoop:
-		m.Loop(e.Fn, e.Site, int(e.A))
+		m.Loop(e.fn, e.site, e.a)
 	case trace.EvCall:
-		m.Call(e.Fn)
+		m.Call(e.fn)
 	}
 }
 
@@ -68,18 +104,18 @@ func replayOne(m *Machine, e *trace.Event) {
 // and with m.pOffset zeroed by the caller a "page" is a single address, so
 // they are from different pages as well. The test checks that m looked
 // every fetch up in both structures by its run counts staying zero.
-func lookupEveryFetch(m *Machine, e *trace.Event) {
+func lookupEveryFetch(m *Machine, e *event) {
 	rows, row := 1, *e
-	switch e.Kind {
+	switch e.kind {
 	case trace.EvLoad2D:
-		rows, row.Kind = int(e.B), trace.EvLoad
+		rows, row.kind = e.b, trace.EvLoad
 	case trace.EvStore2D:
-		rows, row.Kind = int(e.B), trace.EvStore
+		rows, row.kind = e.b, trace.EvStore
 	}
 	for j := 0; j < rows; j++ {
 		m.iLine, m.iPage = 0, 0
 		replayOne(m, &row)
-		row.Addr += uint64(e.C)
+		row.addr += uint64(e.c)
 	}
 }
 
@@ -88,13 +124,15 @@ func lookupEveryFetch(m *Machine, e *trace.Event) {
 // a machine as production drives it and into one that looks every fetch
 // up, for all six configurations on two code layouts, and the two are
 // compared every 1000 events. Mid-stream — after a fetch, so a line is
-// remembered and the counts are live — the batched machine is cloned from
-// several goroutines at once, the way sweep workers clone a shared
-// snapshot: cloning must leave the source untouched (scripts/ci.sh runs
-// this under -race, which turns any write to it into a failure) and the
-// clones must finish on the reference's counters.
+// remembered and the counts are live — the batched machine is frozen into
+// a Snapshot, and several goroutines at once each clone the machine and
+// thaw the snapshot, the way sweep workers thaw a shared one: neither may
+// write to its source (scripts/ci.sh runs this under -race, which turns
+// any write into a failure), and the clones and their thawed twins must
+// all finish on the reference's counters.
 func TestFrontEndRunBatchingEquivalence(t *testing.T) {
-	evs := encodeTrace(t).Events()
+	var evs eventLog
+	trace.ReplayParsed(encodeTrace(t), &evs)
 	// The compiler layout starts functions on line boundaries; the packed
 	// one aligns them to 16 bytes, so two functions can share a line.
 	packed := make(map[trace.FuncID]bool)
@@ -114,10 +152,10 @@ func TestFrontEndRunBatchingEquivalence(t *testing.T) {
 	}
 }
 
-func checkRunBatching(t *testing.T, cfg Config, img *trace.Image, evs []trace.Event) {
+func checkRunBatching(t *testing.T, cfg Config, img *trace.Image, evs []event) {
 	ref := NewMachine(cfg, img)
 	ref.pOffset = 0
-	batched := []*Machine{NewMachine(cfg, img)} // the original, then its clones
+	batched := []*Machine{NewMachine(cfg, img)} // the original, then its clones, then their thawed twins
 	for i := range evs {
 		if i == len(evs)/2 {
 			src := batched[0]
@@ -125,20 +163,22 @@ func checkRunBatching(t *testing.T, cfg Config, img *trace.Image, evs []trace.Ev
 				t.Fatalf("no fetch batched in %d events", i)
 			}
 			before := *src.Result()
-			var clones [3]*Machine
+			snap := src.Snapshot()
+			var clones, thawed [3]*Machine
 			var wg sync.WaitGroup
 			for c := range clones {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					clones[c] = src.Clone()
+					thawed[c] = snap.Machine()
 				}()
 			}
 			wg.Wait()
 			if after := src.Result(); !after.Equal(&before) {
-				t.Fatalf("Clone changed its source:\n before %+v\n after  %+v", before, *after)
+				t.Fatalf("Clone or Snapshot changed its source:\n before %+v\n after  %+v", before, *after)
 			}
-			batched = append(batched, clones[:]...)
+			batched = append(append(batched, clones[:]...), thawed[:]...)
 		}
 		lookupEveryFetch(ref, &evs[i])
 		for _, m := range batched {
@@ -150,7 +190,7 @@ func checkRunBatching(t *testing.T, cfg Config, img *trace.Image, evs []trace.Ev
 		want := ref.Result()
 		for j, m := range batched {
 			if got := m.Result(); !got.Equal(want) {
-				t.Fatalf("event %d: batched machine %d (0 = original, then its clones) diverged:\n want %+v\n got  %+v", i, j, want, got)
+				t.Fatalf("event %d: batched machine %d (0 = original, 1-3 its clones, 4-6 thawed from its snapshot) diverged:\n want %+v\n got  %+v", i, j, want, got)
 			}
 		}
 	}
@@ -160,4 +200,38 @@ func checkRunBatching(t *testing.T, cfg Config, img *trace.Image, evs []trace.Ev
 	got := batched[0]
 	t.Logf("%d events, %d fetches: %d L1i and %d iTLB lookups skipped", len(evs),
 		got.Result().L1I.Accesses, got.lineRuns, got.lineRuns+got.pageRuns)
+}
+
+// benchSink keeps the benchmarked copies alive past the optimizer.
+var benchSink *Machine
+
+// benchCopies prices handing a job its own machine in a warmed state — one
+// that has consumed a real encode trace, so the outer cache levels hold a
+// few thousand lines in their hundred thousand ways, as a cached snapshot's
+// do. be_op1 adds the 2 MiB of L4 keys to what a dense copy moves.
+func benchCopies(b *testing.B, copier func(*Machine) func() *Machine) {
+	b.Helper()
+	parsed := encodeTrace(b)
+	for _, cfg := range []Config{Baseline(), BeOp1()} {
+		b.Run(cfg.Name, func(b *testing.B) {
+			m := NewMachine(cfg, trace.NewImage(nil))
+			m.ReplayEvents(parsed)
+			next := copier(m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = next()
+			}
+		})
+	}
+}
+
+// BenchmarkMachineClone is the dense copy the snapshot caches made per job
+// before they held Snapshots; BenchmarkSnapshotThaw is what they do now.
+func BenchmarkMachineClone(b *testing.B) {
+	benchCopies(b, func(m *Machine) func() *Machine { return m.Clone })
+}
+
+func BenchmarkSnapshotThaw(b *testing.B) {
+	benchCopies(b, func(m *Machine) func() *Machine { return m.Snapshot().Machine })
 }

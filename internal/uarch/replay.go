@@ -4,34 +4,42 @@ import "repro/internal/trace"
 
 // ReplayEvents consumes a parsed trace with a devirtualized event loop.
 // trace.Replay and trace.ReplayParsed dispatch through the trace.Sink
-// interface — one dynamic call per event; here the switch jumps straight
-// into the Machine's concrete methods, so a sweep fanning one parsed slab
-// out to N configurations pays neither varint decoding nor interface
-// dispatch per event. Observationally identical to driving the machine as
+// interface — one dynamic call per event; here the switch walks the
+// EventBuf's columns in place (see its operand layout) straight into the
+// Machine's concrete methods, so a sweep fanning one parsed trace out to N
+// configurations pays neither varint decoding nor interface dispatch per
+// event. Observationally identical to driving the machine as
 // a Sink through trace.Replay on the buffer the EventBuf was parsed from;
 // the machine-equivalence suite pins this for every Table IV
 // configuration.
 func (m *Machine) ReplayEvents(b *trace.EventBuf) {
-	evs := b.Events()
-	for i := range evs {
-		e := &evs[i]
-		switch e.Kind {
+	tags, o := b.Columns()
+	for _, tag := range tags {
+		fn := trace.FuncID(tag & 0x1f)
+		switch trace.EventKind(tag >> 5) {
 		case trace.EvOps:
-			m.Ops(e.Fn, int(e.A))
+			m.Ops(fn, int(o[0]))
+			o = o[1:]
 		case trace.EvLoad:
-			m.Load(e.Fn, e.Addr, int(e.A))
+			m.Load(fn, o[0], int(o[1]))
+			o = o[2:]
 		case trace.EvStore:
-			m.Store(e.Fn, e.Addr, int(e.A))
+			m.Store(fn, o[0], int(o[1]))
+			o = o[2:]
 		case trace.EvLoad2D:
-			m.Load2D(e.Fn, e.Addr, int(e.A), int(e.B), int(e.C))
+			m.Load2D(fn, o[0], int(o[1]), int(o[2]), int(o[3]))
+			o = o[4:]
 		case trace.EvStore2D:
-			m.Store2D(e.Fn, e.Addr, int(e.A), int(e.B), int(e.C))
+			m.Store2D(fn, o[0], int(o[1]), int(o[2]), int(o[3]))
+			o = o[4:]
 		case trace.EvBranch:
-			m.Branch(e.Fn, e.Site, e.Taken)
+			m.Branch(fn, trace.BranchID(o[0]>>1), o[0]&1 == 1)
+			o = o[1:]
 		case trace.EvLoop:
-			m.Loop(e.Fn, e.Site, int(e.A))
+			m.Loop(fn, trace.BranchID(o[0]), int(o[1]))
+			o = o[2:]
 		case trace.EvCall:
-			m.Call(e.Fn)
+			m.Call(fn)
 		}
 	}
 }

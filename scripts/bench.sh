@@ -16,9 +16,13 @@
 # layer's per-batch placement overhead — the homogeneous fleet-seconds
 # path and the heterogeneous cost-matrix path (DispatchHeterogeneous).
 # The simulator's own kernels close the list: CacheAccess prices one cache
-# lookup on its three paths (most-recent way, a hit at unpredictable depth,
-# miss), MachineLoad2D one 16x16 block read through the data hierarchy and
-# the fetch walk, ReplayEvents a 20k-event trace into a fresh machine.
+# lookup on its four paths (most-recent way, two lines of a set taking
+# turns, a hit at unpredictable depth, miss), MachineLoad2D one 16x16 block
+# read through the data hierarchy and the fetch walk, ReplayEvents a
+# 20k-event trace into a fresh machine, Parse the decode of a recorded
+# trace into its columns, and SnapshotThaw beside MachineClone what handing
+# a job a warmed machine costs from the sparse frozen form and as the dense
+# copy it replaced (baseline, and be_op1 with its L4).
 #
 # The trailing "_meta" row records what the numbers were taken on — nproc,
 # GOMAXPROCS, Go version, git revision — so a 2-core record is never read
@@ -51,7 +55,7 @@ trap 'PARTIAL=1' INT TERM
 : >"$RAW"
 rep=1
 while [ "$rep" -le "$BENCHCOUNT" ]; do
-	go test -run '^$' -bench 'BenchmarkDecodeReplay|BenchmarkReplayParsed|BenchmarkReplayMulti|BenchmarkSweepCRFRefs|BenchmarkAnalysisReuse|BenchmarkLadderSharedAnalysis|BenchmarkSAD$|BenchmarkSATD$' \
+	go test -run '^$' -bench 'BenchmarkDecodeReplay|BenchmarkParse$|BenchmarkReplayParsed|BenchmarkReplayMulti|BenchmarkSweepCRFRefs|BenchmarkAnalysisReuse|BenchmarkLadderSharedAnalysis|BenchmarkSAD$|BenchmarkSATD$' \
 		-benchtime "$BENCHTIME" -benchmem -timeout 1200s . | tee -a "$RAW" || PARTIAL=1
 	# The remaining benchmarks live in their own packages; append to the
 	# same raw stream so the awk pass below records them alongside.
@@ -61,7 +65,7 @@ while [ "$rep" -le "$BENCHCOUNT" ]; do
 		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/codec | tee -a "$RAW" || PARTIAL=1
 	go test -run '^$' -bench 'BenchmarkDispatch' \
 		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/serve | tee -a "$RAW" || PARTIAL=1
-	go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkMachineLoad2D|BenchmarkReplayEvents' \
+	go test -run '^$' -bench 'BenchmarkCacheAccess|BenchmarkMachineLoad2D|BenchmarkReplayEvents|BenchmarkMachineClone|BenchmarkSnapshotThaw' \
 		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/uarch/... | tee -a "$RAW" || PARTIAL=1
 	rep=$((rep + 1))
 done

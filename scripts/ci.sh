@@ -35,9 +35,10 @@ go test ./...
 # means something under the race detector.
 go test -race ./internal/exec/... ./internal/obs/... ./internal/queue/...
 go test -race ./internal/serve/... ./internal/worker/...
-go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestFlightCacheCancelDetach' ./internal/core/...
-# Sweep workers clone one shared machine snapshot concurrently: cloning a
-# machine with a live fetch-run count must not write to it.
+go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestFlightCacheCancelDetach|TestSnapshotFootprint|TestEveryCacheLayerReportsBytes' ./internal/core/...
+# Sweep workers thaw one shared machine snapshot concurrently: freezing a
+# machine with a live fetch-run count, cloning it and thawing the snapshot
+# must not write to their source.
 go test -race -run 'TestFrontEndRunBatchingEquivalence' ./internal/uarch
 # The race detector slows the simulator ~10x: internal/core takes ~200 s
 # under -race on 2 cores, too close to the default 10m per-package timeout

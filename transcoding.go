@@ -227,8 +227,9 @@ func ReplayTrace(events []byte, cfg Config) (*MachineResult, error) {
 	return m.Result(), nil
 }
 
-// EventBuf is a parsed trace: the fixed-width event form of a recorded
-// buffer, decoded once and replayable into any number of machines.
+// EventBuf is a parsed trace: the columnar form of a recorded buffer (a
+// tag byte per event plus the operands that kind carries), decoded once
+// and replayable into any number of machines.
 type EventBuf = trace.EventBuf
 
 // ParseTrace decodes a recorded event buffer into its parsed form.
