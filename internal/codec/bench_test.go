@@ -3,6 +3,9 @@ package codec
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/frame"
+	"repro/internal/trace"
 )
 
 // benchSink keeps the compiler from eliding benchmark kernel results.
@@ -108,5 +111,46 @@ func BenchmarkEncodeParallel(b *testing.B) {
 				benchSink += len(stream)
 			}
 		})
+	}
+}
+
+// subpelBenchQuery is one sub-pel cost evaluation on frame content: a source
+// block, the same picture as reference, a quarter-pel vector.
+func subpelBenchQuery(b *testing.B, w, h int) (*meQuery, MV) {
+	src := makeClip(b, "cricket", 1, 8)[0]
+	return &meQuery{src: &src.Y, ref: &src.Y, sx: 48, sy: 32, w: w, h: h}, MV{-5, 3}
+}
+
+// BenchmarkSubpelCost measures one candidate of subpelRefine's cost
+// function — interpolate at a quarter-pel vector and measure against the
+// source — per partition size and metric, tracer off. The source block is
+// loaded once per refinement, outside the loop, as subpelRefine does.
+func BenchmarkSubpelCost(b *testing.B) {
+	for _, sz := range [][2]int{{16, 16}, {8, 8}, {4, 4}} {
+		for _, satd := range []bool{true, false} {
+			name := fmt.Sprintf("%dx%d/%s", sz[0], sz[1], map[bool]string{true: "satd", false: "sad"}[satd])
+			b.Run(name, func(b *testing.B) {
+				q, mv := subpelBenchQuery(b, sz[0], sz[1])
+				tr := newTracer(nil, 0)
+				var src frame.PlanarBlock
+				src.Load(q.src, q.sx, q.sy, q.w, q.h)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSink += tr.subpelCost(&src, q, mv, satd)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkInterpLuma measures staging one 16x16 quarter-pel prediction.
+func BenchmarkInterpLuma(b *testing.B) {
+	q, mv := subpelBenchQuery(b, 16, 16)
+	tr := newTracer(nil, 0)
+	var pred block
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.interpLuma(trace.FnInterp, q.ref, q.sx, q.sy, mv, &pred, q.w, q.h)
+		benchSink += int(pred.pix[0])
 	}
 }

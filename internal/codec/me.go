@@ -255,6 +255,26 @@ func subpelIters(subme int) (half, quarter int) {
 	return halfTab[subme], quarTab[subme]
 }
 
+// subpelCost measures the candidate vector mv of q with SATD or SAD against
+// src, q's source block: one fused kernel interpolates and measures, and
+// the events are those of interpLuma followed by satdBlock (or the staged
+// SAD) on the prediction it no longer stages. TestFusedSubpelMatchesStaged
+// pins value and events against that pair on scalar oracles.
+func (t *tracer) subpelCost(src *frame.PlanarBlock, q *meQuery, mv MV, satd bool) int {
+	ix, iy := q.sx+int(mv.X>>2), q.sy+int(mv.Y>>2)
+	fx, fy := int(mv.X&3), int(mv.Y&3)
+	m := src.SubpelCost(q.ref, ix, iy, fx, fy, satd)
+	t.interpEvents(trace.FnInterp, q.ref, ix, iy, fx|fy != 0, q.w, q.h)
+	if satd {
+		t.satdBlockEvents(trace.FnSubpel, q.src, q.sx, q.sy, q.w, q.h)
+	} else if t.on {
+		t.sink.Call(trace.FnSubpel)
+		t.sink.Ops(trace.FnSubpel, q.w*q.h/8+12)
+		t.sink.Load2D(trace.FnSubpel, q.src.Addr(q.sx, q.sy), q.w, q.h, q.src.Stride)
+	}
+	return m
+}
+
 // subpelRefine polishes an integer-pel result at half- then quarter-pel
 // resolution using the SATD metric (for subme >= 3, matching x264) or SAD.
 func (e *Encoder) subpelRefine(q *meQuery, res meResult, subme int) meResult {
@@ -264,16 +284,10 @@ func (e *Encoder) subpelRefine(q *meQuery, res meResult, subme int) meResult {
 	}
 	e.tr.call(trace.FnSubpel)
 	useSATD := subme >= 3
-	var pred block
+	var src frame.PlanarBlock
+	src.Load(q.src, q.sx, q.sy, q.w, q.h)
 	cost := func(mv MV) int {
-		e.tr.interpLuma(trace.FnInterp, q.ref, q.sx, q.sy, mv, &pred, q.w, q.h)
-		var m int
-		if useSATD {
-			m = e.tr.satdBlock(trace.FnSubpel, q.src, q.sx, q.sy, &pred)
-		} else {
-			m = e.tr.sadBlock(trace.FnSubpel, q.src, q.sx, q.sy, &pred)
-		}
-		return m + q.lambda*mvBits(MV{mv.X - q.mvp.X, mv.Y - q.mvp.Y})
+		return e.tr.subpelCost(&src, q, mv, useSATD) + q.lambda*mvBits(MV{mv.X - q.mvp.X, mv.Y - q.mvp.Y})
 	}
 	refine := func(step int32, iters int) {
 		for it := 0; it < iters; it++ {

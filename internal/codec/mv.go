@@ -90,36 +90,31 @@ func (t *tracer) interpLuma(fn trace.FuncID, ref *frame.Plane, sx, sy int, mv MV
 	dst.w, dst.h = w, h
 	ix := sx + int(mv.X>>2)
 	iy := sy + int(mv.Y>>2)
-	fx := int32(mv.X & 3)
-	fy := int32(mv.Y & 3)
-	if fx == 0 && fy == 0 {
+	fx, fy := int(mv.X&3), int(mv.Y&3)
+	if fx|fy == 0 {
 		for j := 0; j < h; j++ {
 			copy(dst.row(j), ref.RowFrom(ix, iy+j, w))
 		}
-		if t.on {
-			t.sink.Call(fn)
-			t.sink.Ops(fn, w*h/16+8) // SIMD block copy
-			t.sink.Load2D(fn, ref.Addr(ix, iy), w, h, ref.Stride)
-		}
+	} else {
+		frame.InterpBilinear(dst.pix[:w*h], ref, ix, iy, fx, fy, w, h)
+	}
+	t.interpEvents(fn, ref, ix, iy, fx|fy != 0, w, h)
+}
+
+// interpEvents emits the trace events of one interpolation: a SIMD block
+// copy at an integer position, else the bilinear filter over the
+// (w+1) x (h+1) pixels it reads.
+func (t *tracer) interpEvents(fn trace.FuncID, ref *frame.Plane, ix, iy int, frac bool, w, h int) {
+	if !t.on {
 		return
 	}
-	w00 := (4 - fx) * (4 - fy)
-	w01 := fx * (4 - fy)
-	w10 := (4 - fx) * fy
-	w11 := fx * fy
-	for j := 0; j < h; j++ {
-		r0 := ref.RowFrom(ix, iy+j, w+1)
-		r1 := ref.RowFrom(ix, iy+j+1, w+1)
-		out := dst.row(j)
-		for i := 0; i < w; i++ {
-			v := w00*int32(r0[i]) + w01*int32(r0[i+1]) + w10*int32(r1[i]) + w11*int32(r1[i+1])
-			out[i] = uint8((v + 8) >> 4)
-		}
-	}
-	if t.on {
-		t.sink.Call(fn)
-		t.sink.Ops(fn, w*h/4+16) // SIMD bilinear filter
+	t.sink.Call(fn)
+	if frac {
+		t.sink.Ops(fn, w*h/4+16)
 		t.sink.Load2D(fn, ref.Addr(ix, iy), w+1, h+1, ref.Stride)
+	} else {
+		t.sink.Ops(fn, w*h/16+8)
+		t.sink.Load2D(fn, ref.Addr(ix, iy), w, h, ref.Stride)
 	}
 }
 

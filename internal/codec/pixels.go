@@ -171,20 +171,6 @@ func (b *block) at(x, y int) uint8     { return b.pix[y*b.w+x] }
 func (b *block) set(x, y int, v uint8) { b.pix[y*b.w+x] = v }
 func (b *block) row(y int) []uint8     { return b.pix[y*b.w : y*b.w+b.w] }
 
-// sadBlock computes SAD between a plane block and a staged block.
-func (t *tracer) sadBlock(fn trace.FuncID, a *frame.Plane, ax, ay int, b *block) int {
-	s := 0
-	for j := 0; j < b.h; j++ {
-		s += frame.SADRow(a.RowFrom(ax, ay+j, b.w), b.row(j))
-	}
-	if t.on {
-		t.sink.Call(fn)
-		t.sink.Ops(fn, b.w*b.h/8+12)
-		t.sink.Load2D(fn, a.Addr(ax, ay), b.w, b.h, a.Stride)
-	}
-	return s
-}
-
 // satdBlock computes SATD between a plane block and a staged block (4x4
 // granularity; block dims must be multiples of 4).
 func (t *tracer) satdBlock(fn trace.FuncID, a *frame.Plane, ax, ay int, b *block) int {

@@ -100,9 +100,6 @@ func TestSatdBlockMatchesPlaneSATD(t *testing.T) {
 	if got := tr.satdBlock(trace.FnSATD, &a, 20, 20, &blk); got != 0 {
 		t.Fatalf("self satdBlock %d", got)
 	}
-	if got := tr.sadBlock(trace.FnSAD, &a, 20, 20, &blk); got != 0 {
-		t.Fatalf("self sadBlock %d", got)
-	}
 }
 
 func TestInterpLumaIntegerIsCopy(t *testing.T) {

@@ -8,8 +8,9 @@ import (
 	"repro/internal/trace"
 )
 
-// stagedScalarSAD and stagedScalarSATD are the byte-at-a-time references
-// for the staged-block SWAR kernels in pixels.go.
+// stagedScalarSAD and stagedScalarSATD are the byte-at-a-time metrics on a
+// staged block: the references for satdBlock and, behind the scalar
+// interpolation, for the fused sub-pel cost (subpel_test.go).
 func stagedScalarSAD(a *frame.Plane, ax, ay int, b *block) int {
 	s := 0
 	for j := 0; j < b.h; j++ {
@@ -44,8 +45,8 @@ func stagedScalarSATD(a *frame.Plane, ax, ay int, b *block) int {
 	return total / 2
 }
 
-// TestStagedBlockKernelsMatchScalar pins sadBlock and satdBlock against the
-// scalar references across block geometries and random content.
+// TestStagedBlockKernelsMatchScalar pins satdBlock against the scalar
+// reference across block geometries and random content.
 func TestStagedBlockKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	p := frame.NewPlane(64, 48)
@@ -61,9 +62,6 @@ func TestStagedBlockKernelsMatchScalar(t *testing.T) {
 		}
 		for _, off := range [][2]int{{0, 0}, {7, 3}, {-5, -2}, {31, 17}} {
 			ax, ay := off[0], off[1]
-			if got, want := tr.sadBlock(trace.FnSAD, &p, ax, ay, &b), stagedScalarSAD(&p, ax, ay, &b); got != want {
-				t.Errorf("sadBlock %dx%d at (%d,%d): got %d, want %d", b.w, b.h, ax, ay, got, want)
-			}
 			if got, want := tr.satdBlock(trace.FnSATD, &p, ax, ay, &b), stagedScalarSATD(&p, ax, ay, &b); got != want {
 				t.Errorf("satdBlock %dx%d at (%d,%d): got %d, want %d", b.w, b.h, ax, ay, got, want)
 			}

@@ -117,10 +117,13 @@ type Sink interface {
 	// Store reports a write of `bytes` bytes starting at addr.
 	Store(fn FuncID, addr uint64, bytes int)
 	// Load2D reports a read of a w x h pixel block whose rows are `stride`
-	// bytes apart, starting at addr. Equivalent to h Load calls but far
-	// cheaper to emit from block kernels.
+	// bytes apart, starting at addr. Equivalent to h Load calls — row j is
+	// Load(fn, addr+j*stride, w) — but far cheaper to emit from block
+	// kernels. An implementation may walk the rows in one pass; it must end
+	// in the state the h calls would leave (for uarch.Machine,
+	// TestBlockWalkMatchesRowLoads holds it to that).
 	Load2D(fn FuncID, addr uint64, w, h, stride int)
-	// Store2D is the store counterpart of Load2D.
+	// Store2D is the store counterpart of Load2D: equivalent to h Store calls.
 	Store2D(fn FuncID, addr uint64, w, h, stride int)
 	// Branch reports one execution of the data-dependent conditional branch
 	// `site` in fn with the given outcome.

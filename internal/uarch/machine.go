@@ -342,107 +342,113 @@ func (m *Machine) icacheLookup(addr uint64) {
 	if m.l1i.Access(addr) {
 		return
 	}
-	// Instruction lines share L2/L3 with data.
-	lat := float64(m.cfg.LatL2)
-	if !m.l2.Access(addr) {
-		lat = float64(m.cfg.LatL3)
-		if !m.l3.Access(addr) {
-			lat = float64(m.cfg.LatMem)
-			if m.l4 != nil {
-				if m.l4.Access(addr) {
-					lat = float64(m.cfg.LatL4)
-				}
-			}
-		}
+	m.feCycles += m.outerLatency(addr)
+}
+
+// outerLatency runs a line that missed its L1 through L2, L3 and the L4 if
+// there is one — instruction and data lines share them — and returns the
+// latency of the level that had it.
+func (m *Machine) outerLatency(line uint64) float64 {
+	switch {
+	case m.l2.Access(line):
+		return float64(m.cfg.LatL2)
+	case m.l3.Access(line):
+		return float64(m.cfg.LatL3)
+	case m.l4 != nil && m.l4.Access(line):
+		return float64(m.cfg.LatL4)
 	}
-	m.feCycles += lat
+	return float64(m.cfg.LatMem)
 }
 
 // --- data side ------------------------------------------------------------------
 
 // Load models a contiguous read.
 func (m *Machine) Load(fn trace.FuncID, addr uint64, bytes int) {
-	m.dataRange(fn, addr, bytes, false)
+	m.blockWalk(fn, addr, bytes, 1, 0, false)
 }
 
 // Store models a contiguous write.
 func (m *Machine) Store(fn trace.FuncID, addr uint64, bytes int) {
-	m.dataRange(fn, addr, bytes, true)
+	m.blockWalk(fn, addr, bytes, 1, 0, true)
 }
 
-// Load2D models a 2-D block read (w x h pixels, rows `stride` apart).
-//
-// The row walk batches dataRange inline with the write branch hoisted out:
-// each row still performs its line accesses, then its own insts/uops/fetch
-// update, in exactly dataRange's order — loadAccess reads m.insts for MLP
-// clustering, so per-row interleaving is load-bearing and must not be
-// merged across rows.
+// Load2D models a 2-D block read (w x h pixels, rows `stride` apart): h Load
+// calls in one walk.
 func (m *Machine) Load2D(fn trace.FuncID, addr uint64, w, h, stride int) {
-	if w <= 0 {
-		return // every row would be dataRange's bytes<=0 no-op
-	}
-	for j := 0; j < h; j++ {
-		rowAddr := addr + uint64(j*stride)
-		first := rowAddr &^ 63
-		last := (rowAddr + uint64(w) - 1) &^ 63
-		for line := first; line <= last; line += 64 {
-			m.loadAccess(line)
-		}
-		n := int(last-first)/64 + 1
-		m.insts += float64(n)
-		m.uops += float64(n)
-		m.fetch(fn, n)
-	}
+	m.blockWalk(fn, addr, w, h, stride, false)
 }
 
-// Store2D models a 2-D block write (same row-batched walk as Load2D).
+// Store2D models a 2-D block write: h Store calls in one walk.
 func (m *Machine) Store2D(fn trace.FuncID, addr uint64, w, h, stride int) {
+	m.blockWalk(fn, addr, w, h, stride, true)
+}
+
+// blockWalk is the one data-side walk: each of h rows touches every line of
+// its w bytes as one memory uop per line, then sends those uops through
+// fetch/dispatch. Within a row the order stays data accesses, insts, fetch:
+// an L1i miss and an L1d miss share L2/L3, and loadMiss reads m.insts for
+// MLP clustering. uops, loads and stores are read by nothing before Result,
+// so they are counted in an integer and added once (float sums of integers
+// below 2^53 are exact in any order). The common row hits the L1d and
+// fetches from the line the previous row fetched from; that fetch is done
+// inline — cursor forward by dilute[n], short of runEnd, one lineRuns —
+// which is all m.fetch would do. TestBlockWalkMatchesRowLoads pins the walk
+// against per-row Load/Store calls and the call-per-line walk it replaced,
+// TestFrontEndRunBatchingEquivalence against a machine that looks every
+// fetch up.
+func (m *Machine) blockWalk(fn trace.FuncID, addr uint64, w, h, stride int, write bool) {
 	if w <= 0 {
 		return
 	}
+	fm, cursor := &m.fmeta[fn], &m.fetchAt[fn]
+	runEnd := m.lineRunEnd(fm, *cursor)
+	memOps := 0
 	for j := 0; j < h; j++ {
 		rowAddr := addr + uint64(j*stride)
 		first := rowAddr &^ 63
 		last := (rowAddr + uint64(w) - 1) &^ 63
 		for line := first; line <= last; line += 64 {
-			m.storeAccess(line)
+			hit := m.l1d.Access(line)
+			if write {
+				m.storeRetire(line, hit)
+			} else if !hit {
+				m.loadMiss(line)
+			}
 		}
-		n := int(last-first)/64 + 1
+		n := int(last-first)>>6 + 1 // a multiple of 64, so the shift divides exactly
+		memOps += n
 		m.insts += float64(n)
-		m.uops += float64(n)
-		m.fetch(fn, n)
-	}
-}
-
-// dataRange touches every line of [addr, addr+bytes) as one memory uop per
-// line.
-func (m *Machine) dataRange(fn trace.FuncID, addr uint64, bytes int, write bool) {
-	if bytes <= 0 {
-		return
-	}
-	first := addr &^ 63
-	last := (addr + uint64(bytes) - 1) &^ 63
-	for line := first; line <= last; line += 64 {
-		if write {
-			m.storeAccess(line)
-		} else {
-			m.loadAccess(line)
+		if uint(n) < uint(len(fm.dilute)) {
+			if at := *cursor + int(fm.dilute[n]); at < runEnd {
+				*cursor = at
+				m.lineRuns++
+				continue
+			}
 		}
+		m.fetch(fn, n)
+		runEnd = m.lineRunEnd(fm, *cursor)
 	}
-	// Memory uops also flow through fetch/dispatch.
-	n := int(last-first)/64 + 1
-	m.insts += float64(n)
-	m.uops += float64(n)
-	m.fetch(fn, n)
+	m.uops += float64(memOps)
+	if write {
+		m.stores += float64(memOps)
+	} else {
+		m.loads += float64(memOps)
+	}
 }
 
-// loadAccess runs one load through the data hierarchy and charges MLP-
-// adjusted stall cycles for misses.
-func (m *Machine) loadAccess(line uint64) {
-	m.loads++
-	if m.l1d.Access(line) {
-		return
+// lineRunEnd bounds the cursor positions a fetch of fm's function can move
+// to from off as a line run: short of leaving the line the previous fetch
+// came from and short of wrapping the span. Zero if off is not on that line.
+func (m *Machine) lineRunEnd(fm *fetchMeta, off int) int {
+	if off < 0 || (fm.addr+uint64(off&^63))|m.iOffset != m.iLine {
+		return 0
 	}
+	return min(fm.span, (off|63)+1)
+}
+
+// loadMiss runs a load that missed the L1d through the outer hierarchy and
+// charges MLP-adjusted stall cycles.
+func (m *Machine) loadMiss(line uint64) {
 	// Next-line stream prefetcher: after two consecutive ascending-line
 	// misses, the following lines of the stream are assumed in flight and
 	// their latency is covered by the prefetcher (they still allocate).
@@ -460,18 +466,7 @@ func (m *Machine) loadAccess(line uint64) {
 			return // latency hidden by the prefetch stream
 		}
 	}
-	lat := float64(m.cfg.LatL2)
-	if !m.l2.Access(line) {
-		lat = float64(m.cfg.LatL3)
-		if !m.l3.Access(line) {
-			lat = float64(m.cfg.LatMem)
-			if m.l4 != nil {
-				if m.l4.Access(line) {
-					lat = float64(m.cfg.LatL4)
-				}
-			}
-		}
-	}
+	lat := m.outerLatency(line)
 
 	// Memory-level parallelism: misses close together in the instruction
 	// stream overlap, bounded by scheduler capacity.
@@ -507,25 +502,13 @@ func (m *Machine) loadAccess(line uint64) {
 	}
 }
 
-// storeAccess models a write: write-allocate traffic plus store-buffer
-// occupancy. Stores stall the pipeline only when the buffer fills.
-func (m *Machine) storeAccess(line uint64) {
-	m.stores++
+// storeRetire models a write whose L1d lookup hit or missed: write-allocate
+// traffic plus store-buffer occupancy. Stores stall the pipeline only when
+// the buffer fills.
+func (m *Machine) storeRetire(line uint64, hit bool) {
 	cost := 0.5 // cycles of buffer residency for an L1 hit
-	if !m.l1d.Access(line) {
-		lat := float64(m.cfg.LatL2)
-		if !m.l2.Access(line) {
-			lat = float64(m.cfg.LatL3)
-			if !m.l3.Access(line) {
-				lat = float64(m.cfg.LatMem)
-				if m.l4 != nil {
-					if m.l4.Access(line) {
-						lat = float64(m.cfg.LatL4)
-					}
-				}
-			}
-		}
-		cost = lat / 4 // write-allocate fills overlap heavily
+	if !hit {
+		cost = m.outerLatency(line) / 4 // write-allocate fills overlap heavily
 	}
 	// Drain: the buffer retires entries while instructions flow.
 	elapsed := m.insts - m.lastStoreAt

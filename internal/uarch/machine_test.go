@@ -275,12 +275,26 @@ func TestCanonicalBranchRemovesTakenBubble(t *testing.T) {
 	}
 }
 
+// BenchmarkMachineLoad2D prices one block read through the data hierarchy
+// and the fetch walk: /hit re-reads one resident 17x17 block, the sub-pel
+// cost function's pattern (every row an L1d hit and, after the first, a
+// fetch from the previous row's line); /cold strides 16x16 blocks over
+// 256 KiB so rows miss the L1d.
 func BenchmarkMachineLoad2D(b *testing.B) {
-	m := newTestMachine(Baseline())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.Load2D(trace.FnSAD, 0x100000000+uint64(i%4096)*64, 16, 16, 512)
-	}
+	b.Run("hit", func(b *testing.B) {
+		m := newTestMachine(Baseline())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Load2D(trace.FnInterp, 0x100000000, 17, 17, 384)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		m := newTestMachine(Baseline())
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Load2D(trace.FnSAD, 0x100000000+uint64(i%4096)*64, 16, 16, 512)
+		}
+	})
 }
 
 func TestNextLinePrefetcherHidesStreamingMisses(t *testing.T) {

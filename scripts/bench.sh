@@ -10,15 +10,18 @@
 # through the shared lookahead artifact and LadderSharedAnalysis prices a
 # whole 3-rung ABR ladder reusing one artifact against each rung running its
 # own lookahead, SAD/SATD/FDCT/TrellisQuant/Deblock/
-# IntraPredict pin the SWAR kernels, EncodeParallel pins the wavefront
+# IntraPredict pin the SWAR kernels, SubpelCost one candidate of the fused
+# interpolate-and-measure sub-pel cost per partition size and metric beside
+# InterpLuma (staging the same prediction), EncodeParallel pins the wavefront
 # encode at 1 and 4 workers, SegmentedEncode prices the 1/2/4-way
 # segment-and-stitch split, and the Dispatch pair pins the serving
 # layer's per-batch placement overhead — the homogeneous fleet-seconds
 # path and the heterogeneous cost-matrix path (DispatchHeterogeneous).
 # The simulator's own kernels close the list: CacheAccess prices one cache
 # lookup on its four paths (most-recent way, two lines of a set taking
-# turns, a hit at unpredictable depth, miss), MachineLoad2D one 16x16 block
-# read through the data hierarchy and the fetch walk, ReplayEvents a
+# turns, a hit at unpredictable depth, miss), MachineLoad2D one block read
+# through the data hierarchy and the fetch walk (/hit a resident 17x17 block,
+# the sub-pel pattern; /cold 16x16 blocks that miss the L1d), ReplayEvents a
 # 20k-event trace into a fresh machine, Parse the decode of a recorded
 # trace into its columns, and SnapshotThaw beside MachineClone what handing
 # a job a warmed machine costs from the sparse frozen form and as the dense
@@ -61,7 +64,7 @@ while [ "$rep" -le "$BENCHCOUNT" ]; do
 	# same raw stream so the awk pass below records them alongside.
 	go test -run '^$' -bench 'BenchmarkFDCT|BenchmarkTrellisQuant' \
 		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/codec/transform | tee -a "$RAW" || PARTIAL=1
-	go test -run '^$' -bench 'BenchmarkDeblock|BenchmarkIntraPredict|BenchmarkEncodeParallel|BenchmarkSegmentedEncode' \
+	go test -run '^$' -bench 'BenchmarkDeblock|BenchmarkIntraPredict|BenchmarkSubpelCost|BenchmarkInterpLuma|BenchmarkEncodeParallel|BenchmarkSegmentedEncode' \
 		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/codec | tee -a "$RAW" || PARTIAL=1
 	go test -run '^$' -bench 'BenchmarkDispatch' \
 		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/serve | tee -a "$RAW" || PARTIAL=1

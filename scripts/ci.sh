@@ -39,7 +39,11 @@ go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestFlightCacheCancelDe
 # Sweep workers thaw one shared machine snapshot concurrently: freezing a
 # machine with a live fetch-run count, cloning it and thawing the snapshot
 # must not write to their source.
-go test -race -run 'TestFrontEndRunBatchingEquivalence' ./internal/uarch
+go test -race -run 'TestFrontEndRunBatchingEquivalence|TestBlockWalkMatchesRowLoads' ./internal/uarch
+# The fused kernels on both sides of the trace.Sink against the paths they
+# replaced: the one-pass block walk against per-row Load/Store (line above)
+# and the sub-pel cost against scalar interpolation + the staged metric.
+go test -race -run 'TestFusedSubpelMatchesStaged|TestInterpLumaMatchesScalar' ./internal/codec
 # The race detector slows the simulator ~10x: internal/core takes ~200 s
 # under -race on 2 cores, too close to the default 10m per-package timeout
 # on a 1-CPU machine.
