@@ -141,7 +141,10 @@ func SummaryLine(name string, s obs.Snapshot) string {
 	if hits+misses > 0 {
 		fmt.Fprintf(&b, ", cache %d hits / %d misses", hits, misses)
 		if bytes := s.CounterTotal("core_cache_bytes"); bytes > 0 {
-			fmt.Fprintf(&b, " (%.1f MiB cached)", float64(bytes)/(1<<20))
+			fmt.Fprintf(&b, " (%.1f MiB resident)", float64(bytes)/(1<<20))
+		}
+		if evicted := s.CounterTotal("core_cache_evictions"); evicted > 0 {
+			fmt.Fprintf(&b, ", %d evicted", evicted)
 		}
 	}
 	if util, ok := s.Gauges["exec_utilization_pct"]; ok {

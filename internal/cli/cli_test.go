@@ -50,6 +50,7 @@ func TestSummaryLine(t *testing.T) {
 	r.Counter("core_cache_hits", "cache", "snapshot").Add(12)
 	r.Counter("core_cache_misses", "cache", "snapshot").Add(4)
 	r.Counter("core_cache_bytes", "cache", "decoded").Add(3 << 20)
+	r.Counter("core_cache_evictions", "cache", "decoded").Add(5)
 	for i := 0; i < 16; i++ {
 		r.Histogram("core_sweep_point_ns").Observe(int64(50+i) * 1e6)
 	}
@@ -57,7 +58,7 @@ func TestSummaryLine(t *testing.T) {
 	line := SummaryLine("sweep", r.Snapshot())
 	for _, want := range []string{
 		"sweep:", "16 points", "(2 failed)", "p50", "p95", "p99",
-		"12 hits / 4 misses", "3.0 MiB cached", "93% busy",
+		"12 hits / 4 misses", "3.0 MiB resident", "5 evicted", "93% busy",
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("summary line missing %q: %s", want, line)

@@ -30,11 +30,6 @@ type analysisKey struct {
 	p    codec.AnalysisParams
 }
 
-var anaCache = flightCache[analysisKey, *codec.Analysis]{
-	name: "analysis",
-	size: func(a *codec.Analysis) int64 { return a.SizeBytes() },
-}
-
 // sharedAnalysis returns (building and caching on first use) the
 // crf/refs-invariant analysis artifact for a workload's decoded mezzanine,
 // scoped to a segment of it (zero segment: the whole clip). Every rung of
@@ -44,12 +39,12 @@ var anaCache = flightCache[analysisKey, *codec.Analysis]{
 // always carry decoder-assigned virtual bases, so Analyze never mutates
 // them, and the recorded addresses match what any job encoding the same
 // frames emits.
-func sharedAnalysis(ctx context.Context, w Workload, dopt codec.DecoderOptions, opt codec.Options, seg codec.Segment) (*codec.Analysis, error) {
+func (e *Engine) sharedAnalysis(ctx context.Context, w Workload, dopt codec.DecoderOptions, opt codec.Options, seg codec.Segment) (*codec.Analysis, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
-	frames, _, err := DecodedMezzanine(ctx, w, dopt)
+	frames, _, err := e.DecodedMezzanine(ctx, w, dopt)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +59,7 @@ func sharedAnalysis(ctx context.Context, w Workload, dopt codec.DecoderOptions, 
 		return nil, err
 	}
 	p := codec.AnalysisParamsFor(opt, frames[0].Width, frames[0].Height, frames[0].PTS, len(frames))
-	return anaCache.get(ctx, analysisKey{w: w, dopt: dopt, p: p}, func() (*codec.Analysis, error) {
+	return e.ana.get(ctx, analysisKey{w: w, dopt: dopt, p: p}, func() (*codec.Analysis, error) {
 		a, err := codec.Analyze(frames, info.FPS, opt)
 		if err != nil {
 			return nil, fmt.Errorf("core: analysis of %s: %w", w.Video, err)
@@ -83,22 +78,13 @@ type anaSnapKey struct {
 	p    codec.AnalysisParams
 }
 
-var anaSnapCache = flightCache[anaSnapKey, *uarch.Snapshot]{name: "ana_snapshot", size: snapshotBytes}
-
-// anaParsedCache holds the pre-parsed form of each shared artifact's
-// recorded lookahead events, keyed like the artifact itself (no uarch
-// config): every configuration's analysis snapshot fans out from one
-// parsed slab, decoding the artifact's varint stream exactly once.
-var anaParsedCache = flightCache[analysisKey, *trace.EventBuf]{
-	name: "ana_parsed",
-	size: func(b *trace.EventBuf) int64 { return int64(b.SizeBytes()) },
-}
-
 // parsedAnalysisTrace returns (building and caching on first use) the
-// parsed event form of an artifact's recorded lookahead trace.
-func parsedAnalysisTrace(ctx context.Context, w Workload, dopt codec.DecoderOptions, a *codec.Analysis) (*trace.EventBuf, error) {
+// parsed event form of an artifact's recorded lookahead trace, keyed like
+// the artifact itself (no uarch config): every configuration's analysis
+// snapshot fans out from one parsed slab.
+func (e *Engine) parsedAnalysisTrace(ctx context.Context, w Workload, dopt codec.DecoderOptions, a *codec.Analysis) (*trace.EventBuf, error) {
 	key := analysisKey{w: w, dopt: dopt, p: a.Params}
-	return anaParsedCache.get(ctx, key, func() (*trace.EventBuf, error) {
+	return e.anaParsed.get(ctx, key, func() (*trace.EventBuf, error) {
 		b, err := trace.Parse(a.Events())
 		if err != nil {
 			return nil, fmt.Errorf("core: parse of %s analysis trace: %w", w.Video, err)
@@ -111,19 +97,19 @@ func parsedAnalysisTrace(ctx context.Context, w Workload, dopt codec.DecoderOpti
 // snapshot, building it on first use by thawing the decode snapshot,
 // replaying the shared parsed columns of the artifact's recorded events
 // into that machine and freezing it again.
-func analysisMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, a *codec.Analysis) (*uarch.Snapshot, error) {
+func (e *Engine) analysisMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, a *codec.Analysis) (*uarch.Snapshot, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
 	key := anaSnapKey{w: w, dopt: dopt, cfg: cfg, p: a.Params}
-	return anaSnapCache.get(ctx, key, func() (*uarch.Snapshot, error) {
-		snap, err := decodedMachine(context.Background(), w, dopt, cfg)
+	return e.anaSnap.get(ctx, key, func() (*uarch.Snapshot, error) {
+		snap, err := e.decodedMachine(context.Background(), w, dopt, cfg)
 		if err != nil {
 			return nil, err
 		}
 		m := snap.Machine()
-		parsed, err := parsedAnalysisTrace(context.Background(), w, dopt, a)
+		parsed, err := e.parsedAnalysisTrace(context.Background(), w, dopt, a)
 		if err != nil {
 			return nil, err
 		}

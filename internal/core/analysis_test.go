@@ -82,7 +82,7 @@ func TestAnalysisTwoPassBypass(t *testing.T) {
 func TestSharedAnalysisCached(t *testing.T) {
 	w := tinyWorkload("cat")
 	dopt := decoderOptions(codec.Defaults())
-	a1, err := sharedAnalysis(context.Background(), w, dopt, codec.Defaults(), codec.Segment{})
+	a1, err := defaultEngine.sharedAnalysis(context.Background(), w, dopt, codec.Defaults(), codec.Segment{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestSharedAnalysisCached(t *testing.T) {
 	crf41.RC = codec.RCCRF
 	crf41.CRF = 41
 	crf41.Refs = 4
-	a2, err := sharedAnalysis(context.Background(), w, dopt, crf41, codec.Segment{})
+	a2, err := defaultEngine.sharedAnalysis(context.Background(), w, dopt, crf41, codec.Segment{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSharedAnalysisCached(t *testing.T) {
 	}
 	sampled := codec.Defaults()
 	sampled.TraceSampleLog2 = 2
-	a3, err := sharedAnalysis(context.Background(), w, decoderOptions(sampled), sampled, codec.Segment{})
+	a3, err := defaultEngine.sharedAnalysis(context.Background(), w, decoderOptions(sampled), sampled, codec.Segment{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,45 @@
 package core
 
 import (
+	"container/list"
 	"context"
 	"sync"
 
 	"repro/internal/obs"
 )
+
+// budget is the one eviction policy of an Engine: a byte-budgeted LRU over
+// the built entries of every layer that points at it. An entry joins the
+// recency list when its build lands (an in-flight build is never a victim),
+// every hit moves it to the front, and a landing that takes resident past
+// limit evicts from the tail — never the entry that just landed, so
+// residency tops limit by at most the one entry being added. Eviction only
+// unlinks the map entry: waiters and running jobs keep the value they hold
+// (everything cached is immutable), and the next get of the key rebuilds it
+// through the same singleflight path, bit-identically.
+type budget struct {
+	mu       sync.Mutex // guards the list and the map of every layer sharing the budget
+	limit    int64
+	resident int64
+	order    list.List // of *resident, most recently used first
+}
+
+// resident is a landed entry as the budget sees it.
+type resident struct {
+	size int64
+	drop func() // unlinks the entry from its layer's map; b.mu held
+}
+
+// evict unlinks one listed entry; b.mu held.
+func (b *budget) evict(el *list.Element) {
+	r := b.order.Remove(el).(*resident)
+	b.resident -= r.size
+	r.drop()
+}
+
+// failedEntryBytes is what a cached error is charged, so that failures age
+// out like values instead of being the one thing that grows without bound.
+const failedEntryBytes = 256
 
 // flightCache is a keyed build-once cache with per-key singleflight: the
 // first caller of a key starts build exactly once while concurrent callers
@@ -15,21 +49,25 @@ import (
 //
 // Build results, including errors, are cached: every build here is a pure
 // function of its key (deterministic synthesis, encode or decode), so a
-// failure would fail identically on retry.
+// failure fails identically on retry — whether the retry hits the cached
+// error or, after it aged out, rebuilds it.
 //
-// Each cache self-reports into obs.Default under its name label:
+// Each cache self-reports into obs.Default under its name label, resolving
+// the counter by name per event (callers Reset the registry mid-process):
 // core_cache_hits / core_cache_misses (one per get), core_cache_bytes
-// (successful builds, via size), and core_cache_detached_builds — builds
-// whose triggering caller was canceled before the build landed, i.e. work
-// the detach policy saved from being wasted.
+// (resident bytes by size: up when a build lands, down when it is evicted),
+// core_cache_evictions, and core_cache_detached_builds — builds whose
+// triggering caller was canceled before the build landed, i.e. work the
+// detach policy saved from being wasted.
 type flightCache[K comparable, V any] struct {
 	// name labels this cache's metrics; empty disables self-reporting.
 	name string
-	// size measures a built value's footprint for core_cache_bytes; every
-	// named cache has one.
+	// size measures a built value's footprint; every budgeted cache has one.
 	size func(V) int64
+	// lru is the engine's shared budget; nil (a bare cache) never evicts.
+	lru *budget
 
-	mu sync.Mutex
+	mu sync.Mutex // guards m when lru is nil; a budgeted cache uses lru.mu
 	m  map[K]*flightEntry[V]
 }
 
@@ -37,6 +75,20 @@ type flightEntry[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
+	elem *list.Element // place in lru.order once landed
+}
+
+func (c *flightCache[K, V]) locker() *sync.Mutex {
+	if c.lru != nil {
+		return &c.lru.mu
+	}
+	return &c.mu
+}
+
+func (c *flightCache[K, V]) count(metric string, n int64) {
+	if c.name != "" {
+		obs.Default().Counter(metric, "cache", c.name).Add(n)
+	}
 }
 
 // get returns the cached value for k, building it with build on first use.
@@ -49,7 +101,8 @@ type flightEntry[V any] struct {
 // are bounded CPU work (one encode or decode), so letting an abandoned
 // build finish costs at most one job's worth of compute.
 func (c *flightCache[K, V]) get(ctx context.Context, k K, build func() (V, error)) (V, error) {
-	c.mu.Lock()
+	mu := c.locker()
+	mu.Lock()
 	if c.m == nil {
 		c.m = make(map[K]*flightEntry[V])
 	}
@@ -58,31 +111,52 @@ func (c *flightCache[K, V]) get(ctx context.Context, k K, build func() (V, error
 	if builder {
 		e = &flightEntry[V]{done: make(chan struct{})}
 		c.m[k] = e
-		ent := e
 		go func() {
-			defer close(ent.done)
-			ent.val, ent.err = build()
-			if c.name != "" && ent.err == nil {
-				obs.Default().Counter("core_cache_bytes", "cache", c.name).Add(c.size(ent.val))
-			}
+			defer close(e.done)
+			e.val, e.err = build()
+			c.land(k, e)
 		}()
+	} else if e.elem != nil {
+		c.lru.order.MoveToFront(e.elem)
 	}
-	c.mu.Unlock()
-	if c.name != "" {
-		if builder {
-			obs.Default().Counter("core_cache_misses", "cache", c.name).Inc()
-		} else {
-			obs.Default().Counter("core_cache_hits", "cache", c.name).Inc()
-		}
+	mu.Unlock()
+	if builder {
+		c.count("core_cache_misses", 1)
+	} else {
+		c.count("core_cache_hits", 1)
 	}
 	select {
 	case <-e.done:
 		return e.val, e.err
 	case <-ctx.Done():
-		if builder && c.name != "" {
-			obs.Default().Counter("core_cache_detached_builds", "cache", c.name).Inc()
+		if builder {
+			c.count("core_cache_detached_builds", 1)
 		}
 		var zero V
 		return zero, ctx.Err()
+	}
+}
+
+// land charges a finished build to the budget and evicts down to it.
+func (c *flightCache[K, V]) land(k K, e *flightEntry[V]) {
+	b := c.lru
+	if b == nil {
+		return
+	}
+	size := int64(failedEntryBytes)
+	if e.err == nil {
+		size = c.size(e.val)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	e.elem = b.order.PushFront(&resident{size: size, drop: func() {
+		delete(c.m, k)
+		c.count("core_cache_bytes", -size)
+		c.count("core_cache_evictions", 1)
+	}})
+	b.resident += size
+	c.count("core_cache_bytes", size)
+	for b.resident > b.limit && b.order.Back() != e.elem {
+		b.evict(b.order.Back())
 	}
 }

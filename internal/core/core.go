@@ -136,18 +136,86 @@ type Result struct {
 	Stream []byte
 }
 
-// --- mezzanine cache ----------------------------------------------------------
+// --- engine --------------------------------------------------------------------
 
-// mezzanine is the "uploaded" form of each workload: a high-quality encode
-// produced once per (video, frames, scale, seed) and then decoded at the
-// start of every transcode job, mirroring how a streaming service stores
-// one pristine copy and transcodes it many times. Per-key singleflight
-// guarantees the pristine encode runs exactly once even when concurrent
-// sweep workers miss simultaneously.
-var mezzCache = flightCache[Workload, []byte]{
-	name: "mezzanine",
-	size: func(b []byte) int64 { return int64(len(b)) },
+// DefaultCacheBudget bounds what the default engine retains. Chosen from
+// measurement (DESIGN.md §13, "PR 23, measured"): the largest set any bench
+// workload reuses is serve_ladder's 59.4 MB; serve_fleet holds 23.5 MB and
+// sweep_warm 4.6 MB. A title bigger than this still runs, to the same
+// bits; it re-encodes its mezzanine and re-decodes once while on-boarding.
+const DefaultCacheBudget = 64 << 20
+
+// Engine owns the cached half of the pipeline. A title's decode side is
+// built once — mezzanine -> decoded -> parsed -> snapshot — and so is the
+// crf/refs-invariant lookahead — analysis -> ana_parsed -> ana_snapshot —
+// each layer a singleflight flightCache built from the one before it, all
+// seven bounded by one byte-budgeted LRU (budget, cache.go). Engines share
+// no state; the package-level functions run on a default engine.
+type Engine struct {
+	lru budget
+
+	// mezz is the "uploaded" form of each workload: a high-quality encode
+	// produced once per (video, frames, scale, seed) and then decoded at the
+	// start of every transcode job, mirroring how a streaming service stores
+	// one pristine copy and transcodes it many times.
+	mezz flightCache[Workload, []byte]
+	// dec holds the reconstructed frames and recorded decoder event stream.
+	dec flightCache[decodeKey, *decodedMezz]
+	// parsed holds the pre-parsed form of each recorded decode trace, keyed
+	// like the raw buffer (no uarch config): all five Table IV snapshots of
+	// one workload fan out from a single parsed slab.
+	parsed flightCache[decodeKey, *trace.EventBuf]
+	// snap holds post-decode machine snapshots, one per configuration.
+	snap flightCache[snapKey, *uarch.Snapshot]
+	// ana, anaParsed and anaSnap are the same three steps for the shared
+	// analysis artifact's lookahead events (analysis.go).
+	ana       flightCache[analysisKey, *codec.Analysis]
+	anaParsed flightCache[analysisKey, *trace.EventBuf]
+	anaSnap   flightCache[anaSnapKey, *uarch.Snapshot]
 }
+
+// NewEngine returns an engine with cold caches that retains at most
+// budgetBytes of built entries — or one entry, if that entry alone is larger.
+func NewEngine(budgetBytes int64) *Engine {
+	e := &Engine{lru: budget{limit: budgetBytes}}
+	bufBytes := func(b *trace.EventBuf) int64 { return int64(b.SizeBytes()) }
+	snapBytes := func(s *uarch.Snapshot) int64 { return int64(s.SizeBytes()) }
+	e.mezz = flightCache[Workload, []byte]{name: "mezzanine", lru: &e.lru, size: func(b []byte) int64 { return int64(len(b)) }}
+	e.dec = flightCache[decodeKey, *decodedMezz]{name: "decoded", lru: &e.lru, size: (*decodedMezz).bytes}
+	e.parsed = flightCache[decodeKey, *trace.EventBuf]{name: "parsed", lru: &e.lru, size: bufBytes}
+	e.snap = flightCache[snapKey, *uarch.Snapshot]{name: "snapshot", lru: &e.lru, size: snapBytes}
+	e.ana = flightCache[analysisKey, *codec.Analysis]{name: "analysis", lru: &e.lru, size: (*codec.Analysis).SizeBytes}
+	e.anaParsed = flightCache[analysisKey, *trace.EventBuf]{name: "ana_parsed", lru: &e.lru, size: bufBytes}
+	e.anaSnap = flightCache[anaSnapKey, *uarch.Snapshot]{name: "ana_snapshot", lru: &e.lru, size: snapBytes}
+	return e
+}
+
+var defaultEngine = NewEngine(DefaultCacheBudget)
+
+// The package-level entry points run on the default engine; each is
+// documented on the Engine method of the same name.
+
+func Mezzanine(ctx context.Context, w Workload) ([]byte, error) {
+	return defaultEngine.Mezzanine(ctx, w)
+}
+
+func DecodedMezzanine(ctx context.Context, w Workload, opt codec.DecoderOptions) ([]*frame.Frame, []byte, error) {
+	return defaultEngine.DecodedMezzanine(ctx, w, opt)
+}
+
+func ParsedDecodeTrace(ctx context.Context, w Workload, opt codec.DecoderOptions) (*trace.EventBuf, error) {
+	return defaultEngine.ParsedDecodeTrace(ctx, w, opt)
+}
+
+func Run(ctx context.Context, job Job) (*Result, error) { return defaultEngine.Run(ctx, job) }
+
+func EncodeOnly(ctx context.Context, job Job) (*Result, error) {
+	return defaultEngine.EncodeOnly(ctx, job)
+}
+
+func Sweep(ctx context.Context, p Plan) Points { return defaultEngine.Sweep(ctx, p) }
+
+// --- mezzanine ------------------------------------------------------------------
 
 // mezzanineOptions returns the settings of the pristine copy.
 func mezzanineOptions() (codec.Options, error) {
@@ -179,12 +247,12 @@ func sourceFrames(w Workload) ([]*frame.Frame, vbench.VideoInfo, error) {
 // Mezzanine returns (building and caching on first use) the pristine
 // bitstream for a workload. Cache builds are detached from ctx: canceling
 // a waiting caller never poisons the entry.
-func Mezzanine(ctx context.Context, w Workload) ([]byte, error) {
+func (e *Engine) Mezzanine(ctx context.Context, w Workload) ([]byte, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
-	return mezzCache.get(ctx, w, func() ([]byte, error) {
+	return e.mezz.get(ctx, w, func() ([]byte, error) {
 		frames, info, err := sourceFrames(w)
 		if err != nil {
 			return nil, err
@@ -224,15 +292,12 @@ type decodeKey struct {
 	opt codec.DecoderOptions
 }
 
-var decCache = flightCache[decodeKey, *decodedMezz]{
-	name: "decoded",
-	size: func(d *decodedMezz) int64 {
-		n := int64(len(d.events))
-		for _, f := range d.frames {
-			n += int64(f.ByteSize())
-		}
-		return n
-	},
+func (d *decodedMezz) bytes() int64 {
+	n := int64(len(d.events))
+	for _, f := range d.frames {
+		n += int64(f.ByteSize())
+	}
+	return n
 }
 
 // decoderOptions derives the decode-side options a job's encode options
@@ -245,15 +310,15 @@ func decoderOptions(o codec.Options) codec.DecoderOptions {
 // frames and recorded decode trace of a workload's mezzanine. The returned
 // slices are shared cache state: callers must treat the frames and buffer
 // as read-only (Run clones the frames before encoding into a job).
-func DecodedMezzanine(ctx context.Context, w Workload, opt codec.DecoderOptions) ([]*frame.Frame, []byte, error) {
+func (e *Engine) DecodedMezzanine(ctx context.Context, w Workload, opt codec.DecoderOptions) ([]*frame.Frame, []byte, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, nil, err
 	}
-	ent, err := decCache.get(ctx, decodeKey{w: w, opt: opt}, func() (*decodedMezz, error) {
+	ent, err := e.dec.get(ctx, decodeKey{w: w, opt: opt}, func() (*decodedMezz, error) {
 		// Detached build: the nested cache lookup must not inherit the
 		// waiter's cancellation, or an abandoned build could cache ctx.Err().
-		stream, err := Mezzanine(context.Background(), w)
+		stream, err := e.Mezzanine(context.Background(), w)
 		if err != nil {
 			return nil, err
 		}
@@ -271,28 +336,16 @@ func DecodedMezzanine(ctx context.Context, w Workload, opt codec.DecoderOptions)
 
 // --- parsed-trace cache ---------------------------------------------------------
 
-// parsedDecCache holds the pre-parsed form of each recorded decode trace.
-// It is keyed exactly like the raw buffer (decodeKey, no uarch config), so
-// all five Table IV machine snapshots of one workload fan out from a
-// single parsed slab: the varint stream is decoded once per (workload,
-// decoder options) instead of once per configuration. Entries share the
-// decoded cache's eviction story — both live for the process and are
-// sized into the same obs byte gauges.
-var parsedDecCache = flightCache[decodeKey, *trace.EventBuf]{
-	name: "parsed",
-	size: func(b *trace.EventBuf) int64 { return int64(b.SizeBytes()) },
-}
-
 // ParsedDecodeTrace returns (building and caching on first use) the parsed
 // event representation of a workload's recorded decode trace. The returned
 // buffer is shared cache state: callers must treat it as read-only.
-func ParsedDecodeTrace(ctx context.Context, w Workload, opt codec.DecoderOptions) (*trace.EventBuf, error) {
+func (e *Engine) ParsedDecodeTrace(ctx context.Context, w Workload, opt codec.DecoderOptions) (*trace.EventBuf, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
-	return parsedDecCache.get(ctx, decodeKey{w: w, opt: opt}, func() (*trace.EventBuf, error) {
-		_, events, err := DecodedMezzanine(context.Background(), w, opt)
+	return e.parsed.get(ctx, decodeKey{w: w, opt: opt}, func() (*trace.EventBuf, error) {
+		_, events, err := e.DecodedMezzanine(context.Background(), w, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -313,23 +366,19 @@ type snapKey struct {
 	cfg uarch.Config
 }
 
-var snapCache = flightCache[snapKey, *uarch.Snapshot]{name: "snapshot", size: snapshotBytes}
-
-func snapshotBytes(s *uarch.Snapshot) int64 { return int64(s.SizeBytes()) }
-
 // decodedMachine returns the cached post-decode machine snapshot for a
 // (workload, decoder options, configuration) triple, building it on first
 // use by replaying the shared parsed columns of the recorded decode trace
 // into a fresh machine (one trace decode serves every configuration) and
 // freezing it. A Snapshot takes no events: each job thaws its own Machine.
-func decodedMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config) (*uarch.Snapshot, error) {
+func (e *Engine) decodedMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config) (*uarch.Snapshot, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
-	return snapCache.get(ctx, snapKey{w: w, opt: dopt, cfg: cfg}, func() (*uarch.Snapshot, error) {
+	return e.snap.get(ctx, snapKey{w: w, opt: dopt, cfg: cfg}, func() (*uarch.Snapshot, error) {
 		m := uarch.NewMachine(cfg, trace.NewImage(nil))
-		parsed, err := ParsedDecodeTrace(context.Background(), w, dopt)
+		parsed, err := e.ParsedDecodeTrace(context.Background(), w, dopt)
 		if err != nil {
 			return nil, err
 		}
@@ -357,7 +406,7 @@ func cloneFrames(src []*frame.Frame) []*frame.Frame {
 // start of the encode); a job already inside the encoder runs to
 // completion, which bounds a canceled sweep's overhang to one in-flight
 // job per worker.
-func Run(ctx context.Context, job Job) (*Result, error) {
+func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -393,7 +442,7 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 		// profile — is bit-for-bit what a live decode into the job's machine
 		// produces (TestReplayRunEquivalence).
 		dopt := decoderOptions(job.Options)
-		frames, _, err := DecodedMezzanine(ctx, job.Workload, dopt)
+		frames, _, err := e.DecodedMezzanine(ctx, job.Workload, dopt)
 		if err != nil {
 			return nil, err
 		}
@@ -405,10 +454,10 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 			// memcpy speed. (Two-pass ABR interleaves a full first-pass encode
 			// before its lookahead, so its tracer state cannot resume from the
 			// artifact.)
-			if analysis, err = sharedAnalysis(ctx, job.Workload, dopt, job.Options, job.Segment); err != nil {
+			if analysis, err = e.sharedAnalysis(ctx, job.Workload, dopt, job.Options, job.Segment); err != nil {
 				return nil, err
 			}
-			snap, err := analysisMachine(ctx, job.Workload, dopt, job.Config, analysis)
+			snap, err := e.analysisMachine(ctx, job.Workload, dopt, job.Config, analysis)
 			if err != nil {
 				return nil, err
 			}
@@ -416,7 +465,7 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 		} else if job.Image == nil {
 			// Default code image: thaw the cached post-decode machine
 			// snapshot — the decode half at memcpy speed.
-			snap, err := decodedMachine(ctx, job.Workload, dopt, job.Config)
+			snap, err := e.decodedMachine(ctx, job.Workload, dopt, job.Config)
 			if err != nil {
 				return nil, err
 			}
@@ -426,7 +475,7 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 			// the default layout, so re-drive the shared parsed slab into
 			// this job's machine instead.
 			machine = uarch.NewMachine(job.Config, img)
-			parsed, err := ParsedDecodeTrace(ctx, job.Workload, dopt)
+			parsed, err := e.ParsedDecodeTrace(ctx, job.Workload, dopt)
 			if err != nil {
 				return nil, err
 			}
@@ -480,7 +529,7 @@ func Run(ctx context.Context, job Job) (*Result, error) {
 // path's (TestEncodeOnlyMatchesRun) and segment parts from a mixed fleet
 // stitch cleanly. The accelerator's wall clock comes from
 // backend.AccelModel, not from measuring this call.
-func EncodeOnly(ctx context.Context, job Job) (*Result, error) {
+func (e *Engine) EncodeOnly(ctx context.Context, job Job) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -493,7 +542,7 @@ func EncodeOnly(ctx context.Context, job Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	frames, _, err := DecodedMezzanine(ctx, job.Workload, decoderOptions(job.Options))
+	frames, _, err := e.DecodedMezzanine(ctx, job.Workload, decoderOptions(job.Options))
 	if err != nil {
 		return nil, err
 	}
@@ -618,7 +667,7 @@ type Plan struct {
 // in-flight job per worker; points that never started carry ctx.Err() in
 // Point.Err. Per-point failures (build or run) land in Point.Err without
 // stopping the other points.
-func Sweep(ctx context.Context, p Plan) Points {
+func (e *Engine) Sweep(ctx context.Context, p Plan) Points {
 	met := obs.Default()
 	if len(p.Warm) > 0 {
 		warmSpan := met.Histogram("core_sweep_warmup_ns").Start()
@@ -626,7 +675,7 @@ func Sweep(ctx context.Context, p Plan) Points {
 			// The snapshot build pulls in the mezzanine, the decoded frames
 			// and the parsed decode trace underneath it.
 			t := p.Warm[i]
-			_, err := decodedMachine(ctx, t.Workload, t.Decoder, t.Config)
+			_, err := e.decodedMachine(ctx, t.Workload, t.Decoder, t.Config)
 			return err
 		})
 		warmSpan.End()
@@ -665,7 +714,7 @@ func Sweep(ctx context.Context, p Plan) Points {
 			return nil // build already failed the point; never run the zero Job
 		}
 		sp := pointHist.Start()
-		res, err := Run(ctx, jobs[i])
+		res, err := e.Run(ctx, jobs[i])
 		sp.End()
 		if err != nil {
 			return err

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/codec"
-	"repro/internal/obs"
 	"repro/internal/uarch"
 )
 
@@ -13,32 +12,25 @@ import (
 // are stated on: 8 frames of cricket at 160x96.
 func footprintWorkload() Workload { return Workload{Video: "cricket", Frames: 8, Scale: 8} }
 
-// TestEveryCacheLayerReportsBytes: on-boarding one never-seen title on one
+// TestEveryCacheLayerReportsBytes: on-boarding one title on one
 // configuration misses once in each of the seven layers, and every one of
 // them must account for what it now retains in core_cache_bytes — the two
-// snapshot layers had no size func and reported nothing.
+// snapshot layers had no size func and reported nothing. A private engine
+// makes the title new whatever the rest of the package has run.
 func TestEveryCacheLayerReportsBytes(t *testing.T) {
-	layers := []string{"mezzanine", "decoded", "parsed", "snapshot", "analysis", "ana_parsed", "ana_snapshot"}
-	held := func() map[string]int64 {
-		snap, out := obs.Default().Snapshot(), make(map[string]int64)
-		for _, l := range layers {
-			out[l] = snap.Counters[obs.Key("core_cache_bytes", "cache", l)]
-		}
-		return out
-	}
-	w := footprintWorkload()
-	w.Seed = 0xB17E5 // content no other test in the package decodes
-	before := held()
-	if _, err := Run(context.Background(), Job{Workload: w, Options: codec.Defaults(), Config: uarch.Baseline()}); err != nil {
+	eng := NewEngine(DefaultCacheBudget)
+	layers := layersOf(eng)
+	before := cacheCounters("core_cache_bytes", layers)
+	if _, err := eng.Run(context.Background(), Job{Workload: footprintWorkload(), Options: codec.Defaults(), Config: uarch.Baseline()}); err != nil {
 		t.Fatal(err)
 	}
-	after := held()
+	after := cacheCounters("core_cache_bytes", layers)
 	for _, l := range layers {
-		if after[l] <= before[l] {
-			t.Errorf("core_cache_bytes{cache=%s} did not grow: %d -> %d", l, before[l], after[l])
+		if after[l.name] <= before[l.name] {
+			t.Errorf("core_cache_bytes{cache=%s} did not grow: %d -> %d", l.name, before[l.name], after[l.name])
 		}
+		t.Logf("%-12s retains %8d B", l.name, after[l.name]-before[l.name])
 	}
-	t.Logf("retained by layer: %v", after)
 }
 
 // TestSnapshotFootprint pins the sparse snapshot's gain: after a decode the
@@ -47,8 +39,9 @@ func TestEveryCacheLayerReportsBytes(t *testing.T) {
 // bit-identically is TestReplayRunEquivalence's business.)
 func TestSnapshotFootprint(t *testing.T) {
 	ctx, w, dopt := context.Background(), footprintWorkload(), codec.DecoderOptions{}
+	eng := NewEngine(DefaultCacheBudget)
 	for _, cfg := range uarch.Extended() {
-		snap, err := decodedMachine(ctx, w, dopt, cfg)
+		snap, err := eng.decodedMachine(ctx, w, dopt, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

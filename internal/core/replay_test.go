@@ -92,9 +92,9 @@ func referenceTranscode(t *testing.T, job Job) *Result {
 	}
 	enc, err := codec.NewEncoder(input[0].Width, input[0].Height, info.FPS, job.Options, m)
 	must(err)
-	_, stats, err := enc.EncodeAll(input)
+	stream, stats, err := enc.EncodeAll(input)
 	must(err)
-	return &Result{Report: perf.FromResult(m.Result(), enc.SampleFactor()), Stats: stats}
+	return &Result{Report: perf.FromResult(m.Result(), enc.SampleFactor()), Stats: stats, Stream: stream}
 }
 
 // requireReference runs job through Run and requires its profile and codec

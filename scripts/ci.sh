@@ -23,6 +23,10 @@ fi
 # back in. ([P] keeps this line from matching itself; `! grep` would not
 # trip set -e.)
 if grep -rnE 'No(Replay|Parse|Analysis)Cache|no-(replay|parse|analysis)-cache|hetero[P]lacement' --include='*.go' --include='*.sh' --include='*.yml' .; then exit 1; fi
+# The cache budget is a constant chosen from measurement plus one
+# constructor argument (core.NewEngine); it does not come back as a flag or
+# an environment variable.
+if grep -rnE 'cache-[b]udget|CACHE_[B]UDGET' --include='*.go' --include='*.sh' --include='*.yml' .; then exit 1; fi
 
 go vet ./...
 go build ./...
@@ -35,7 +39,11 @@ go test ./...
 # means something under the race detector.
 go test -race ./internal/exec/... ./internal/obs/... ./internal/queue/...
 go test -race ./internal/serve/... ./internal/worker/...
-go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestFlightCacheCancelDetach|TestSnapshotFootprint|TestEveryCacheLayerReportsBytes' ./internal/core/...
+go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSnapshotFootprint|TestEveryCacheLayerReportsBytes|TestEvictedLayerRebuildsBitIdentical|TestEngineSoakHoldsBudget' ./internal/core/...
+# Eviction under concurrency is a matter of interleavings — a waiter whose
+# entry is evicted before it wakes, a key rebuilt while its old value is
+# still in use, a canceled builder landing late — so these repeat.
+go test -race -count=10 -run 'TestEngineConcurrentRunsOverBudget|TestFlightCacheBudgetStress|TestFlightCacheCancelDetach|TestFailedEntryAgesOut' ./internal/core/...
 # Sweep workers thaw one shared machine snapshot concurrently: freezing a
 # machine with a live fetch-run count, cloning it and thawing the snapshot
 # must not write to their source.
