@@ -16,7 +16,7 @@
 //
 // With -compare, no server is contacted: the same task sequence is served
 // in-process once under smart placement and once under random, printing
-// the completed-work delta (the online analogue of schedsim).
+// the completed-work delta (the online analogue of `paper -fig 9`).
 package main
 
 import (

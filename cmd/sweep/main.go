@@ -33,7 +33,6 @@ var (
 	flagRefs       = flag.String("refs", "1,2,3,4,6,8,12,16", "comma-separated refs values")
 	flagProgress   = flag.Bool("progress", false, "report per-point progress on stderr")
 	flagMetricsOut = flag.String("metrics-out", "", "write the JSON run manifest (inputs, git rev, metrics snapshot, wall time) to this file")
-	flagWorkers    = flag.Int("workers", 0, "intra-encode worker count for crf-refs and videos modes (0/1: serial; output is byte-identical at any count)")
 )
 
 func main() {
@@ -80,7 +79,6 @@ func run(ctx context.Context) error {
 		Progress:     cli.Progress("sweep", !*flagProgress),
 	}
 	base := codec.Defaults()
-	base.Workers = *flagWorkers
 	var pts core.Points
 	switch *flagMode {
 	case "crf-refs":
@@ -94,8 +92,6 @@ func run(ctx context.Context) error {
 		}
 		pts = core.SweepCRFRefsWith(ctx, w, base, uarch.Baseline(), crfs, refs, opts)
 	case "presets":
-		// Preset points build their options from the preset table, so
-		// -workers does not apply here.
 		pts = core.SweepPresetsWith(ctx, w, uarch.Baseline(), codec.Presets, 23, 3, opts)
 	case "videos":
 		pts = core.SweepVideosWith(ctx, vbench.Names(), *flagFrames, 0, base, uarch.Baseline(), opts)

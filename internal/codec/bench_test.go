@@ -87,33 +87,6 @@ func BenchmarkSegmentedEncode(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeParallel measures a full traced medium-preset encode at
-// several intra-encode worker counts; workers=1 is the serial baseline the
-// wavefront speedup is read against.
-func BenchmarkEncodeParallel(b *testing.B) {
-	frames := makeClip(b, "cricket", 6, 8)
-	pinClipVAs(b, frames)
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := Defaults()
-			opt.Tune.FuseDeblock = true
-			opt.Workers = workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				enc, err := NewEncoder(frames[0].Width, frames[0].Height, 30, opt, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stream, _, err := enc.EncodeAll(frames)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink += len(stream)
-			}
-		})
-	}
-}
-
 // subpelBenchQuery is one sub-pel cost evaluation on frame content: a source
 // block, the same picture as reference, a quarter-pel vector.
 func subpelBenchQuery(b *testing.B, w, h int) (*meQuery, MV) {

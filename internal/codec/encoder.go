@@ -2,7 +2,6 @@ package codec
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/codec/bits"
 	"repro/internal/codec/transform"
@@ -48,15 +47,6 @@ type Encoder struct {
 	// analysis, when set, replaces the lookahead and variance computation
 	// with the shared per-video artifact (see analysis.go).
 	analysis *Analysis
-
-	// Intra-encode parallelism (see parallel.go): cached per-worker shadow
-	// encoders plus per-frame scratch reused across frames.
-	shadows    []*Encoder
-	shadowCh   chan *Encoder
-	mbScratch  []macroblock
-	qpScratch  []int
-	progress   []atomic.Int64
-	poolDoneCh chan poolResult
 
 	// Per-stage latency accounting (see stage.go). Both nil unless a
 	// StageObserver is attached.
@@ -303,38 +293,30 @@ func (e *Encoder) encodeFrame(src *frame.Frame, t FrameType, list0 []*frame.Fram
 
 	mbw, mbh := e.w/16, e.h/16
 	intraMB, interMB, skipMB := 0, 0, 0
-	if workers := e.parallelWorkers(); workers > 1 && mbh > 1 {
-		var err error
-		intraMB, interMB, skipMB, err = e.encodeRowsParallel(src, t, list0, list1, frameQP, workers)
-		if err != nil {
-			return FrameStats{}, err
+	for my := 0; my < mbh; my++ {
+		for mx := 0; mx < mbw; mx++ {
+			e.tr.nextMB()
+			e.tr.call(trace.FnDriver)
+			e.tr.ops(trace.FnDriver, 80)
+			mb, err := e.encodeMB(src, t, list0, list1, mx, my, frameQP)
+			if err != nil {
+				return FrameStats{}, err
+			}
+			switch mb.kind {
+			case kindIntra:
+				intraMB++
+			case kindInter:
+				interMB++
+			default:
+				skipMB++
+			}
 		}
-	} else {
-		for my := 0; my < mbh; my++ {
-			for mx := 0; mx < mbw; mx++ {
-				e.tr.nextMB()
-				e.tr.call(trace.FnDriver)
-				e.tr.ops(trace.FnDriver, 80)
-				mb, err := e.encodeMB(src, t, list0, list1, mx, my, frameQP)
-				if err != nil {
-					return FrameStats{}, err
-				}
-				switch mb.kind {
-				case kindIntra:
-					intraMB++
-				case kindInter:
-					interMB++
-				default:
-					skipMB++
-				}
-			}
-			e.tr.loop(trace.FnDriver, siteRowLoop, mbw)
-			e.rc.endRow(my+1, mbh, e.bw.BitsWritten())
-			// Fused deblocking: filter the previous row while its pixels are
-			// still cache-resident (Graphite loop fusion).
-			if e.opt.Deblock && e.opt.Tune.FuseDeblock && my > 0 {
-				e.deblockRow(rec, my-1)
-			}
+		e.tr.loop(trace.FnDriver, siteRowLoop, mbw)
+		e.rc.endRow(my+1, mbh, e.bw.BitsWritten())
+		// Fused deblocking: filter the previous row while its pixels are
+		// still cache-resident (Graphite loop fusion).
+		if e.opt.Deblock && e.opt.Tune.FuseDeblock && my > 0 {
+			e.deblockRow(rec, my-1)
 		}
 	}
 	if e.opt.Deblock {
@@ -405,10 +387,9 @@ func (e *Encoder) mbVariance(src *frame.Frame, mx, my int) float64 {
 // decideMB runs the per-macroblock mode decision and reconstruction: inter
 // and intra analysis, the RD compare, and residual coding into mb (whose
 // position and qp must already be set). This is the portion of encodeMB
-// that depends only on wavefront-ordered neighbour state — reconstructed
-// pixels and MV fields — never on the bit writer, rate controller or
-// deblock maps, which is what lets parallel row workers run it off the
-// sequencer goroutine (see parallel.go).
+// that reads only neighbour state — reconstructed pixels and MV fields —
+// never the bit writer, rate controller or deblock maps, which sequenceMB
+// updates afterwards.
 func (e *Encoder) decideMB(src *frame.Frame, t FrameType, list0 []*frame.Frame, list1 *frame.Frame, mb *macroblock) {
 	mx, my := mb.x/16, mb.y/16
 	lambda := lambdaFor(mb.qp)
@@ -465,7 +446,7 @@ func (e *Encoder) decideMB(src *frame.Frame, t FrameType, list0 []*frame.Frame, 
 	e.stageEnd(StageTransform, t1)
 }
 
-// sequenceMB runs the strictly serial tail of a macroblock: entropy coding
+// sequenceMB runs the tail of a macroblock after decideMB: entropy coding
 // and the neighbour bookkeeping that feeds MV prediction and deblocking.
 func (e *Encoder) sequenceMB(mb *macroblock, t FrameType, mx, my int, hasL1 bool) {
 	// Entropy coding.

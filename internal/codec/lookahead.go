@@ -19,13 +19,8 @@ type lookaheadCosts struct {
 // lookaheadGrid^2 blocks).
 const lookaheadGrid = 2
 
-// runLookahead estimates complexities for all frames. With workers
-// configured it fans out per frame (see parallel.go); the serial loop below
-// is the reference schedule the parallel path reproduces tick for tick.
+// runLookahead estimates complexities for all frames.
 func (e *Encoder) runLookahead(frames []*frame.Frame) *lookaheadCosts {
-	if w := e.parallelWorkers(); w > 1 && len(frames) > 1 {
-		return e.runLookaheadParallel(frames, w)
-	}
 	n := len(frames)
 	lc := &lookaheadCosts{
 		intra: make([]int, n),

@@ -23,6 +23,24 @@ func makeClip(tb testing.TB, name string, n, scale int) []*frame.Frame {
 	return frames
 }
 
+// pinClipVAs assigns traced virtual addresses to any frame that lacks them,
+// exactly as the first EncodeAll over the clip would. Trace comparisons
+// need this done up front: EncodeAll's assignment is persistent, so without
+// it the first encode of a shared clip lays its reconstruction buffer at a
+// different virtual base than every later encode.
+func pinClipVAs(tb testing.TB, frames []*frame.Frame) {
+	tb.Helper()
+	enc, err := NewEncoder(frames[0].Width, frames[0].Height, 30, Defaults(), nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, f := range frames {
+		if f.Y.Base == 0 {
+			enc.allocVA(f)
+		}
+	}
+}
+
 func encodeClip(tb testing.TB, frames []*frame.Frame, opt Options) ([]byte, *Stats) {
 	tb.Helper()
 	enc, err := NewEncoder(frames[0].Width, frames[0].Height, 30, opt, nil)

@@ -40,16 +40,14 @@ func (s EncodeStage) String() string {
 
 // StageObserver receives the wall time spent in each encode stage. The
 // lookahead stage is reported once per EncodeAll (it runs before the first
-// frame); the others once per coded frame. Under parallel encoding the
-// analysis stages sum across workers, so they read as CPU time rather than
-// critical-path time. Observation calls are serialized onto the EncodeAll
-// goroutine.
+// frame); the others once per coded frame. Observation calls run on the
+// EncodeAll goroutine.
 type StageObserver interface {
 	ObserveStage(stage EncodeStage, d time.Duration)
 }
 
-// stageClock accumulates per-stage nanoseconds. It is shared by the
-// sequencer and every shadow encoder of a parallel encode, hence atomic.
+// stageClock accumulates per-stage nanoseconds for the one encode that owns
+// it.
 type stageClock [NumEncodeStages]atomic.Int64
 
 // SetStageObserver attaches a latency observer. The default (nil) keeps the

@@ -172,17 +172,6 @@ type Options struct {
 	// 2^n macroblocks (0 traces everything). Sampling keeps simulation
 	// tractable on large sweeps; counters scale back up by the same factor.
 	TraceSampleLog2 int
-
-	// Workers parallelizes the inside of a single encode: macroblock rows
-	// are analysed and reconstructed on a wavefront (each row lagging its
-	// upper neighbour by two macroblocks, exactly the dependency intra
-	// prediction and MV prediction impose) and the lookahead fans out per
-	// frame. 0 and 1 encode serially; CBR always runs serially because its
-	// row-level rate feedback needs live entropy bit counts. The output is
-	// invariant: bitstream bytes and the emitted trace are identical for 1
-	// and N workers (asserted by TestEncodeWorkersDeterminism and
-	// scripts/determinism.sh).
-	Workers int
 }
 
 // Defaults returns the medium-preset options with CRF 23, the x264
@@ -215,9 +204,6 @@ func (o *Options) Validate() error {
 	}
 	if o.MERange < 4 || o.MERange > 64 {
 		return fmt.Errorf("codec: merange %d out of range [4,64]", o.MERange)
-	}
-	if o.Workers < 0 || o.Workers > 64 {
-		return fmt.Errorf("codec: workers %d out of range [0,64]", o.Workers)
 	}
 	switch o.RC {
 	case RCABR, RCABR2, RCCBR:

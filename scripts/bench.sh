@@ -12,9 +12,9 @@
 # own lookahead, SAD/SATD/FDCT/TrellisQuant/Deblock/
 # IntraPredict pin the SWAR kernels, SubpelCost one candidate of the fused
 # interpolate-and-measure sub-pel cost per partition size and metric beside
-# InterpLuma (staging the same prediction), EncodeParallel pins the wavefront
-# encode at 1 and 4 workers, SegmentedEncode prices the 1/2/4-way
-# segment-and-stitch split, and the Dispatch pair pins the serving
+# InterpLuma (staging the same prediction), SegmentedEncode prices the
+# 1/2/4-way segment-and-stitch split (parts=1 is the serial whole-clip
+# encode), and the Dispatch pair pins the serving
 # layer's per-batch placement overhead — the homogeneous fleet-seconds
 # path and the heterogeneous cost-matrix path (DispatchHeterogeneous).
 # The simulator's own kernels close the list: CacheAccess prices one cache
@@ -64,7 +64,7 @@ while [ "$rep" -le "$BENCHCOUNT" ]; do
 	# same raw stream so the awk pass below records them alongside.
 	go test -run '^$' -bench 'BenchmarkFDCT|BenchmarkTrellisQuant' \
 		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/codec/transform | tee -a "$RAW" || PARTIAL=1
-	go test -run '^$' -bench 'BenchmarkDeblock|BenchmarkIntraPredict|BenchmarkSubpelCost|BenchmarkInterpLuma|BenchmarkEncodeParallel|BenchmarkSegmentedEncode' \
+	go test -run '^$' -bench 'BenchmarkDeblock|BenchmarkIntraPredict|BenchmarkSubpelCost|BenchmarkInterpLuma|BenchmarkSegmentedEncode' \
 		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/codec | tee -a "$RAW" || PARTIAL=1
 	go test -run '^$' -bench 'BenchmarkDispatch' \
 		-benchtime "$BENCHTIME" -benchmem -timeout 600s ./internal/serve | tee -a "$RAW" || PARTIAL=1

