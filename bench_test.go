@@ -242,9 +242,9 @@ func BenchmarkDecodeReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkParse measures decoding the recorded decode trace into its
-// parsed columns — paid once per (workload, decoder options), then shared
-// by every configuration's snapshot build.
+// BenchmarkParse measures validating the recorded decode trace into its
+// parsed form — paid once per (workload, decoder options), then shared by
+// every configuration's snapshot build.
 func BenchmarkParse(b *testing.B) {
 	w, _ := benchSweepWorkload()
 	_, events, err := DecodedMezzanine(context.Background(), w, DecoderOptions{})
@@ -256,40 +256,6 @@ func BenchmarkParse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ParseTrace(events); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkReplayParsed measures fanning the pre-parsed decode trace into
-// a fresh machine via the devirtualized event loop — BenchmarkDecodeReplay
-// minus the per-point varint decode and Sink dispatch.
-func BenchmarkReplayParsed(b *testing.B) {
-	w, _ := benchSweepWorkload()
-	parsed, err := ParsedDecodeTrace(context.Background(), w, DecoderOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(parsed.SizeBytes()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ReplayParsedTrace(parsed, BaselineConfig())
-	}
-}
-
-// BenchmarkReplayMulti measures the decode-once fan-out across all five
-// Table IV configurations from one raw buffer.
-func BenchmarkReplayMulti(b *testing.B) {
-	w, _ := benchSweepWorkload()
-	_, events, err := DecodedMezzanine(context.Background(), w, DecoderOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfgs := Configs()
-	b.SetBytes(int64(len(events)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReplayTraceMulti(events, cfgs...); err != nil {
 			b.Fatal(err)
 		}
 	}

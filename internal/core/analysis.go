@@ -81,7 +81,7 @@ type anaSnapKey struct {
 // parsedAnalysisTrace returns (building and caching on first use) the
 // parsed event form of an artifact's recorded lookahead trace, keyed like
 // the artifact itself (no uarch config): every configuration's analysis
-// snapshot fans out from one parsed slab.
+// snapshot fans out from one parsed view of the artifact's events.
 func (e *Engine) parsedAnalysisTrace(ctx context.Context, w Workload, dopt codec.DecoderOptions, a *codec.Analysis) (*trace.EventBuf, error) {
 	key := analysisKey{w: w, dopt: dopt, p: a.Params}
 	return e.anaParsed.get(ctx, key, func() (*trace.EventBuf, error) {
@@ -95,7 +95,7 @@ func (e *Engine) parsedAnalysisTrace(ctx context.Context, w Workload, dopt codec
 
 // analysisMachine returns the cached post-decode, post-lookahead machine
 // snapshot, building it on first use by thawing the decode snapshot,
-// replaying the shared parsed columns of the artifact's recorded events
+// replaying the shared parsed view of the artifact's recorded events
 // into that machine and freezing it again.
 func (e *Engine) analysisMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, a *codec.Analysis) (*uarch.Snapshot, error) {
 	w, err := w.normalized()

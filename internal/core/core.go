@@ -139,10 +139,12 @@ type Result struct {
 // --- engine --------------------------------------------------------------------
 
 // DefaultCacheBudget bounds what the default engine retains. Chosen from
-// measurement (DESIGN.md §13, "PR 23, measured"): the largest set any bench
-// workload reuses is serve_ladder's 59.4 MB; serve_fleet holds 23.5 MB and
-// sweep_warm 4.6 MB. A title bigger than this still runs, to the same
-// bits; it re-encodes its mezzanine and re-decodes once while on-boarding.
+// measurement (DESIGN.md §13, "PR 23, measured", re-measured in "PR 29,
+// measured"): the largest set any bench workload reuses is serve_ladder's
+// 38.7 MB; serve_fleet holds 13.5 MB and sweep_warm 2.8 MB. A
+// crf-refs grid on one CLI-size title (16 frames of about 256 lines) fits
+// with nothing evicted. A set bigger than this still runs, to the same bits;
+// it rebuilds what was evicted, as the videos scan does.
 const DefaultCacheBudget = 64 << 20
 
 // Engine owns the cached half of the pipeline. A title's decode side is
@@ -161,9 +163,9 @@ type Engine struct {
 	mezz flightCache[Workload, []byte]
 	// dec holds the reconstructed frames and recorded decoder event stream.
 	dec flightCache[decodeKey, *decodedMezz]
-	// parsed holds the pre-parsed form of each recorded decode trace, keyed
+	// parsed holds the validated view of each recorded decode trace, keyed
 	// like the raw buffer (no uarch config): all five Table IV snapshots of
-	// one workload fan out from a single parsed slab.
+	// one workload fan out from it. It aliases the dec entry's events.
 	parsed flightCache[decodeKey, *trace.EventBuf]
 	// snap holds post-decode machine snapshots, one per configuration.
 	snap flightCache[snapKey, *uarch.Snapshot]
@@ -368,8 +370,8 @@ type snapKey struct {
 
 // decodedMachine returns the cached post-decode machine snapshot for a
 // (workload, decoder options, configuration) triple, building it on first
-// use by replaying the shared parsed columns of the recorded decode trace
-// into a fresh machine (one trace decode serves every configuration) and
+// use by replaying the shared parsed view of the recorded decode trace
+// into a fresh machine (one validation serves every configuration) and
 // freezing it. A Snapshot takes no events: each job thaws its own Machine.
 func (e *Engine) decodedMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config) (*uarch.Snapshot, error) {
 	w, err := w.normalized()
@@ -472,7 +474,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
 			machine = snap.Machine()
 		} else {
 			// Custom image (e.g. the AutoFDO study): snapshots are keyed on
-			// the default layout, so re-drive the shared parsed slab into
+			// the default layout, so re-drive the shared parsed view into
 			// this job's machine instead.
 			machine = uarch.NewMachine(job.Config, img)
 			parsed, err := e.ParsedDecodeTrace(ctx, job.Workload, dopt)

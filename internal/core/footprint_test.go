@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/trace"
 	"repro/internal/uarch"
 )
 
@@ -59,21 +60,42 @@ func TestSnapshotFootprint(t *testing.T) {
 	}
 }
 
-// TestParsedSlabFootprint pins the columnar slab's gain on a real decode
-// trace: at most 16 bytes an event (the fixed-width record was 40), in
-// columns with no append slack.
-func TestParsedSlabFootprint(t *testing.T) {
-	parsed, err := ParsedDecodeTrace(context.Background(), footprintWorkload(), codec.DecoderOptions{})
+// TestParsedViewAliasesEvents: the two parsed layers retain no copy of
+// the trace they parse. The cached decode EventBuf views the decoded
+// entry's recorded events and the cached lookahead EventBuf the analysis
+// artifact's, byte for byte, and neither is charged more than those bytes.
+func TestParsedViewAliasesEvents(t *testing.T) {
+	ctx, w, dopt := context.Background(), footprintWorkload(), codec.DecoderOptions{}
+	eng := NewEngine(DefaultCacheBudget)
+	_, events, err := eng.DecodedMezzanine(ctx, w, dopt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tags, ops := parsed.Columns()
-	if cap(tags) != len(tags) || cap(ops) != len(ops) {
-		t.Errorf("cached slab keeps slack: tags %d/%d, operands %d/%d", len(tags), cap(tags), len(ops), cap(ops))
+	parsed, err := eng.ParsedDecodeTrace(ctx, w, dopt)
+	if err != nil {
+		t.Fatal(err)
 	}
-	perEvent := float64(parsed.SizeBytes()) / float64(parsed.Len())
-	t.Logf("%d events, %d operands, %.2f B/event", parsed.Len(), len(ops), perEvent)
-	if parsed.Len() == 0 || perEvent > 16 {
-		t.Errorf("%.2f B/event in %d events, want at most 16", perEvent, parsed.Len())
+	a, err := eng.sharedAnalysis(ctx, w, dopt, codec.Defaults(), codec.Segment{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	anaParsed, err := eng.parsedAnalysisTrace(ctx, w, dopt, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		layer  string
+		b      *trace.EventBuf
+		events []byte
+	}{{"parsed", parsed, events}, {"ana_parsed", anaParsed, a.Events()}} {
+		got := c.b.Bytes()
+		t.Logf("%-10s %d events in %d B (%.2f B/event), charged %d B", c.layer, c.b.Len(), len(c.events),
+			float64(len(c.events))/float64(c.b.Len()), c.b.SizeBytes())
+		if c.b.Len() == 0 || len(got) != len(c.events) || &got[0] != &c.events[0] {
+			t.Errorf("%s: EventBuf of %d events does not view the %d recorded bytes it was parsed from", c.layer, c.b.Len(), len(c.events))
+		}
+		if c.b.SizeBytes() > len(c.events)+64 {
+			t.Errorf("%s: charged %d B for a %d-byte trace", c.layer, c.b.SizeBytes(), len(c.events))
+		}
 	}
 }

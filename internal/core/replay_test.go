@@ -135,7 +135,7 @@ func TestReplayRunEquivalence(t *testing.T) {
 
 // TestParsedReplayMachineEquivalence pins the parsed fan-out at the
 // machine level on a real decode trace: for every Table IV configuration,
-// ReplayEvents on the cached parsed slab reaches bit-for-bit the state of
+// ReplayEvents on the cached parsed view reaches bit-for-bit the state of
 // the streaming trace.Replay reference.
 func TestParsedReplayMachineEquivalence(t *testing.T) {
 	w := tinyWorkload("cricket")
@@ -166,7 +166,7 @@ func TestParsedReplayMachineEquivalence(t *testing.T) {
 
 // TestParsedRunEquivalence is the fidelity guarantee of the parsed fan-out
 // at the experiment level. The custom code image forces Run's per-job
-// replay branch (the parsed slab driven straight into the job's machine);
+// replay branch (the parsed view driven straight into the job's machine);
 // the unique seed forces every cache layer to build cold through the
 // default snapshot path.
 func TestParsedRunEquivalence(t *testing.T) {

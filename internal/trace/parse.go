@@ -1,183 +1,153 @@
 package trace
 
-// Pre-parsed trace representation.
+// Validated trace representation.
 //
-// Replay decodes the varint stream once per sink: a sweep that replays one
-// decode trace into N machine configurations pays N full varint decodes and
-// N×events virtual Sink dispatches. Parse performs the decode exactly once
-// into two flat columns; ReplayParsed then fans the events out to any
-// number of consumers with a plain slice walk, and
-// uarch.Machine.ReplayEvents walks the columns with no interface call at
-// all. Replay remains the pinned reference semantics — every consumer of
-// the parsed form must be observationally identical to it, which the
-// equivalence and fuzz tests in parse_test.go enforce.
+// Replay checks every varint of the stream as it drives the sink, once per
+// sink: a sweep that replays one decode trace into N machine configurations
+// pays N checked decodes and N×events virtual Sink dispatches. Parse does
+// the checking exactly once and returns an EventBuf over the recorded bytes
+// themselves; a Cursor then decodes those bytes with no checks left to
+// make, and uarch.Machine.ReplayEvents drives the machine from it with no
+// interface call at all. Replay remains the pinned reference semantics —
+// Parse must accept exactly what Replay accepts and a Cursor must deliver
+// exactly Replay's events, which the equivalence and fuzz tests in
+// parse_test.go enforce.
 
-// EventBuf is a parsed trace in columnar form: the recorded tag byte of
-// every event (kind in the top three bits, FuncID in the low five) and one
-// operand column holding, event after event, exactly the operands that
-// kind carries — addresses delta-resolved, everything 64 bits wide, so
-// parsing never loses information relative to Replay:
-//
-//	Ops              n
-//	Load/Store       addr, bytes
-//	Load2D/Store2D   addr, w, h, stride
-//	Branch           site<<1 | taken
-//	Loop             site, iters
-//	Call             (no operands)
-//
-// A decode trace averages about 1.4 operands an event, 12 bytes against
-// the 40 of a fixed-width record. The zero value is empty and ready for
-// ParseFrom.
+// EventBuf is a recorded buffer that Parse has validated, with its event
+// count. It aliases the buffer it was parsed from and copies nothing, so
+// that buffer must not change while the EventBuf is in use. The zero value
+// is an empty trace.
 type EventBuf struct {
-	tags []byte
-	ops  []uint64
+	buf []byte
+	n   int
 }
 
-// Len returns the number of parsed events.
-func (b *EventBuf) Len() int { return len(b.tags) }
+// Len returns the number of events.
+func (b *EventBuf) Len() int { return b.n }
 
-// Columns returns the tag and operand columns for an in-place walk
-// (ReplayParsed is the model). The EventBuf retains ownership: read-only,
-// valid until the next ParseFrom into this buffer.
-func (b *EventBuf) Columns() (tags []byte, ops []uint64) { return b.tags, b.ops }
+// Bytes returns the recorded buffer, for a generic Sink through Replay.
+func (b *EventBuf) Bytes() []byte { return b.buf }
 
-// SizeBytes reports the columns' capacity footprint, for cache accounting.
-func (b *EventBuf) SizeBytes() int { return cap(b.tags) + 8*cap(b.ops) }
+// SizeBytes reports the bytes the buffer views, for cache accounting.
+func (b *EventBuf) SizeBytes() int { return len(b.buf) }
 
-// Reset empties the buffer, keeping the columns for reuse.
-func (b *EventBuf) Reset() { b.tags, b.ops = b.tags[:0], b.ops[:0] }
+// Cursor returns a cursor at the first event.
+func (b *EventBuf) Cursor() Cursor { return Cursor{buf: b.buf} }
 
-// Parse decodes a buffer produced by Recorder into a fresh EventBuf whose
-// columns are exactly as long as the trace needs: the caches hold parsed
-// traces for the life of the process, so append's growth slack goes back
-// to the collector with the scratch columns.
+// operandNames lists, per kind, the operands that follow the tag byte, by
+// the name Replay's errors give them.
+var operandNames = [...][]string{
+	EvOps:     {"operand"},
+	EvLoad:    {"address delta", "operand"},
+	EvStore:   {"address delta", "operand"},
+	EvLoad2D:  {"address delta", "operand", "operand", "operand"},
+	EvStore2D: {"address delta", "operand", "operand", "operand"},
+	EvBranch:  {"branch operand"},
+	EvLoop:    {"loop site", "operand"},
+	EvCall:    nil,
+}
+
+// Parse validates a buffer produced by Recorder and counts its events. It
+// accepts exactly the buffers Replay accepts; on a corrupt one it returns
+// the error Replay returns, with the same byte offset and event index.
 func Parse(buf []byte) (*EventBuf, error) {
-	var b EventBuf
-	if err := ParseFrom(buf, &b); err != nil {
-		return nil, err
-	}
-	return &EventBuf{
-		tags: append(make([]byte, 0, len(b.tags)), b.tags...),
-		ops:  append(make([]uint64, 0, len(b.ops)), b.ops...),
-	}, nil
-}
-
-// ParseFrom decodes buf into dst, reusing dst's columns. On error dst holds
-// the events decoded before the corruption, and the error carries the byte
-// offset and event index exactly as Replay would report them.
-func ParseFrom(buf []byte, dst *EventBuf) error {
-	dst.Reset()
 	p := replayReader{buf: buf}
 	for p.pos < len(buf) {
-		tag := buf[p.pos]
+		kind := EventKind(buf[p.pos] >> 5)
 		p.pos++
-		switch EventKind(tag >> 5) {
-		case EvOps:
-			n, err := p.int("operand")
-			if err != nil {
-				return err
+		for _, what := range operandNames[kind] {
+			// A signed varint is valid exactly when the unsigned one is.
+			if _, err := p.uint(what); err != nil {
+				return nil, err
 			}
-			dst.ops = append(dst.ops, uint64(n))
-		case EvLoad, EvStore:
-			addr, err := p.addr()
-			if err != nil {
-				return err
-			}
-			bytes, err := p.int("operand")
-			if err != nil {
-				return err
-			}
-			dst.ops = append(dst.ops, addr, uint64(bytes))
-		case EvLoad2D, EvStore2D:
-			addr, err := p.addr()
-			if err != nil {
-				return err
-			}
-			w, err := p.int("operand")
-			if err != nil {
-				return err
-			}
-			h, err := p.int("operand")
-			if err != nil {
-				return err
-			}
-			stride, err := p.int("operand")
-			if err != nil {
-				return err
-			}
-			dst.ops = append(dst.ops, addr, uint64(w), uint64(h), uint64(stride))
-		case EvBranch:
-			v, err := p.uint("branch operand")
-			if err != nil {
-				return err
-			}
-			dst.ops = append(dst.ops, v)
-		case EvLoop:
-			site, err := p.uint("loop site")
-			if err != nil {
-				return err
-			}
-			iters, err := p.int("operand")
-			if err != nil {
-				return err
-			}
-			dst.ops = append(dst.ops, site, uint64(iters))
-		case EvCall:
-			// no operands
 		}
-		dst.tags = append(dst.tags, tag)
 		p.event++
 	}
-	return nil
+	return &EventBuf{buf: buf, n: p.event}, nil
 }
 
-// ReplayParsed re-drives a parsed trace into sink, in recording order. It
-// is observationally identical to Replay on the buffer the EventBuf was
-// parsed from; parsing already validated the encoding, so there is no
-// error to return.
-func ReplayParsed(b *EventBuf, sink Sink) {
-	o := b.ops
-	for _, tag := range b.tags {
-		fn := FuncID(tag & 0x1f)
-		switch EventKind(tag >> 5) {
-		case EvOps:
-			sink.Ops(fn, int(o[0]))
-			o = o[1:]
-		case EvLoad:
-			sink.Load(fn, o[0], int(o[1]))
-			o = o[2:]
-		case EvStore:
-			sink.Store(fn, o[0], int(o[1]))
-			o = o[2:]
-		case EvLoad2D:
-			sink.Load2D(fn, o[0], int(o[1]), int(o[2]), int(o[3]))
-			o = o[4:]
-		case EvStore2D:
-			sink.Store2D(fn, o[0], int(o[1]), int(o[2]), int(o[3]))
-			o = o[4:]
-		case EvBranch:
-			sink.Branch(fn, BranchID(o[0]>>1), o[0]&1 == 1)
-			o = o[1:]
-		case EvLoop:
-			sink.Loop(fn, BranchID(o[0]), int(o[1]))
-			o = o[2:]
-		case EvCall:
-			sink.Call(fn)
+// Cursor decodes an EventBuf event by event, in recording order, with no
+// checks: the buffer is valid by construction. Next reads an event's kind
+// and function; the caller then decodes its operands with the one method
+// for that kind — Ops, Access (Load, Store), Block (Load2D, Store2D),
+// Branch or Loop; a Call has none — which returns exactly the arguments
+// Replay passes to the Sink method. Calling any other method, or none,
+// loses the cursor's place. The split — the caller's one switch on the
+// kind, operands returned in registers — keeps ReplayEvents within a few
+// percent of a walk over operands decoded in advance (DESIGN.md §13).
+type Cursor struct {
+	buf      []byte
+	pos      int
+	lastAddr uint64
+}
+
+// More reports whether an event remains.
+func (c *Cursor) More() bool { return c.pos < len(c.buf) }
+
+// Next reads the next event's kind and function.
+func (c *Cursor) Next() (EventKind, FuncID) {
+	tag := c.buf[c.pos]
+	c.pos++
+	return EventKind(tag >> 5), FuncID(tag & 0x1f)
+}
+
+// Ops returns an EvOps event's instruction count.
+func (c *Cursor) Ops() int { return int(unzigzag(c.uvarint())) }
+
+// Access returns an EvLoad or EvStore event's address and size.
+func (c *Cursor) Access() (addr uint64, bytes int) {
+	c.lastAddr += uint64(unzigzag(c.uvarint()))
+	return c.lastAddr, int(unzigzag(c.uvarint()))
+}
+
+// Block returns an EvLoad2D or EvStore2D event's operands.
+func (c *Cursor) Block() (addr uint64, w, h, stride int) {
+	c.lastAddr += uint64(unzigzag(c.uvarint()))
+	w = int(unzigzag(c.uvarint()))
+	h = int(unzigzag(c.uvarint()))
+	return c.lastAddr, w, h, int(unzigzag(c.uvarint()))
+}
+
+// Branch returns an EvBranch event's site and outcome.
+func (c *Cursor) Branch() (BranchID, bool) {
+	v := c.uvarint()
+	return BranchID(v >> 1), v&1 == 1
+}
+
+// Loop returns an EvLoop event's site and trip count.
+func (c *Cursor) Loop() (BranchID, int) {
+	site := BranchID(c.uvarint())
+	return site, int(unzigzag(c.uvarint()))
+}
+
+// uvarint decodes binary.Uvarint's encoding. The one-byte case, most
+// operands, is small enough to inline.
+func (c *Cursor) uvarint() uint64 {
+	b := c.buf[c.pos]
+	c.pos++
+	if b < 0x80 {
+		return uint64(b)
+	}
+	return c.uvarintTail()
+}
+
+// uvarintTail finishes a varint whose first byte, just read, had its
+// continuation bit set. Inlining it would push uvarint past the inliner's
+// budget.
+//
+//go:noinline
+func (c *Cursor) uvarintTail() uint64 {
+	x := uint64(c.buf[c.pos-1] & 0x7f)
+	for s := uint(7); ; s += 7 {
+		b := c.buf[c.pos]
+		c.pos++
+		if b < 0x80 {
+			return x | uint64(b)<<s
 		}
+		x |= uint64(b&0x7f) << s
 	}
 }
 
-// ReplayMulti replays a recorded buffer into every sink, decoding each
-// event exactly once. Each sink observes the same call sequence Replay
-// would deliver; sinks are driven one after another in argument order,
-// each over the complete stream.
-func ReplayMulti(buf []byte, sinks ...Sink) error {
-	var b EventBuf
-	if err := ParseFrom(buf, &b); err != nil {
-		return err
-	}
-	for _, s := range sinks {
-		ReplayParsed(&b, s)
-	}
-	return nil
-}
+// unzigzag maps a zigzag-encoded uvarint back to its signed value, as
+// binary.Varint does.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestParseReplayEquivalence is the property test: for any event sequence,
-// Parse+ReplayParsed and ReplayMulti observe exactly the calls Replay
-// observes.
+// Parse views the recorded bytes without copying them, counts the events,
+// and its Cursor delivers exactly the calls Replay delivers.
 func TestParseReplayEquivalence(t *testing.T) {
 	prop := func(seq eventSeq) bool {
 		rec := NewRecorder()
@@ -30,59 +30,52 @@ func TestParseReplayEquivalence(t *testing.T) {
 			t.Logf("Len() = %d, want %d", b.Len(), len(seq))
 			return false
 		}
-		// A fresh parse is held for the life of a cache entry: no append slack.
-		if cap(b.tags) != len(b.tags) || cap(b.ops) != len(b.ops) {
-			t.Logf("Parse kept slack: tags %d/%d, ops %d/%d", len(b.tags), cap(b.tags), len(b.ops), cap(b.ops))
+		if !aliases(b, rec.Bytes()) {
+			t.Logf("Parse copied the buffer")
 			return false
 		}
-		var parsed collector
-		ReplayParsed(b, &parsed)
-		if !reflect.DeepEqual(ref.events, parsed.events) {
-			t.Logf("ReplayParsed diverged")
+		if got := drain(b); !reflect.DeepEqual(ref.events, got) {
+			t.Logf("Cursor diverged")
 			return false
 		}
-		var m1, m2 collector
-		if err := ReplayMulti(rec.Bytes(), &m1, &m2); err != nil {
-			t.Logf("multi error: %v", err)
-			return false
-		}
-		return reflect.DeepEqual(ref.events, m1.events) && reflect.DeepEqual(ref.events, m2.events)
+		return true
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestParseFromReuse verifies both columns are reused across parses and
-// that Reset keeps their capacity.
-func TestParseFromReuse(t *testing.T) {
-	rec := NewRecorder()
-	for i := 0; i < 64; i++ {
-		rec.Load(FnDecMC, uint64(i)*64, 8)
+// drain decodes every event of b with a fresh Cursor, calling for each the
+// operand method its kind names.
+func drain(b *EventBuf) []event {
+	var evs []event
+	c := b.Cursor()
+	for c.More() {
+		kind, fn := c.Next()
+		e := event{Kind: kind, Fn: fn}
+		switch kind {
+		case EvOps:
+			e.A = c.Ops()
+		case EvLoad, EvStore:
+			e.Addr, e.A = c.Access()
+		case EvLoad2D, EvStore2D:
+			e.Addr, e.A, e.B, e.C = c.Block()
+		case EvBranch:
+			e.Site, e.Taken = c.Branch()
+		case EvLoop:
+			e.Site, e.A = c.Loop()
+		}
+		evs = append(evs, e)
 	}
-	var b EventBuf
-	if err := ParseFrom(rec.Bytes(), &b); err != nil {
-		t.Fatal(err)
+	return evs
+}
+
+// aliases reports whether b views buf itself rather than a copy of it.
+func aliases(b *EventBuf, buf []byte) bool {
+	if b.SizeBytes() != len(buf) || len(b.Bytes()) != len(buf) {
+		return false
 	}
-	if b.Len() != 64 || len(b.ops) != 128 {
-		t.Fatalf("Len() = %d with %d operands, want 64 with 128", b.Len(), len(b.ops))
-	}
-	tags, ops := &b.tags[0], &b.ops[0]
-	rec.Reset()
-	rec.Ops(FnSAD, 9)
-	if err := ParseFrom(rec.Bytes(), &b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 1 || &b.tags[0] != tags || &b.ops[0] != ops {
-		t.Fatal("ParseFrom did not reuse the columns")
-	}
-	if want := 64 + 8*128; b.SizeBytes() < want {
-		t.Fatalf("SizeBytes() = %d, want >= %d", b.SizeBytes(), want)
-	}
-	b.Reset()
-	if b.Len() != 0 || cap(b.tags) < 64 || cap(b.ops) < 128 {
-		t.Fatal("Reset dropped the columns")
-	}
+	return len(buf) == 0 || &b.Bytes()[0] == &buf[0]
 }
 
 // TestParseCorruptBuffer verifies truncations error with positioned
@@ -130,10 +123,11 @@ func TestReplayErrorPosition(t *testing.T) {
 	}
 }
 
-// FuzzParseReplay feeds arbitrary byte buffers through both decoders:
-// they must agree on error/success, on error text, and on the observed
-// event streams — on a corrupt buffer, the stream up to the corruption —
-// and the operand column must hold exactly what those events carry.
+// FuzzParseReplay feeds arbitrary byte buffers through Parse and Replay:
+// Parse must fail exactly when Replay fails, with the same error text; on
+// a buffer both accept, Len must count Replay's events, the EventBuf must
+// view the buffer without copying it, and every Cursor taken from it —
+// two here, as two machines would — must deliver exactly Replay's events.
 func FuzzParseReplay(f *testing.F) {
 	rec := NewRecorder()
 	rec.Ops(FnSAD, 42)
@@ -156,39 +150,19 @@ func FuzzParseReplay(f *testing.F) {
 			if refErr.Error() != parseErr.Error() {
 				t.Fatalf("error mismatch:\n replay: %v\n parse:  %v", refErr, parseErr)
 			}
-			// ParseFrom's destination holds the events Replay delivered
-			// before the corruption and no operand of the broken one.
-			b = new(EventBuf)
-			if err := ParseFrom(buf, b); err == nil || err.Error() != refErr.Error() {
-				t.Fatalf("ParseFrom err %v, Replay err %v", err, refErr)
+			if b != nil {
+				t.Fatal("Parse returned an EventBuf with its error")
 			}
-		}
-		var parsed collector
-		ReplayParsed(b, &parsed)
-		if b.Len() != len(ref.events) || !reflect.DeepEqual(ref.events, parsed.events) {
-			t.Fatalf("ReplayParsed diverged (Len %d):\n ref    %+v\n parsed %+v", b.Len(), ref.events, parsed.events)
-		}
-		if _, ops := b.Columns(); len(ops) != operands(ref.events) {
-			t.Fatalf("%d operands in the column, the %d events carry %d", len(ops), b.Len(), operands(ref.events))
-		}
-		if refErr != nil {
 			return
 		}
-		var m1, m2 collector
-		if err := ReplayMulti(buf, &m1, &m2); err != nil {
-			t.Fatalf("ReplayMulti err: %v", err)
+		if b.Len() != len(ref.events) || !aliases(b, buf) {
+			t.Fatalf("Len %d for %d events, SizeBytes %d for %d bytes, aliased %v",
+				b.Len(), len(ref.events), b.SizeBytes(), len(buf), aliases(b, buf))
 		}
-		if !reflect.DeepEqual(ref.events, m1.events) || !reflect.DeepEqual(ref.events, m2.events) {
-			t.Fatal("ReplayMulti diverged")
+		for pass := 0; pass < 2; pass++ {
+			if got := drain(b); !reflect.DeepEqual(ref.events, got) {
+				t.Fatalf("Cursor pass %d diverged:\n ref    %+v\n cursor %+v", pass, ref.events, got)
+			}
 		}
 	})
-}
-
-// operands counts the operand-column entries a sequence of events carries.
-func operands(evs []event) int {
-	n := 0
-	for _, e := range evs {
-		n += [...]int{EvOps: 1, EvLoad: 2, EvStore: 2, EvLoad2D: 4, EvStore2D: 4, EvBranch: 1, EvLoop: 2, EvCall: 0}[e.Kind]
-	}
-	return n
 }

@@ -23,9 +23,9 @@ type Recorder struct {
 }
 
 // EventKind identifies one Sink method in the recorded encoding. Kinds are
-// packed into the tag byte's top three bits; they are exported so consumers
-// of the parsed representation (uarch.Machine.ReplayEvents) can dispatch on
-// a tag's kind without an interface call per event.
+// packed into the tag byte's top three bits; they are exported so a
+// Cursor's consumer (uarch.Machine.ReplayEvents) can dispatch on an
+// event's kind without an interface call per event.
 type EventKind uint8
 
 const (

@@ -132,7 +132,9 @@ func lookupEveryFetch(m *Machine, e *event) {
 // all finish on the reference's counters.
 func TestFrontEndRunBatchingEquivalence(t *testing.T) {
 	var evs eventLog
-	trace.ReplayParsed(encodeTrace(t), &evs)
+	if err := trace.Replay(encodeTrace(t).Bytes(), &evs); err != nil {
+		t.Fatal(err)
+	}
 	// The compiler layout starts functions on line boundaries; the packed
 	// one aligns them to 16 bytes, so two functions can share a line.
 	packed := make(map[trace.FuncID]bool)

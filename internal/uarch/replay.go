@@ -3,41 +3,39 @@ package uarch
 import "repro/internal/trace"
 
 // ReplayEvents consumes a parsed trace with a devirtualized event loop.
-// trace.Replay and trace.ReplayParsed dispatch through the trace.Sink
-// interface — one dynamic call per event; here the switch walks the
-// EventBuf's columns in place (see its operand layout) straight into the
-// Machine's concrete methods, so a sweep fanning one parsed trace out to N
-// configurations pays neither varint decoding nor interface dispatch per
-// event. Observationally identical to driving the machine as
-// a Sink through trace.Replay on the buffer the EventBuf was parsed from;
-// the machine-equivalence suite pins this for every Table IV
-// configuration.
+// trace.Replay dispatches through the trace.Sink interface — one dynamic
+// call per event; here one switch on each event's kind decodes its
+// operands with the EventBuf's cursor, which checks nothing because
+// trace.Parse already did, straight into the Machine's concrete methods,
+// so a sweep fanning one parsed trace out to N configurations pays neither
+// the checks nor interface dispatch per event. Observationally identical
+// to driving the machine as a Sink through trace.Replay on the buffer the
+// EventBuf was parsed from; the machine-equivalence suite pins this for
+// every configuration.
 func (m *Machine) ReplayEvents(b *trace.EventBuf) {
-	tags, o := b.Columns()
-	for _, tag := range tags {
-		fn := trace.FuncID(tag & 0x1f)
-		switch trace.EventKind(tag >> 5) {
+	c := b.Cursor()
+	for c.More() {
+		switch kind, fn := c.Next(); kind {
 		case trace.EvOps:
-			m.Ops(fn, int(o[0]))
-			o = o[1:]
+			m.Ops(fn, c.Ops())
 		case trace.EvLoad:
-			m.Load(fn, o[0], int(o[1]))
-			o = o[2:]
+			addr, bytes := c.Access()
+			m.Load(fn, addr, bytes)
 		case trace.EvStore:
-			m.Store(fn, o[0], int(o[1]))
-			o = o[2:]
+			addr, bytes := c.Access()
+			m.Store(fn, addr, bytes)
 		case trace.EvLoad2D:
-			m.Load2D(fn, o[0], int(o[1]), int(o[2]), int(o[3]))
-			o = o[4:]
+			addr, w, h, stride := c.Block()
+			m.Load2D(fn, addr, w, h, stride)
 		case trace.EvStore2D:
-			m.Store2D(fn, o[0], int(o[1]), int(o[2]), int(o[3]))
-			o = o[4:]
+			addr, w, h, stride := c.Block()
+			m.Store2D(fn, addr, w, h, stride)
 		case trace.EvBranch:
-			m.Branch(fn, trace.BranchID(o[0]>>1), o[0]&1 == 1)
-			o = o[1:]
+			site, taken := c.Branch()
+			m.Branch(fn, site, taken)
 		case trace.EvLoop:
-			m.Loop(fn, trace.BranchID(o[0]), int(o[1]))
-			o = o[2:]
+			site, iters := c.Loop()
+			m.Loop(fn, site, iters)
 		case trace.EvCall:
 			m.Call(fn)
 		}

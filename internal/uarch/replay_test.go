@@ -4,7 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/codec"
+	"repro/internal/frame"
 	"repro/internal/trace"
+	"repro/internal/vbench"
 )
 
 // replayWorkload records a synthetic but realistic event mix: every kind,
@@ -39,45 +42,77 @@ func replayWorkload() []byte {
 	return append([]byte(nil), rec.Bytes()...)
 }
 
-// TestReplayEventsEquivalence is the fast-path fidelity gate: for all five
-// Table IV configurations, a machine driven by the devirtualized
-// ReplayEvents loop — and one driven by trace.ReplayParsed through the
-// Sink interface — must land on exactly the counters of the pinned
-// event-by-event trace.Replay reference. The buffer is replayed twice so
-// hidden state (fetch cursors, predictor history, cache LRU and MRU)
-// that diverged in round one would surface as a counter difference in
-// round two.
-func TestReplayEventsEquivalence(t *testing.T) {
-	buf := replayWorkload()
-	parsed, err := trace.Parse(buf)
+// decodeTrace records the decode trace of a real mezzanine: eight frames of
+// cricket at scale 8, encoded with the mezzanine's settings (veryfast at
+// CQP 12) and decoded with the default decoder options.
+func decodeTrace(tb testing.TB) []byte {
+	tb.Helper()
+	info, err := vbench.ByName("cricket")
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	img := trace.NewImage(nil)
-	for _, cfg := range TableIV() {
-		ref := NewMachine(cfg, img)
-		fast := NewMachine(cfg, img)
-		sink := NewMachine(cfg, img)
-		for round := 0; round < 2; round++ {
-			if err := trace.Replay(buf, ref); err != nil {
-				t.Fatal(err)
-			}
-			fast.ReplayEvents(parsed)
-			trace.ReplayParsed(parsed, sink)
-			if r, f := ref.Result(), fast.Result(); !r.Equal(f) {
-				t.Fatalf("%s round %d: ReplayEvents diverged:\n ref  %+v\n fast %+v", cfg.Name, round, r, f)
-			}
-			if r, s := ref.Result(), sink.Result(); !r.Equal(s) {
-				t.Fatalf("%s round %d: ReplayParsed diverged:\n ref  %+v\n sink %+v", cfg.Name, round, r, s)
+	src := vbench.NewSource(info, vbench.SourceOptions{Scale: 8})
+	frames := make([]*frame.Frame, 8)
+	for i := range frames {
+		frames[i] = src.Frame(i)
+	}
+	opt := codec.Options{RC: codec.RCCQP, QP: 12, CRF: 23, KeyintMax: 250}
+	if err := codec.ApplyPreset(&opt, codec.PresetVeryfast); err != nil {
+		tb.Fatal(err)
+	}
+	enc, err := codec.NewEncoder(frames[0].Width, frames[0].Height, info.FPS, opt, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stream, _, err := enc.EncodeAll(frames)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, _, events, err := codec.RecordDecode(stream, codec.DecoderOptions{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return events
+}
+
+// TestReplayEventsEquivalence is the fast-path fidelity gate: on a
+// synthetic mix of every event kind and on a real encode trace, for all
+// six configurations, a machine driven by the devirtualized ReplayEvents
+// loop must land on exactly the counters of the pinned event-by-event
+// trace.Replay reference. The buffer is replayed twice so hidden state
+// (fetch cursors, predictor history, cache LRU and MRU) that diverged in
+// round one would surface as a counter difference in round two.
+func TestReplayEventsEquivalence(t *testing.T) {
+	for _, tr := range []struct {
+		name string
+		buf  []byte
+	}{{"synthetic", replayWorkload()}, {"encode", encodeTrace(t).Bytes()}} {
+		parsed, err := trace.Parse(tr.buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := trace.NewImage(nil)
+		for _, cfg := range Extended() {
+			ref := NewMachine(cfg, img)
+			fast := NewMachine(cfg, img)
+			for round := 0; round < 2; round++ {
+				if err := trace.Replay(tr.buf, ref); err != nil {
+					t.Fatal(err)
+				}
+				fast.ReplayEvents(parsed)
+				if r, f := ref.Result(), fast.Result(); !r.Equal(f) {
+					t.Fatalf("%s on %s round %d: ReplayEvents diverged:\n ref  %+v\n fast %+v", tr.name, cfg.Name, round, r, f)
+				}
 			}
 		}
 	}
 }
 
-// BenchmarkReplayEvents compares the devirtualized parsed loop against the
-// streaming reference on the same machine configuration.
+// BenchmarkReplayEvents replays a real decode trace into a fresh machine:
+// through the Sink interface with every varint checked (streaming), and
+// through the devirtualized loop over the parsed view (view).
 func BenchmarkReplayEvents(b *testing.B) {
-	buf := replayWorkload()
+	buf := decodeTrace(b)
 	parsed, err := trace.Parse(buf)
 	if err != nil {
 		b.Fatal(err)
@@ -92,7 +127,7 @@ func BenchmarkReplayEvents(b *testing.B) {
 			}
 		}
 	})
-	b.Run("parsed", func(b *testing.B) {
+	b.Run("view", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m := NewMachine(Baseline(), img)

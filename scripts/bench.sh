@@ -4,9 +4,7 @@
 # [{"name":..., "ns_per_op":..., "allocs_per_op":...}].
 #
 # SweepCRFRefsCached is the headline number: the reduced 4x4 grid through
-# the warm cache pipeline. ReplayParsed/ReplayMulti price the decode-once
-# fan-out: one pre-parsed event slab replayed into one machine and into all
-# five Table IV configurations. AnalysisReuse/shared is one warm sweep point
+# the warm cache pipeline. AnalysisReuse/shared is one warm sweep point
 # through the shared lookahead artifact and LadderSharedAnalysis prices a
 # whole 3-rung ABR ladder reusing one artifact against each rung running its
 # own lookahead, SAD/SATD/FDCT/TrellisQuant/Deblock/
@@ -22,8 +20,9 @@
 # turns, a hit at unpredictable depth, miss), MachineLoad2D one block read
 # through the data hierarchy and the fetch walk (/hit a resident 17x17 block,
 # the sub-pel pattern; /cold 16x16 blocks that miss the L1d), ReplayEvents a
-# 20k-event trace into a fresh machine, Parse the decode of a recorded
-# trace into its columns, and SnapshotThaw beside MachineClone what handing
+# real decode trace (cricket, 8 frames at scale 8) into a fresh machine
+# (/streaming through the Sink interface, /view from the parsed view),
+# Parse the validation of a recorded trace, and SnapshotThaw beside MachineClone what handing
 # a job a warmed machine costs from the sparse frozen form and as the dense
 # copy it replaced (baseline, and be_op1 with its L4).
 #
@@ -58,7 +57,7 @@ trap 'PARTIAL=1' INT TERM
 : >"$RAW"
 rep=1
 while [ "$rep" -le "$BENCHCOUNT" ]; do
-	go test -run '^$' -bench 'BenchmarkDecodeReplay|BenchmarkParse$|BenchmarkReplayParsed|BenchmarkReplayMulti|BenchmarkSweepCRFRefs|BenchmarkAnalysisReuse|BenchmarkLadderSharedAnalysis|BenchmarkSAD$|BenchmarkSATD$' \
+	go test -run '^$' -bench 'BenchmarkDecodeReplay|BenchmarkParse$|BenchmarkSweepCRFRefs|BenchmarkAnalysisReuse|BenchmarkLadderSharedAnalysis|BenchmarkSAD$|BenchmarkSATD$' \
 		-benchtime "$BENCHTIME" -benchmem -timeout 1200s . | tee -a "$RAW" || PARTIAL=1
 	# The remaining benchmarks live in their own packages; append to the
 	# same raw stream so the awk pass below records them alongside.

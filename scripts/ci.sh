@@ -30,6 +30,10 @@ if grep -rnE 'cache-[b]udget|CACHE_[B]UDGET' --include='*.go' --include='*.sh' -
 # A single encode is serial: the intra-encode wavefront and its worker
 # knob were deleted (scaling comes from segments and the job pools).
 if grep -rnE 'parallel[W]orkers|encodeRows[P]arallel|opt\.[W]orkers' --include='*.go' --include='*.sh' --include='*.yml' .; then exit 1; fi
+# A parsed trace is the recorded bytes, validated once, not a columnar copy
+# of them: the column parse, its replay paths and the multi-sink fan-out
+# were deleted.
+if grep -rnE 'Parse[F]rom|Replay[M]ulti|Replay[P]arsed|\.Col[u]mns\(' --include='*.go' --include='*.sh' --include='*.yml' .; then exit 1; fi
 
 go vet ./...
 go build ./...

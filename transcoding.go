@@ -227,39 +227,14 @@ func ReplayTrace(events []byte, cfg Config) (*MachineResult, error) {
 	return m.Result(), nil
 }
 
-// EventBuf is a parsed trace: the columnar form of a recorded buffer (a
-// tag byte per event plus the operands that kind carries), decoded once
-// and replayable into any number of machines.
+// EventBuf is a parsed trace: a recorded buffer validated once, with its
+// event count. It views the recorded bytes rather than copying them, and
+// replays into any number of machines without re-checking them.
 type EventBuf = trace.EventBuf
 
-// ParseTrace decodes a recorded event buffer into its parsed form.
+// ParseTrace validates a recorded event buffer into its parsed form.
 func ParseTrace(events []byte) (*EventBuf, error) {
 	return trace.Parse(events)
-}
-
-// ReplayParsedTrace fans a parsed trace into a fresh machine of the given
-// configuration via the devirtualized event loop and returns its raw
-// counters — bit-identical to ReplayTrace on the buffer the EventBuf was
-// parsed from, minus the per-machine decode cost.
-func ReplayParsedTrace(b *EventBuf, cfg Config) *MachineResult {
-	m := uarch.NewMachine(cfg, trace.NewImage(nil))
-	m.ReplayEvents(b)
-	return m.Result()
-}
-
-// ReplayTraceMulti replays one recorded buffer into a fresh machine of
-// every given configuration, decoding each event exactly once, and
-// returns the counters in configuration order.
-func ReplayTraceMulti(events []byte, cfgs ...Config) ([]*MachineResult, error) {
-	b, err := trace.Parse(events)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*MachineResult, len(cfgs))
-	for i, cfg := range cfgs {
-		out[i] = ReplayParsedTrace(b, cfg)
-	}
-	return out, nil
 }
 
 // ParsedDecodeTrace returns the cached parsed form of a workload's
