@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/frame"
 )
 
@@ -435,15 +436,25 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulationOverhead compares a traced encode against the
-// untraced encode to expose the simulator's cost.
+// BenchmarkSimulationOverhead runs one job without the simulator attached
+// (core.EncodeOnly, the accelerator path) and with it (Profile) to expose
+// the simulator's cost.
 func BenchmarkSimulationOverhead(b *testing.B) {
-	w := benchWorkload()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Profile(context.Background(), Job{Workload: w, Options: DefaultOptions(), Config: BaselineConfig(), SkipDecode: true}); err != nil {
-			b.Fatal(err)
+	job := Job{Workload: benchWorkload(), Options: DefaultOptions(), Config: BaselineConfig()}
+	b.Run("encode_only", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.EncodeOnly(context.Background(), job); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("simulated", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := Profile(context.Background(), job); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // --- ablation benchmarks ----------------------------------------------------------

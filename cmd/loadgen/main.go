@@ -382,11 +382,10 @@ func gaugeExists(snap obs.Snapshot, name string) bool {
 // runCompareCost serves the same tasks under the seconds and cost
 // objectives over a (typically mixed) fleet and prints the bill delta.
 func runCompareCost(ctx context.Context) error {
-	specs, err := backend.ParseFleet(*flagPool, *flagEach)
+	fleet, err := backend.ParseFleet(*flagPool, *flagEach)
 	if err != nil {
 		return err
 	}
-	fleet := sched.Fleet(specs)
 	tasks := sched.GenerateTasks(*flagN, *flagSeed)
 	proto := core.Workload{Frames: *flagFrames, Scale: *flagScale}
 	fmt.Fprintf(os.Stderr, "loadgen: comparing cost vs seconds objectives over %d jobs on %d servers...\n",
@@ -404,15 +403,15 @@ func runCompareCost(ctx context.Context) error {
 }
 
 func runCompare(ctx context.Context) error {
-	pool, err := sched.PoolByNames(cli.Strings(*flagPool), *flagEach)
+	fleet, err := backend.ParseFleet(*flagPool, *flagEach)
 	if err != nil {
 		return err
 	}
 	tasks := sched.GenerateTasks(*flagN, *flagSeed)
 	proto := core.Workload{Frames: *flagFrames, Scale: *flagScale}
 	fmt.Fprintf(os.Stderr, "loadgen: comparing smart vs random over %d jobs on %d servers...\n",
-		len(tasks), len(pool))
-	c, err := serve.RunComparison(ctx, pool, tasks, proto, *flagSeed)
+		len(tasks), len(fleet))
+	c, err := serve.RunComparison(ctx, fleet, tasks, proto, *flagSeed)
 	if err != nil {
 		return err
 	}

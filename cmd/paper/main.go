@@ -29,7 +29,6 @@ import (
 	"repro/internal/opt/graphite"
 	"repro/internal/report"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/internal/uarch"
 	"repro/internal/vbench"
 )
@@ -497,7 +496,11 @@ func fig8(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
-			img, err := trainFDO(ctx, w, opt)
+			stream, err := core.Mezzanine(ctx, w)
+			if err != nil {
+				return err
+			}
+			img, err := autofdo.Train(stream, opt)
 			if err != nil {
 				return err
 			}
@@ -569,27 +572,6 @@ func sanitize(title string) string {
 		b = b[:40]
 	}
 	return string(b)
-}
-
-func trainFDO(ctx context.Context, w core.Workload, opt codec.Options) (*trace.Image, error) {
-	col := autofdo.NewCollector()
-	stream, err := core.Mezzanine(ctx, w)
-	if err != nil {
-		return nil, err
-	}
-	dec := codec.NewDecoder(codec.DecoderOptions{}, col)
-	frames, info, err := dec.Decode(stream)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := codec.NewEncoder(frames[0].Width, frames[0].Height, info.FPS, opt, col)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := enc.EncodeAll(frames); err != nil {
-		return nil, err
-	}
-	return col.Profile().Apply(trace.NewImage(nil), autofdo.Options{}), nil
 }
 
 func fig9(ctx context.Context) error {

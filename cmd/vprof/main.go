@@ -13,7 +13,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/roofline"
 	"repro/internal/uarch"
 )
 
@@ -25,6 +24,15 @@ var (
 	flagPreset = flag.String("preset", "medium", "x264 preset")
 	flagConfig = flag.String("config", "baseline", "uarch config (baseline|fe_op|be_op1|be_op2|bs_op)")
 	flagSample = flag.Int("sample", 0, "trace-sampling log2 (0: trace everything)")
+)
+
+// The roofline (Williams, Waterman, Patterson) of the simulated 4-wide
+// 3.5 GHz core: a compute ceiling and a DRAM bandwidth ceiling. A job whose
+// operational intensity is below their ratio, the ridge point, is memory
+// bound.
+const (
+	peakGopsPerSec = 14.0
+	memBWGBPerSec  = 20.0
 )
 
 func main() {
@@ -71,10 +79,10 @@ func run(ctx context.Context) error {
 	fmt.Printf("  stalls: any %.1f  rob %.1f  rs %.2f  sb %.1f\n",
 		r.StallAnyPKI, r.StallROBPKI, r.StallRSPKI, r.StallSBPKI)
 	fmt.Printf("\nclassification: %s\n", r.DominantBottleneck())
-	model := roofline.Default()
+	ridge := peakGopsPerSec / memBWGBPerSec
 	oi := r.OperationalIntensity()
 	fmt.Println("\nRoofline:")
 	fmt.Printf("  operational intensity %.1f ops/byte (ridge %.2f) -> %s\n",
-		oi, model.RidgePoint(), map[bool]string{true: "memory bound", false: "compute bound"}[model.MemoryBound(oi)])
+		oi, ridge, map[bool]string{true: "memory bound", false: "compute bound"}[oi < ridge])
 	return nil
 }

@@ -43,8 +43,8 @@ func main() {
 	// A two-server loopback fleet: parts are placed independently, so even
 	// this tiny example runs two rungs at a time.
 	s, err := serve.New(serve.Config{
-		Pool:  sched.UniformPool([]uarch.Config{uarch.Baseline()}, 2),
-		Proto: core.Workload{Frames: 8, Scale: 8},
+		Servers: sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 2),
+		Proto:   core.Workload{Frames: 8, Scale: 8},
 	})
 	if err != nil {
 		log.Fatal(err)

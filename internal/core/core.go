@@ -60,7 +60,7 @@ func (w Workload) normalized() (Workload, error) {
 }
 
 // DefaultWorkload returns the proxy settings used by the experiment
-// harness: a 16-frame clip auto-scaled to roughly 192 lines.
+// harness: a 16-frame clip auto-scaled to roughly proxyLines (256) lines.
 func DefaultWorkload(video string) Workload {
 	return Workload{Video: video}
 }
@@ -93,10 +93,6 @@ type Job struct {
 	// Image overrides the default code layout (used by the AutoFDO study);
 	// nil selects the compiler-default layout.
 	Image *trace.Image
-	// SkipDecode omits the decode half of the transcode (encode-only
-	// microbenchmarks); full transcodes decode a cached mezzanine stream
-	// first, exactly as a production transcode does.
-	SkipDecode bool
 	// StageMetrics attaches a per-encode-stage latency observer that feeds
 	// the encode_stage_<stage>_ns histograms in obs.Default(). Opt-in: the
 	// timing calls cost real wall time per macroblock, so throughput-critical
@@ -400,8 +396,8 @@ func cloneFrames(src []*frame.Frame) []*frame.Frame {
 	return out
 }
 
-// Run simulates one transcoding job end to end: decode the mezzanine (unless
-// skipped), re-encode with the job's options, all under the configured
+// Run simulates one transcoding job end to end: decode the mezzanine,
+// re-encode with the job's options, all under the configured
 // microarchitecture. Returns the profile and codec statistics.
 //
 // Cancellation is observed at the stage boundaries (cache waits and the
@@ -417,74 +413,60 @@ func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
 		return nil, err
 	}
 	job.Workload = nw
-	img := job.Image
-	if img == nil {
-		img = trace.NewImage(nil)
-	}
-
-	var machine *uarch.Machine
-	var input []*frame.Frame
-	var analysis *codec.Analysis
 	info, err := vbench.ByName(job.Workload.Video)
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case job.SkipDecode:
-		machine = uarch.NewMachine(job.Config, img)
-		input, _, err = sourceFrames(job.Workload)
-		if err != nil {
-			return nil, err
-		}
-	default:
-		// The decode is simulated once per (workload, decoder options) and
-		// its event stream recorded; each job then gets the post-decode
-		// machine state without re-running codec.Decoder. The machine is a
-		// deterministic event consumer, so its state — and therefore the
-		// profile — is bit-for-bit what a live decode into the job's machine
-		// produces (TestReplayRunEquivalence).
-		dopt := decoderOptions(job.Options)
-		frames, _, err := e.DecodedMezzanine(ctx, job.Workload, dopt)
-		if err != nil {
-			return nil, err
-		}
-		if job.Image == nil && job.Options.RC != codec.RCABR2 {
-			// Shared analysis: the crf/refs-invariant lookahead work is
-			// memoized once per workload, and the machine snapshot has already
-			// consumed both the decode trace and the artifact's recorded
-			// lookahead events — the encode starts past the lookahead at
-			// memcpy speed. (Two-pass ABR interleaves a full first-pass encode
-			// before its lookahead, so its tracer state cannot resume from the
-			// artifact.)
-			if analysis, err = e.sharedAnalysis(ctx, job.Workload, dopt, job.Options, job.Segment); err != nil {
-				return nil, err
-			}
-			snap, err := e.analysisMachine(ctx, job.Workload, dopt, job.Config, analysis)
-			if err != nil {
-				return nil, err
-			}
-			machine = snap.Machine()
-		} else if job.Image == nil {
-			// Default code image: thaw the cached post-decode machine
-			// snapshot — the decode half at memcpy speed.
-			snap, err := e.decodedMachine(ctx, job.Workload, dopt, job.Config)
-			if err != nil {
-				return nil, err
-			}
-			machine = snap.Machine()
-		} else {
-			// Custom image (e.g. the AutoFDO study): snapshots are keyed on
-			// the default layout, so re-drive the shared parsed view into
-			// this job's machine instead.
-			machine = uarch.NewMachine(job.Config, img)
-			parsed, err := e.ParsedDecodeTrace(ctx, job.Workload, dopt)
-			if err != nil {
-				return nil, err
-			}
-			machine.ReplayEvents(parsed)
-		}
-		input = cloneFrames(frames)
+
+	// The decode is simulated once per (workload, decoder options) and its
+	// event stream recorded; each job then gets the post-decode machine
+	// state without re-running codec.Decoder. The machine is a
+	// deterministic event consumer, so its state — and therefore the
+	// profile — is bit-for-bit what a live decode into the job's machine
+	// produces (TestReplayRunEquivalence).
+	var machine *uarch.Machine
+	var analysis *codec.Analysis
+	dopt := decoderOptions(job.Options)
+	frames, _, err := e.DecodedMezzanine(ctx, job.Workload, dopt)
+	if err != nil {
+		return nil, err
 	}
+	if job.Image == nil && job.Options.RC != codec.RCABR2 {
+		// Shared analysis: the crf/refs-invariant lookahead work is
+		// memoized once per workload, and the machine snapshot has already
+		// consumed both the decode trace and the artifact's recorded
+		// lookahead events — the encode starts past the lookahead at
+		// memcpy speed. (Two-pass ABR interleaves a full first-pass encode
+		// before its lookahead, so its tracer state cannot resume from the
+		// artifact.)
+		if analysis, err = e.sharedAnalysis(ctx, job.Workload, dopt, job.Options, job.Segment); err != nil {
+			return nil, err
+		}
+		snap, err := e.analysisMachine(ctx, job.Workload, dopt, job.Config, analysis)
+		if err != nil {
+			return nil, err
+		}
+		machine = snap.Machine()
+	} else if job.Image == nil {
+		// Default code image: thaw the cached post-decode machine
+		// snapshot — the decode half at memcpy speed.
+		snap, err := e.decodedMachine(ctx, job.Workload, dopt, job.Config)
+		if err != nil {
+			return nil, err
+		}
+		machine = snap.Machine()
+	} else {
+		// Custom image (e.g. the AutoFDO study): snapshots are keyed on
+		// the default layout, so re-drive the shared parsed view into
+		// this job's machine instead.
+		machine = uarch.NewMachine(job.Config, job.Image)
+		parsed, err := e.ParsedDecodeTrace(ctx, job.Workload, dopt)
+		if err != nil {
+			return nil, err
+		}
+		machine.ReplayEvents(parsed)
+	}
+	input := cloneFrames(frames)
 
 	if !job.Segment.IsZero() {
 		// Segment jobs encode a slice of the decoded clip; frames keep their

@@ -12,6 +12,7 @@ package autofdo
 import (
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/trace"
 )
 
@@ -98,6 +99,26 @@ func (c *Collector) Loop(fn trace.FuncID, site trace.BranchID, iters int) {
 
 // Call records an invocation.
 func (c *Collector) Call(fn trace.FuncID) { c.p.fnWeight[fn] += 2 }
+
+// Train runs a training transcode of stream — decode, then re-encode with
+// opt — against a Collector and returns the optimized default code image
+// (Apply with default Options). Callers pass the mezzanine of the workload
+// they will run, so the image is trained on the job it optimizes.
+func Train(stream []byte, opt codec.Options) (*trace.Image, error) {
+	col := NewCollector()
+	frames, info, err := codec.NewDecoder(codec.DecoderOptions{}, col).Decode(stream)
+	if err != nil {
+		return nil, err
+	}
+	enc, err := codec.NewEncoder(frames[0].Width, frames[0].Height, info.FPS, opt, col)
+	if err != nil {
+		return nil, err
+	}
+	if _, _, err := enc.EncodeAll(frames); err != nil {
+		return nil, err
+	}
+	return col.Profile().Apply(trace.NewImage(nil), Options{}), nil
+}
 
 // Options tune the optimizer; zero values give AutoFDO defaults.
 type Options struct {

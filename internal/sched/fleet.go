@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"fmt"
-
 	"repro/internal/codec"
 	"repro/internal/perf"
 	"repro/internal/uarch"
@@ -10,7 +8,7 @@ import (
 )
 
 // This file extends the paper's four-task case study to fleet scale: many
-// tasks, a pool of servers with repeated configurations, and the same
+// tasks, a fleet of servers with repeated configurations, and the same
 // characterization-driven placement — the deployment the paper's §V
 // positions as future work for streaming providers.
 
@@ -72,63 +70,13 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// Pool is a heterogeneous server fleet: each entry is one physical server
-// with its configuration. Configurations may repeat.
-type Pool []uarch.Config
-
-// UniformPool builds a fleet with `each` servers of every configuration.
-func UniformPool(configs []uarch.Config, each int) Pool {
-	var p Pool
-	for i := 0; i < each; i++ {
-		p = append(p, configs...)
-	}
-	return p
-}
-
-// PoolByNames builds a uniform fleet from configuration names (the -pool
-// flag shape the serving binaries share).
-func PoolByNames(names []string, each int) (Pool, error) {
-	if each < 1 {
-		return nil, fmt.Errorf("sched: pool replicas %d, want >= 1", each)
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("sched: empty pool")
-	}
-	configs := make([]uarch.Config, len(names))
-	for i, name := range names {
-		c, ok := uarch.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("sched: unknown configuration %q", name)
-		}
-		configs[i] = c
-	}
-	return UniformPool(configs, each), nil
-}
-
-// AssignPool places tasks one-to-one onto the pool's servers by
-// characterization affinity (the smart scheduler generalized to fleets).
-// It fails when len(pool) < len(tasks); callers that want partial placement
-// under overload build the cost matrix themselves and use HungarianPad.
-// Returns, per task, the pool index of the chosen server.
-func AssignPool(tasks []Task, baselineReports []*perf.Report, pool Pool) ([]int, error) {
-	n := len(tasks)
-	cost := make([][]float64, n)
-	for ti := 0; ti < n; ti++ {
-		cost[ti] = make([]float64, len(pool))
-		for si, cfg := range pool {
-			cost[ti][si] = -Affinity(baselineReports[ti], cfg)
-		}
-	}
-	return Hungarian(cost)
-}
-
-// AssignDynamicBiased is the dynamic-fleet variant of AssignPool: it places
-// jobs onto whatever servers are free *right now* by raw affinity. The
-// online dispatcher places through AssignHetero; this stays as the affinity
-// oracle its software-only placements are tested against. Rows may exceed
-// columns (overload); unplaceable rows come back as -1 instead of failing
-// the batch, and rows with a nil report (no baseline characterization yet)
-// are never matched — they return -1 too.
+// AssignDynamicBiased is the dynamic-fleet variant of SmartAssignment: it
+// places jobs onto whatever servers are free *right now* by raw affinity.
+// The online dispatcher places through AssignHetero; this stays as the
+// affinity oracle its software-only placements are tested against. Rows may
+// exceed columns (overload); unplaceable rows come back as -1 instead of
+// failing the batch, and rows with a nil report (no baseline
+// characterization yet) are never matched — they return -1 too.
 //
 // bias[j] (nil: all zero) is added to every job's cost of taking slot j —
 // a load-spreading term. Bias magnitudes should stay well below typical
@@ -160,15 +108,4 @@ func AssignDynamicBiased(reports []*perf.Report, free []uarch.Config, bias []flo
 		out[warm[k]] = j
 	}
 	return out
-}
-
-// PoolSpeedup estimates the fleet-wide mean per-task speedup of an
-// assignment, given a seconds matrix indexed [task][configIndexOf(pool)].
-// secondsFor maps (task index, config) to measured seconds.
-func PoolSpeedup(tasks []Task, pool Pool, assign []int, baseline []float64, secondsFor func(ti int, cfg uarch.Config) float64) float64 {
-	assigned := make([]float64, len(tasks))
-	for ti := range tasks {
-		assigned[ti] = secondsFor(ti, pool[assign[ti]])
-	}
-	return Speedup(baseline, assigned)
 }

@@ -47,22 +47,9 @@ func TestGenerateTasksInRange(t *testing.T) {
 	}
 }
 
-func TestUniformPool(t *testing.T) {
-	p := UniformPool(uarch.TableIV()[1:], 3)
-	if len(p) != 12 {
-		t.Fatalf("pool size %d", len(p))
-	}
-	counts := map[string]int{}
-	for _, c := range p {
-		counts[c.Name]++
-	}
-	for name, n := range counts {
-		if n != 3 {
-			t.Fatalf("%s appears %d times", name, n)
-		}
-	}
-}
-
+// TestAssignPoolRoutesByBottleneck: on a fleet that repeats every
+// configuration, the smart scheduler routes each task to a distinct server
+// of its bottleneck's configuration.
 func TestAssignPoolRoutesByBottleneck(t *testing.T) {
 	mk := func(fe, bs, mem, core float64) *perf.Report {
 		return &perf.Report{Topdown: perf.Topdown{
@@ -76,9 +63,12 @@ func TestAssignPoolRoutesByBottleneck(t *testing.T) {
 		mk(2, 2, 45, 3), // memory bound
 		mk(2, 2, 5, 45), // core bound
 	}
-	// Pool with two of each relevant config.
-	pool := UniformPool(uarch.TableIV()[1:], 2)
-	assign, err := AssignPool(tasks, reports, pool)
+	// Two servers of each optimized configuration.
+	var configs []uarch.Config
+	for _, spec := range SoftwareFleet(uarch.TableIV()[1:], 2) {
+		configs = append(configs, spec.Config)
+	}
+	assign, err := SmartAssignment(tasks, reports, configs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,34 +79,19 @@ func TestAssignPoolRoutesByBottleneck(t *testing.T) {
 			t.Fatalf("server %d assigned twice", si)
 		}
 		seen[si] = true
-		if pool[si].Name != wantName[ti] {
-			t.Fatalf("task %d routed to %s, want %s", ti, pool[si].Name, wantName[ti])
+		if configs[si].Name != wantName[ti] {
+			t.Fatalf("task %d routed to %s, want %s", ti, configs[si].Name, wantName[ti])
 		}
 	}
 }
 
-func TestPoolSpeedup(t *testing.T) {
-	tasks := GenerateTasks(2, 2)
-	pool := Pool{uarch.FeOp(), uarch.BeOp1()}
-	baseline := []float64{2, 2}
-	seconds := func(ti int, cfg uarch.Config) float64 {
-		if cfg.Name == "fe_op" {
-			return 1
-		}
-		return 2
-	}
-	// task0 -> fe_op (2x), task1 -> be_op1 (1x): mean speedup 50%.
-	got := PoolSpeedup(tasks, pool, []int{0, 1}, baseline, seconds)
-	if got != 50 {
-		t.Fatalf("pool speedup %f", got)
-	}
-}
-
+// TestAssignPoolOverloadErrors: a fleet with fewer servers than tasks is an
+// error, not a panic.
 func TestAssignPoolOverloadErrors(t *testing.T) {
 	tasks := GenerateTasks(3, 5)
 	reports := []*perf.Report{{}, {}, {}}
-	if _, err := AssignPool(tasks, reports, Pool{uarch.Baseline()}); err == nil {
-		t.Fatal("3 tasks on a 1-server pool must return an error")
+	if _, err := SmartAssignment(tasks, reports, []uarch.Config{uarch.Baseline()}); err == nil {
+		t.Fatal("3 tasks on a 1-server fleet must return an error")
 	}
 }
 

@@ -6,18 +6,23 @@ import (
 	"repro/internal/backend"
 	"repro/internal/codec"
 	"repro/internal/perf"
+	"repro/internal/uarch"
 )
 
-// Fleet is the heterogeneous generalization of Pool: each server carries a
-// backend kind, a price, and a spot flag in addition to its uarch config.
+// Fleet is a heterogeneous server fleet: one entry per physical server,
+// each with a backend kind, a uarch config, a price and a spot flag.
+// Entries may repeat.
 type Fleet []backend.ServerSpec
 
-// FleetFromPool lifts a homogeneous software pool into a Fleet at default
-// on-demand prices, preserving order.
-func FleetFromPool(p Pool) Fleet {
-	f := make(Fleet, len(p))
-	for i, cfg := range p {
-		f[i] = backend.ServerSpec{Backend: backend.Software, Config: cfg}.FillDefaults()
+// SoftwareFleet builds a software fleet with `each` servers of every
+// configuration at default on-demand prices, interleaved: the configs in
+// order, then again, `each` times.
+func SoftwareFleet(configs []uarch.Config, each int) Fleet {
+	var f Fleet
+	for i := 0; i < each; i++ {
+		for _, cfg := range configs {
+			f = append(f, backend.ServerSpec{Backend: backend.Software, Config: cfg}.FillDefaults())
+		}
 	}
 	return f
 }

@@ -161,14 +161,38 @@ func TestFeasibleAnywhereOptimisticWhenCold(t *testing.T) {
 	}
 }
 
+// TestFleetFromPoolDefaults: every server SoftwareFleet builds is a
+// default-priced software server.
 func TestFleetFromPoolDefaults(t *testing.T) {
-	f := FleetFromPool(UniformPool(uarch.TableIV(), 1))
+	f := SoftwareFleet(uarch.TableIV(), 1)
 	if len(f) != len(uarch.TableIV()) {
 		t.Fatalf("fleet size %d", len(f))
 	}
 	for _, s := range f {
 		if s.Backend != backend.Software || s.PriceCentsHour <= 0 {
 			t.Fatalf("spec not defaulted: %+v", s)
+		}
+	}
+}
+
+// TestUniformPool: SoftwareFleet repeats each configuration once per
+// replica, and replicas interleave — the configs in order, then again.
+func TestUniformPool(t *testing.T) {
+	configs := uarch.TableIV()[1:]
+	f := SoftwareFleet(configs, 3)
+	if len(f) != 3*len(configs) {
+		t.Fatalf("fleet size %d", len(f))
+	}
+	counts := map[string]int{}
+	for i, s := range f {
+		counts[s.Config.Name]++
+		if want := configs[i%len(configs)].Name; s.Config.Name != want {
+			t.Fatalf("server %d is %s, want %s", i, s.Config.Name, want)
+		}
+	}
+	for name, n := range counts {
+		if n != 3 {
+			t.Fatalf("%s appears %d times", name, n)
 		}
 	}
 }

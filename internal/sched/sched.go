@@ -107,36 +107,6 @@ func (m *Matrix) configIndex(name string) int {
 	return -1
 }
 
-// BestAssignment returns, per task, the index of the fastest configuration
-// (repetition allowed — the paper's unconstrained "best scheduler").
-func (m *Matrix) BestAssignment() []int {
-	out := make([]int, len(m.Tasks))
-	for ti, row := range m.Seconds {
-		best := 0
-		for ci, s := range row {
-			if s < row[best] {
-				best = ci
-			}
-		}
-		out[ti] = best
-	}
-	return out
-}
-
-// RandomExpectedSeconds returns each task's expected time under uniform
-// random placement across the configurations.
-func (m *Matrix) RandomExpectedSeconds() []float64 {
-	out := make([]float64, len(m.Tasks))
-	for ti, row := range m.Seconds {
-		var sum float64
-		for _, s := range row {
-			sum += s
-		}
-		out[ti] = sum / float64(len(row))
-	}
-	return out
-}
-
 // Affinity scores how well a configuration's strengths match a task's
 // baseline bottleneck profile: the Top-down share (percent of slots) the
 // configuration targets, weighted by how much of that share the upgrade
@@ -166,8 +136,9 @@ func Affinity(baseline *perf.Report, cfg uarch.Config) float64 {
 // then matched one-to-one to configurations maximizing total recovered
 // bottleneck share. It never looks at the measured per-configuration
 // times — only at the baseline characterization, as a real scheduler would.
-// It fails (rather than panics) when there are fewer configurations than
-// tasks.
+// configs may repeat (a fleet with several servers of one configuration);
+// the result maps each task to a distinct index of configs. It fails
+// (rather than panics) when there are fewer configurations than tasks.
 func SmartAssignment(tasks []Task, baselineReports []*perf.Report, configs []uarch.Config) ([]int, error) {
 	n := len(tasks)
 	cost := make([][]float64, n)

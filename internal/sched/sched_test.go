@@ -70,26 +70,6 @@ func fakeMatrix() *Matrix {
 	return m
 }
 
-func TestBestAssignmentPicksMinima(t *testing.T) {
-	m := fakeMatrix()
-	best := m.BestAssignment()
-	want := []int{1, 2, 3, 4}
-	for i := range want {
-		if best[i] != want[i] {
-			t.Fatalf("best assignment %v, want %v", best, want)
-		}
-	}
-}
-
-func TestRandomExpectedSeconds(t *testing.T) {
-	m := fakeMatrix()
-	r := m.RandomExpectedSeconds()
-	want := (1.00 + 0.93 + 0.99 + 0.99 + 0.99) / 5
-	if math.Abs(r[0]-want) > 1e-9 {
-		t.Fatalf("random expectation %f, want %f", r[0], want)
-	}
-}
-
 func TestSmartAssignmentRecoversClearBottlenecks(t *testing.T) {
 	m := fakeMatrix()
 	o, err := m.Evaluate()

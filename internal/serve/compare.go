@@ -10,7 +10,7 @@ import (
 )
 
 // Comparison is the smart-vs-random serving outcome over one task sequence
-// on one pool: the online analogue of sched.Evaluate's offline comparison.
+// on one fleet: the online analogue of sched.Evaluate's offline comparison.
 type Comparison struct {
 	Smart  Totals `json:"smart"`
 	Random Totals `json:"random"`
@@ -27,24 +27,24 @@ func (c Comparison) Delta() float64 {
 	return (c.Random.SimSeconds - c.Smart.SimSeconds) / c.Random.SimSeconds
 }
 
-// RunComparison serves the same task sequence twice over the same pool —
+// RunComparison serves the same task sequence twice over the same fleet —
 // once under smart placement with a pre-warmed cost model, once under the
 // random control. The loop is closed (submit, wait for completion, submit
 // the next), so every placement decision sees the whole fleet free: the
-// outcome depends only on (pool, tasks, seed), making the comparison
+// outcome depends only on (fleet, tasks, seed), making the comparison
 // deterministic and assertable in tests.
-func RunComparison(ctx context.Context, pool sched.Pool, tasks []sched.Task, proto core.Workload, seed uint64) (Comparison, error) {
-	var out Comparison
-	smart, err := runClosedLoop(ctx, pool, tasks, proto, seed, PolicySmart)
+func RunComparison(ctx context.Context, fleet sched.Fleet, tasks []sched.Task, proto core.Workload, seed uint64) (Comparison, error) {
+	cfg := Config{Servers: fleet, Policy: PolicySmart, Proto: proto, Seed: seed}
+	smart, err := runClosedLoop(ctx, cfg, tasks)
 	if err != nil {
-		return out, err
+		return Comparison{}, err
 	}
-	random, err := runClosedLoop(ctx, pool, tasks, proto, seed, PolicyRandom)
+	cfg.Policy = PolicyRandom
+	random, err := runClosedLoop(ctx, cfg, tasks)
 	if err != nil {
-		return out, err
+		return Comparison{}, err
 	}
-	out.Smart, out.Random = smart, random
-	return out, nil
+	return Comparison{Smart: smart, Random: random}, nil
 }
 
 // CostComparison is the dollars-vs-fleet-seconds outcome of serving one
@@ -68,63 +68,30 @@ func (c CostComparison) Savings() float64 {
 // dollars — with the cost model pre-warmed both times. The loop is closed
 // like RunComparison, so the outcome depends only on (fleet, tasks, seed).
 func RunCostComparison(ctx context.Context, fleet sched.Fleet, tasks []sched.Task, proto core.Workload, seed uint64) (CostComparison, error) {
-	var out CostComparison
-	secs, err := runClosedLoopFleet(ctx, fleet, tasks, proto, seed, sched.ObjectiveSeconds)
+	cfg := Config{Servers: fleet, Objective: sched.ObjectiveSeconds, Proto: proto, Seed: seed}
+	secs, err := runClosedLoop(ctx, cfg, tasks)
 	if err != nil {
-		return out, err
+		return CostComparison{}, err
 	}
-	cost, err := runClosedLoopFleet(ctx, fleet, tasks, proto, seed, sched.ObjectiveCost)
+	cfg.Objective = sched.ObjectiveCost
+	cost, err := runClosedLoop(ctx, cfg, tasks)
 	if err != nil {
-		return out, err
+		return CostComparison{}, err
 	}
-	out.Seconds, out.Cost = secs, cost
-	return out, nil
+	return CostComparison{Seconds: secs, Cost: cost}, nil
 }
 
-func runClosedLoopFleet(ctx context.Context, fleet sched.Fleet, tasks []sched.Task, proto core.Workload, seed uint64, obj sched.Objective) (Totals, error) {
-	s, err := New(Config{
-		Servers: fleet, Objective: obj, Policy: PolicySmart, Workers: 1,
-		Proto: proto, Seed: seed, Metrics: obs.NewRegistry(),
-	})
+// runClosedLoop serves tasks one at a time on a fresh single-executor
+// server built from cfg — submit, wait for completion, submit the next —
+// warming the cost model on the tasks' videos first whenever the policy is
+// smart, and returns the server's totals.
+func runClosedLoop(ctx context.Context, cfg Config, tasks []sched.Task) (Totals, error) {
+	cfg.Workers, cfg.Metrics = 1, obs.NewRegistry()
+	s, err := New(cfg)
 	if err != nil {
 		return Totals{}, err
 	}
-	videos := make([]string, len(tasks))
-	for i, t := range tasks {
-		videos[i] = t.Video
-	}
-	if err := s.Warm(ctx, videos); err != nil {
-		return Totals{}, err
-	}
-	s.Start(ctx)
-	defer s.Stop()
-	for _, t := range tasks {
-		view, err := s.Submit(ctx, JobRequest{
-			Video: t.Video, CRF: t.CRF, Refs: t.Refs, Preset: string(t.Preset),
-		})
-		if err != nil {
-			return Totals{}, fmt.Errorf("serve: cost compare submit %s: %w", t.Video, err)
-		}
-		final, err := s.WaitJob(ctx, view.ID)
-		if err != nil {
-			return Totals{}, err
-		}
-		if final.State != StateDone {
-			return Totals{}, fmt.Errorf("serve: cost compare job %s ended %s: %s", final.ID, final.State, final.Error)
-		}
-	}
-	return s.Totals(), nil
-}
-
-func runClosedLoop(ctx context.Context, pool sched.Pool, tasks []sched.Task, proto core.Workload, seed uint64, pol Policy) (Totals, error) {
-	s, err := New(Config{
-		Pool: pool, Policy: pol, Workers: 1, Proto: proto, Seed: seed,
-		Metrics: obs.NewRegistry(),
-	})
-	if err != nil {
-		return Totals{}, err
-	}
-	if pol == PolicySmart {
+	if s.cfg.Policy == PolicySmart {
 		videos := make([]string, len(tasks))
 		for i, t := range tasks {
 			videos[i] = t.Video

@@ -102,24 +102,12 @@ func (s *Server) run(ctx context.Context) {
 // appeared (the caller re-enters the dequeue loop), false when drain is
 // complete or ctx canceled.
 func (s *Server) waitDrain(ctx context.Context) bool {
-	if ctx.Done() != nil {
-		defer context.AfterFunc(ctx, func() {
-			s.flowMu.Lock()
-			s.flowCond.Broadcast()
-			s.flowMu.Unlock()
-		})()
-	}
-	s.flowMu.Lock()
-	defer s.flowMu.Unlock()
-	for {
-		if s.q.Depth() > 0 {
-			return true
-		}
-		if s.inflight == 0 || ctx.Err() != nil {
-			return false
-		}
-		s.flowCond.Wait()
-	}
+	work := false
+	waitCond(ctx, s.flowCond, func() bool {
+		work = s.q.Depth() > 0
+		return work || s.inflight == 0
+	})
+	return work
 }
 
 // addInflight tracks dispatched-but-unfinished jobs for drain accounting.
@@ -251,7 +239,7 @@ func (s *Server) executable(rec *record, spec backend.ServerSpec) bool {
 func (s *Server) launch(ctx context.Context, tk *queue.Ticket[*record], sl slot, mode string) {
 	rec := tk.Payload()
 	rec.mu.Lock()
-	if rec.state == StateDone || rec.state == StateFailed || rec.state == StateCanceled {
+	if rec.state.terminal() {
 		// Settled while queued: a late result from a previous lease beat the
 		// requeued ticket through the queue. Nothing to run.
 		rec.mu.Unlock()
@@ -322,7 +310,7 @@ func settlementOf(out outcome) settlement {
 func (s *Server) requeue(tk *queue.Ticket[*record]) {
 	rec := tk.Payload()
 	rec.mu.Lock()
-	if rec.state == StateDone || rec.state == StateFailed || rec.state == StateCanceled {
+	if rec.state.terminal() {
 		rec.mu.Unlock()
 		return
 	}
@@ -349,10 +337,7 @@ func (s *Server) requeue(tk *queue.Ticket[*record]) {
 // whether the result was used.
 func (s *Server) lateSettle(tk *queue.Ticket[*record], out outcome) bool {
 	rec := tk.Payload()
-	rec.mu.Lock()
-	terminal := rec.state == StateDone || rec.state == StateFailed || rec.state == StateCanceled
-	rec.mu.Unlock()
-	if terminal {
+	if rec.terminal() {
 		return false
 	}
 	// Withdraw the requeued ticket if it is still waiting; if it was already
@@ -391,7 +376,7 @@ type settlement struct {
 // count only on completion, since an unfinished job has no service time.
 func (s *Server) settle(rec *record, st settlement) {
 	rec.mu.Lock()
-	if rec.state == StateDone || rec.state == StateFailed || rec.state == StateCanceled {
+	if rec.state.terminal() {
 		rec.mu.Unlock()
 		return
 	}

@@ -84,6 +84,12 @@ type fleetWorker struct {
 	lease *lease
 }
 
+// idle reports whether the worker can take a job now: live, unleased, and
+// with a poll parked to deliver into. Caller holds fleetTransport.mu.
+func (w *fleetWorker) idle() bool {
+	return !w.gone && w.lease == nil && w.park != nil
+}
+
 type fleetMetrics struct {
 	workersG   *obs.Gauge
 	reassigned *obs.Counter
@@ -179,10 +185,17 @@ func (f *fleetTransport) open(ctx context.Context) {
 	go f.monitor(ctx)
 }
 
-func (f *fleetTransport) size() int {
+// specs lists the capability of every live worker.
+func (f *fleetTransport) specs() []backend.ServerSpec {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.liveLocked()
+	var out []backend.ServerSpec
+	for _, w := range f.workers {
+		if !w.gone {
+			out = append(out, w.spec)
+		}
+	}
+	return out
 }
 
 func (f *fleetTransport) liveLocked() int {
@@ -202,7 +215,7 @@ func (f *fleetTransport) freeSlots() []slot {
 	defer f.mu.Unlock()
 	ids := make([]string, 0, len(f.workers))
 	for id, w := range f.workers {
-		if !w.gone && w.lease == nil && w.park != nil {
+		if w.idle() {
 			ids = append(ids, id)
 		}
 	}
@@ -215,50 +228,23 @@ func (f *fleetTransport) freeSlots() []slot {
 	return out
 }
 
-// classes snapshots the distinct capability classes of the live fleet
-// (label-deduped, label order) for deadline-admission checks.
-func (f *fleetTransport) classes() []backend.ServerSpec {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	byLabel := make(map[string]backend.ServerSpec)
-	for _, w := range f.workers {
-		if !w.gone {
-			byLabel[w.spec.Label()] = w.spec
-		}
-	}
-	labels := make([]string, 0, len(byLabel))
-	for l := range byLabel {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	out := make([]backend.ServerSpec, len(labels))
-	for i, l := range labels {
-		out[i] = byLabel[l]
-	}
-	return out
-}
-
+// waitFree blocks until some worker is idle; false means ctx canceled or
+// the transport closed first.
 func (f *fleetTransport) waitFree(ctx context.Context) bool {
-	if ctx.Done() != nil {
-		defer context.AfterFunc(ctx, func() {
-			f.mu.Lock()
-			f.cond.Broadcast()
-			f.mu.Unlock()
-		})()
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for {
-		if ctx.Err() != nil || f.closed {
-			return false
+	free := false
+	waitCond(ctx, f.cond, func() bool {
+		if f.closed {
+			return true
 		}
 		for _, w := range f.workers {
-			if !w.gone && w.lease == nil && w.park != nil {
+			if w.idle() {
+				free = true
 				return true
 			}
 		}
-		f.cond.Wait()
-	}
+		return false
+	})
+	return free
 }
 
 // start leases the job to the chosen parked worker and delivers the
@@ -273,7 +259,7 @@ func (f *fleetTransport) start(_ context.Context, sl slot, tk *queue.Ticket[*rec
 		return errors.New("serve: fleet transport closed")
 	}
 	w := f.workers[sl.id]
-	if w == nil || w.gone || w.park == nil || w.lease != nil {
+	if w == nil || !w.idle() {
 		return fmt.Errorf("serve: worker %q is not free", sl.id)
 	}
 	f.seq++
@@ -369,7 +355,7 @@ func (f *fleetTransport) sweep(now time.Time) {
 	}
 	for id, l := range f.leases {
 		if l.done {
-			if !l.superseded || recTerminal(l.tk.Payload()) {
+			if !l.superseded || l.tk.Payload().terminal() {
 				// Settled normally, or its late result has been reconciled
 				// (or a second attempt finished the job): nothing left to
 				// race with.
@@ -394,12 +380,6 @@ func (f *fleetTransport) sweep(now time.Time) {
 	for _, l := range expired {
 		l.finish(outcome{requeue: true})
 	}
-}
-
-func recTerminal(rec *record) bool {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return rec.state == StateDone || rec.state == StateFailed || rec.state == StateCanceled
 }
 
 // upsertLocked registers-or-refreshes a worker; every protocol message

@@ -81,7 +81,7 @@ func TestDeadlineInfeasibleRejectedAtAdmission(t *testing.T) {
 	ctx := context.Background()
 	reg := obs.NewRegistry()
 	s, err := New(Config{
-		Pool: sched.Pool{uarch.Baseline()}, Proto: tinyProto, Seed: 1, Metrics: reg,
+		Servers: sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 1), Proto: tinyProto, Seed: 1, Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -260,8 +260,8 @@ func TestSpotPreemptionMidLadder(t *testing.T) {
 func TestRenditionStitchesByteIdentical(t *testing.T) {
 	ctx := context.Background()
 	s, err := New(Config{
-		Pool:  sched.Pool{uarch.Baseline(), uarch.Baseline()},
-		Proto: tinyProto, Seed: 1, Metrics: obs.NewRegistry(),
+		Servers: sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 2),
+		Proto:   tinyProto, Seed: 1, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -37,7 +37,7 @@ func waitParent(t *testing.T, s *Server, req JobRequest) JobView {
 func TestSegmentedJobGraph(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := newTestServer(t, Config{
-		Pool:    sched.UniformPool([]uarch.Config{uarch.Baseline()}, 2),
+		Servers: sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 2),
 		Proto:   core.Workload{Frames: 4, Scale: 16},
 		Seed:    11,
 		Metrics: reg,
@@ -100,9 +100,9 @@ func TestLadderSharedAnalysis(t *testing.T) {
 	before := obs.Default().Snapshot()
 
 	s := newTestServer(t, Config{
-		Pool:  sched.UniformPool([]uarch.Config{uarch.Baseline()}, 1),
-		Proto: core.Workload{Frames: 4, Scale: 16, Seed: 0xAB120001},
-		Seed:  7,
+		Servers: sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 1),
+		Proto:   core.Workload{Frames: 4, Scale: 16, Seed: 0xAB120001},
+		Seed:    7,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -141,9 +141,9 @@ func TestLadderSharedAnalysis(t *testing.T) {
 // over 2 segments is 4 parts, every (rung, segment) pair present.
 func TestLadderTimesSegments(t *testing.T) {
 	s := newTestServer(t, Config{
-		Pool:  sched.UniformPool([]uarch.Config{uarch.Baseline()}, 2),
-		Proto: core.Workload{Frames: 4, Scale: 16},
-		Seed:  13,
+		Servers: sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 2),
+		Proto:   core.Workload{Frames: 4, Scale: 16},
+		Seed:    13,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -180,7 +180,7 @@ func TestLadderTimesSegments(t *testing.T) {
 // registered or left queued.
 func TestMultiSubmitAtomic(t *testing.T) {
 	s := newTestServer(t, Config{
-		Pool:       sched.UniformPool([]uarch.Config{uarch.Baseline()}, 1),
+		Servers:    sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 1),
 		QueueDepth: 2,
 	})
 	// Not started: admission only.
@@ -219,7 +219,7 @@ func TestMultiSubmitAtomic(t *testing.T) {
 // context while parts are queued cancels every part and the parent.
 func TestMultiSubmitCancel(t *testing.T) {
 	s := newTestServer(t, Config{
-		Pool: sched.UniformPool([]uarch.Config{uarch.Baseline()}, 1),
+		Servers: sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 1),
 	})
 	// Not started: parts stay queued until withdrawn.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -247,14 +247,14 @@ func TestMultiSubmitCancel(t *testing.T) {
 // to the idler one.
 func TestPlaceUtilBias(t *testing.T) {
 	s := newTestServer(t, Config{
-		Pool: sched.UniformPool([]uarch.Config{uarch.Baseline()}, 2),
+		Servers: sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 2),
 	})
 	rep := &perf.Report{Config: "baseline", Seconds: 1,
 		Topdown: perf.Topdown{FrontEnd: 40, BadSpec: 2, MemBound: 5, CoreBound: 3, BackEnd: 8}}
 	s.learn("desktop", rep)
 	rec := &record{seq: 1, task: sched.Task{Video: "desktop"}}
 
-	base := sched.FleetFromPool(sched.Pool{uarch.Baseline()})[0]
+	base := sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 1)[0]
 	free := []slot{
 		{id: "w-a", label: "w-a", spec: base, util: 90},
 		{id: "w-b", label: "w-b", spec: base, util: 10},

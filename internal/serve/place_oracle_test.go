@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/backend"
@@ -61,7 +62,7 @@ func TestPlaceMatchesBruteForce(t *testing.T) {
 		free := make([]slot, cols)
 		for j := range free {
 			spec := backend.ServerSpec{Backend: backend.Software, Config: table[rng.Intn(len(table))]}.FillDefaults()
-			free[j] = slot{id: "s" + itoa(j), label: spec.Label(), spec: spec}
+			free[j] = slot{id: "s" + strconv.Itoa(j), label: spec.Label(), spec: spec}
 		}
 		batch := make([]*record, rows)
 		reports := make([]*perf.Report, rows)

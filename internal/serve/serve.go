@@ -7,21 +7,22 @@
 // is the same placement policy moved to the deployment shape real
 // transcoding services have (Li et al.): jobs *arrive* on a bounded
 // admission queue (internal/queue) and a dispatcher assigns each batch of
-// waiting jobs to free servers of a sched.Pool using the characterization
+// waiting jobs to free servers of a sched.Fleet using the characterization
 // cost model, falling back to seeded-random placement while the cost cache
-// is cold. Execution runs on the shared exec layer through core.Run, so
+// is cold. Execution runs on the shared exec layer through Execute, so
 // repeated videos hit the decode/analysis caches exactly like sweep
 // points do.
+//
+// The package is split by concern: this file holds the API types and the
+// server lifecycle, admit.go admission, dispatch.go placement and
+// settlement, transport.go / fleet.go delivery, http.go the job API and
+// rendition.go the stitched-bitstream download.
 package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -32,7 +33,6 @@ import (
 	"repro/internal/perf"
 	"repro/internal/queue"
 	"repro/internal/sched"
-	"repro/internal/vbench"
 )
 
 // Policy selects the dispatcher's placement rule.
@@ -59,14 +59,10 @@ func ParsePolicy(s string) (Policy, error) {
 
 // Config assembles a serving instance.
 type Config struct {
-	// Pool is the software fleet; one entry per server. Required for the
-	// in-process loopback transport unless Servers is given; ignored in
-	// fleet mode, where capability comes from worker registrations.
-	Pool sched.Pool
-	// Servers is the full heterogeneous fleet — backend kind, uarch
-	// config, hourly price and spot flag per server. When empty it is
-	// derived from Pool at default on-demand prices; when set it overrides
-	// Pool. Like Pool it drives only the loopback transport.
+	// Servers is the in-process loopback fleet — backend kind, uarch
+	// config, hourly price and spot flag per server (zero prices resolve to
+	// the class defaults). Required unless Fleet is set; ignored in fleet
+	// mode, where capability comes from worker registrations.
 	Servers sched.Fleet
 	// Objective selects what placement minimizes: fleet-seconds (the
 	// default) or dollars under per-job deadlines and quality
@@ -76,7 +72,7 @@ type Config struct {
 	Policy Policy
 	// QueueDepth bounds the admission queue (0: 256, the queue default).
 	QueueDepth int
-	// Workers bounds concurrent loopback executions; 0 means len(Pool)
+	// Workers bounds concurrent loopback executions; 0 means len(Servers)
 	// (every server can run one job at a time, so more workers never help).
 	Workers int
 	// Proto supplies the Workload fields other than Video (Frames, Scale,
@@ -94,13 +90,6 @@ type Config struct {
 	Fleet *FleetOptions
 }
 
-// ErrDeadlineInfeasible is the typed admission rejection for a job whose
-// DeadlineSeconds no live server class can predictably meet — the client
-// learns at submit time (HTTP 422) instead of discovering a silently late
-// job. Cold software classes are optimistic (no prediction yet), so the
-// rejection only fires when every feasible class is predictably too slow.
-var ErrDeadlineInfeasible = errors.New("serve: no server class can meet the requested deadline")
-
 // JobState is the lifecycle of a submitted job.
 type JobState string
 
@@ -112,61 +101,10 @@ const (
 	StateCanceled JobState = "canceled"
 )
 
-// JobRequest is the POST /jobs body: the task parameters of the paper's
-// studies plus the queueing class/priority/deadline of the serving layer.
-// Segments and Ladder expand the request into a multi-part job graph: the
-// submitted job becomes a parent record whose rung x segment sub-jobs flow
-// through the queue as ordinary leased units, are placed independently,
-// and settle back into the parent (which completes only when every part
-// has).
-type JobRequest struct {
-	Video    string `json:"video"`
-	CRF      int    `json:"crf,omitempty"`      // 0: 23
-	Refs     int    `json:"refs,omitempty"`     // 0: 3
-	Preset   string `json:"preset,omitempty"`   // "": medium
-	Class    string `json:"class,omitempty"`    // fairness class
-	Priority int    `json:"priority,omitempty"` // higher dequeues first
-	// DeadlineMs is a relative deadline in milliseconds used for intra-class
-	// ordering (0: none).
-	DeadlineMs int64 `json:"deadline_ms,omitempty"`
-	// DeadlineSeconds caps the simulated service seconds of each placed
-	// unit (the whole encode, or each part of a segmented/ladder job).
-	// Admission rejects the job with ErrDeadlineInfeasible when no live
-	// server class can predictably meet it; placement masks
-	// deadline-busting cells; a completed job that still ran over is
-	// counted as a deadline miss. 0 means no deadline.
-	DeadlineSeconds float64 `json:"deadline_seconds,omitempty"`
-	// QualityFloor is the worst acceptable effective CRF (0: none). The
-	// accelerator backend carries a CRF-equivalent quality penalty; a
-	// server whose penalty would push the job past the floor is infeasible
-	// for it.
-	QualityFloor int `json:"quality_floor,omitempty"`
-	// Segments splits the encode into that many independently placed
-	// segment sub-jobs (0 or 1: whole-clip). The split follows
-	// core.SegmentsFor, so the per-part outputs stitch byte-identically to
-	// a serial segmented encode.
-	Segments int `json:"segments,omitempty"`
-	// Ladder expands the request into one rendition per rung (an ABR
-	// ladder); rungs multiply with Segments. Every rung of the same segment
-	// reuses one shared codec.Analysis artifact through the core caches.
-	Ladder []Rung `json:"ladder,omitempty"`
+// terminal reports whether the state is final (done, failed or canceled).
+func (st JobState) terminal() bool {
+	return st == StateDone || st == StateFailed || st == StateCanceled
 }
-
-// Rung is one rendition of an ABR ladder request. Zero fields inherit the
-// request's top-level value (and then the usual defaults).
-type Rung struct {
-	Name   string `json:"name,omitempty"`
-	CRF    int    `json:"crf,omitempty"`
-	Refs   int    `json:"refs,omitempty"`
-	Preset string `json:"preset,omitempty"`
-}
-
-// Fan-out caps: a single POST /jobs may expand into at most
-// maxLadderRungs x maxSegments queued parts.
-const (
-	maxLadderRungs = 8
-	maxSegments    = 64
-)
 
 // JobView is the externally visible state of one job (GET /jobs/{id}).
 type JobView struct {
@@ -298,6 +236,13 @@ func (r *record) frames() int {
 	return r.pframes
 }
 
+// terminal reports whether the record has settled.
+func (r *record) terminal() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.state.terminal()
+}
+
 // view snapshots a record for the API.
 func (r *record) view() JobView {
 	r.mu.Lock()
@@ -390,21 +335,15 @@ type Server struct {
 
 // New builds a stopped server; call Start to begin dispatching.
 func New(cfg Config) (*Server, error) {
-	if len(cfg.Pool) == 0 && len(cfg.Servers) == 0 && cfg.Fleet == nil {
+	if len(cfg.Servers) == 0 && cfg.Fleet == nil {
 		return nil, errors.New("serve: empty pool")
 	}
 	if cfg.Fleet == nil {
-		// Loopback: resolve the economic fleet view. Servers overrides Pool;
-		// a plain Pool is lifted to default on-demand prices.
-		if len(cfg.Servers) == 0 {
-			cfg.Servers = sched.FleetFromPool(cfg.Pool)
-		} else {
-			servers := make(sched.Fleet, len(cfg.Servers))
-			for i, spec := range cfg.Servers {
-				servers[i] = spec.FillDefaults()
-			}
-			cfg.Servers = servers
+		servers := make(sched.Fleet, len(cfg.Servers))
+		for i, spec := range cfg.Servers {
+			servers[i] = spec.FillDefaults()
 		}
+		cfg.Servers = servers
 	}
 	if cfg.Policy == "" {
 		cfg.Policy = PolicySmart
@@ -485,275 +424,16 @@ func (s *Server) Stop() {
 	s.transport.close()
 }
 
-// Submit validates and admits one job. The returned view is the queued
-// state; rejections return queue.ErrFull / queue.ErrClosed (admission) or a
-// validation error. Canceling ctx while the job is still queued withdraws
-// it; a job already dispatched runs to completion.
-func (s *Server) Submit(ctx context.Context, req JobRequest) (JobView, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	task, opts, err := buildTask(req)
-	if err != nil {
-		return JobView{}, err
-	}
-	pw, ph, pframes, err := s.proxyDims(req.Video)
-	if err != nil {
-		return JobView{}, err
-	}
-	if len(req.Ladder) > 0 || req.Segments > 1 {
-		return s.submitMulti(ctx, req, task, pw, ph, pframes)
-	}
-	if err := s.admitDeadline(opts, req, pframes, pw, ph); err != nil {
-		s.met.rejected.Inc()
-		s.totMu.Lock()
-		s.totals.Rejected++
-		s.totMu.Unlock()
-		return JobView{}, err
-	}
-	rec := &record{
-		task:     task,
-		opts:     opts,
-		class:    req.Class,
-		priority: req.Priority,
-		done:     make(chan struct{}),
-		state:    StateQueued,
-		enq:      time.Now(),
-
-		deadlineSeconds: req.DeadlineSeconds,
-		qualityFloor:    req.QualityFloor,
-		pw:              pw,
-		ph:              ph,
-		pframes:         pframes,
-	}
+// record looks a job up by id; nil when unknown.
+func (s *Server) record(id string) *record {
 	s.jobsMu.Lock()
-	s.seq++
-	rec.seq = s.seq
-	rec.id = "job-" + strconv.FormatUint(rec.seq, 10)
-	rec.task.Name = rec.id
-	s.jobsMu.Unlock()
-
-	var deadline time.Time
-	if req.DeadlineMs > 0 {
-		deadline = rec.enq.Add(time.Duration(req.DeadlineMs) * time.Millisecond)
-	}
-	// The queue's own ctx watcher is bypassed (Background) so that the
-	// serving layer observes every cancellation and can settle the record.
-	ticket, err := s.q.Submit(context.Background(), rec, queue.SubmitOptions{
-		Class: req.Class, Priority: req.Priority, Deadline: deadline,
-	})
-	if err != nil {
-		s.met.rejected.Inc()
-		s.totMu.Lock()
-		s.totals.Rejected++
-		s.totMu.Unlock()
-		return JobView{}, err
-	}
-	if ctx.Done() != nil {
-		context.AfterFunc(ctx, func() {
-			if ticket.Cancel() {
-				s.settleCanceled(rec)
-			}
-		})
-	}
-	s.jobsMu.Lock()
-	s.jobs[rec.id] = rec
-	s.jobsMu.Unlock()
-	s.met.submitted.Inc()
-	s.totMu.Lock()
-	s.totals.Submitted++
-	s.totMu.Unlock()
-	return rec.view(), nil
-}
-
-// submitMulti expands a segmented and/or ladder request into a parent
-// record plus rung x segment part records. The parent never enters the
-// queue: parts flow through admission as ordinary leased units and settle
-// back into it (dispatch.go's partSettled). Admission is all-or-nothing —
-// if any part is rejected (queue full/closed) every already-queued sibling
-// is withdrawn and the whole submit fails, so a client never observes a
-// half-admitted job graph.
-func (s *Server) submitMulti(ctx context.Context, req JobRequest, task sched.Task, pw, ph, pframes int) (JobView, error) {
-	reject := func(err error) (JobView, error) {
-		s.met.rejected.Inc()
-		s.totMu.Lock()
-		s.totals.Rejected++
-		s.totMu.Unlock()
-		return JobView{}, err
-	}
-	if req.Segments > maxSegments {
-		return JobView{}, fmt.Errorf("serve: segments %d exceeds limit %d", req.Segments, maxSegments)
-	}
-	if len(req.Ladder) > maxLadderRungs {
-		return JobView{}, fmt.Errorf("serve: ladder has %d rungs, limit %d", len(req.Ladder), maxLadderRungs)
-	}
-
-	// Resolve each rung to its task + options; zero rung fields inherit the
-	// top-level request. A segmented non-ladder request is one unnamed rung.
-	type partSpec struct {
-		task sched.Task
-		opts codec.Options
-		rung string
-	}
-	rungs := req.Ladder
-	if len(rungs) == 0 {
-		rungs = []Rung{{}}
-	}
-	specs := make([]partSpec, len(rungs))
-	for i, rg := range rungs {
-		r := req
-		r.Segments, r.Ladder = 0, nil
-		if rg.CRF != 0 {
-			r.CRF = rg.CRF
-		}
-		if rg.Refs != 0 {
-			r.Refs = rg.Refs
-		}
-		if rg.Preset != "" {
-			r.Preset = rg.Preset
-		}
-		rtask, ropts, err := buildTask(r)
-		if err != nil {
-			return JobView{}, fmt.Errorf("serve: ladder rung %d (%q): %w", i, rg.Name, err)
-		}
-		name := rg.Name
-		if name == "" && len(req.Ladder) > 0 {
-			name = "rung" + itoa(i)
-		}
-		specs[i] = partSpec{task: rtask, opts: ropts, rung: name}
-	}
-
-	// The segment plan follows the workload the parts will actually encode
-	// (core.SegmentsFor normalizes the clip length and clamps the part
-	// count), so every part's range is valid by construction.
-	segs := []codec.Segment{{}}
-	if req.Segments > 1 {
-		w := s.cfg.Proto
-		w.Video = req.Video
-		plan, err := core.SegmentsFor(w, req.Segments)
-		if err != nil {
-			return JobView{}, fmt.Errorf("serve: %w", err)
-		}
-		segs = plan
-	}
-
-	// Deadline admission per rung: every part must be placeable within the
-	// deadline on some live class, so check each rung against its widest
-	// segment (the strictest part). A typed rejection here beats admitting
-	// a graph that placement can never finish on time.
-	if req.DeadlineSeconds > 0 {
-		widest := pframes
-		if len(segs) > 1 {
-			widest = 0
-			for _, sg := range segs {
-				if n := sg.End - sg.Start; n > widest {
-					widest = n
-				}
-			}
-		}
-		for i, spec := range specs {
-			r := req
-			if err := s.admitDeadline(spec.opts, r, widest, pw, ph); err != nil {
-				return reject(fmt.Errorf("ladder rung %d (%q): %w", i, spec.rung, err))
-			}
-		}
-	}
-
-	now := time.Now()
-	parent := &record{
-		task:     task,
-		class:    req.Class,
-		priority: req.Priority,
-		done:     make(chan struct{}),
-		state:    StateQueued,
-		enq:      now,
-
-		deadlineSeconds: req.DeadlineSeconds,
-		qualityFloor:    req.QualityFloor,
-		pw:              pw,
-		ph:              ph,
-		pframes:         pframes,
-	}
-	parts := make([]*record, 0, len(specs)*len(segs))
-	s.jobsMu.Lock()
-	s.seq++
-	parent.seq = s.seq
-	parent.id = "job-" + strconv.FormatUint(parent.seq, 10)
-	parent.task.Name = parent.id
-	for _, spec := range specs {
-		for _, sg := range segs {
-			s.seq++
-			part := &record{
-				seq: s.seq, task: spec.task, opts: spec.opts,
-				class: req.Class, priority: req.Priority,
-				seg: sg, rung: spec.rung, parent: parent,
-				done: make(chan struct{}), state: StateQueued, enq: now,
-
-				deadlineSeconds: req.DeadlineSeconds,
-				qualityFloor:    req.QualityFloor,
-				pw:              pw,
-				ph:              ph,
-				pframes:         pframes,
-				// Parts keep their bitstreams so the parent can be stitched
-				// into a downloadable rendition (GET /jobs/{id}/rendition).
-				wantStream: true,
-			}
-			part.id = parent.id + "." + strconv.Itoa(len(parts)+1)
-			part.task.Name = part.id
-			parts = append(parts, part)
-		}
-	}
-	parent.parts = parts
-	s.jobsMu.Unlock()
-
-	var deadline time.Time
-	if req.DeadlineMs > 0 {
-		deadline = now.Add(time.Duration(req.DeadlineMs) * time.Millisecond)
-	}
-	for i, part := range parts {
-		ticket, err := s.q.Submit(context.Background(), part, queue.SubmitOptions{
-			Class: req.Class, Priority: req.Priority, Deadline: deadline,
-		})
-		if err != nil {
-			// All-or-nothing: withdraw the parts already admitted. None is
-			// externally visible yet (records register below), so no
-			// settlement is owed.
-			for _, prev := range parts[:i] {
-				prev.ticket.Cancel()
-			}
-			return reject(err)
-		}
-		part.ticket = ticket
-	}
-
-	s.jobsMu.Lock()
-	s.jobs[parent.id] = parent
-	for _, part := range parts {
-		s.jobs[part.id] = part
-	}
-	s.jobsMu.Unlock()
-	if ctx.Done() != nil {
-		context.AfterFunc(ctx, func() {
-			for _, part := range parts {
-				if part.ticket.Cancel() {
-					s.settleCanceled(part)
-				}
-			}
-		})
-	}
-	s.met.submitted.Inc()
-	s.met.partsSubmitted.Add(int64(len(parts)))
-	s.totMu.Lock()
-	s.totals.Submitted++
-	s.totMu.Unlock()
-	return parent.view(), nil
+	defer s.jobsMu.Unlock()
+	return s.jobs[id]
 }
 
 // Job returns the current view of a job by id.
 func (s *Server) Job(id string) (JobView, bool) {
-	s.jobsMu.Lock()
-	rec := s.jobs[id]
-	s.jobsMu.Unlock()
+	rec := s.record(id)
 	if rec == nil {
 		return JobView{}, false
 	}
@@ -763,9 +443,7 @@ func (s *Server) Job(id string) (JobView, bool) {
 // WaitJob blocks until the job reaches a terminal state (done, failed or
 // canceled) and returns its final view.
 func (s *Server) WaitJob(ctx context.Context, id string) (JobView, error) {
-	s.jobsMu.Lock()
-	rec := s.jobs[id]
-	s.jobsMu.Unlock()
+	rec := s.record(id)
 	if rec == nil {
 		return JobView{}, fmt.Errorf("serve: unknown job %q", id)
 	}
@@ -789,279 +467,3 @@ func (s *Server) QueueDepth() int { return s.q.Depth() }
 
 // Pressure exposes the admission queue backpressure fraction.
 func (s *Server) Pressure() float64 { return s.q.Pressure() }
-
-// proxyDims resolves the proxy geometry a video's jobs will encode under
-// the server's workload prototype — the sizing input of the accelerator
-// clock model and deadline admission.
-func (s *Server) proxyDims(video string) (w, h, frames int, err error) {
-	wl := s.cfg.Proto
-	wl.Video = video
-	w, h, frames, err = core.ProxyDims(wl)
-	if err != nil {
-		return 0, 0, 0, fmt.Errorf("serve: %w", err)
-	}
-	return w, h, frames, nil
-}
-
-// admitDeadline applies the deadline-feasibility admission check: reject
-// (typed) when every live server class is predictably unable to finish a
-// unit of frames×(pw×ph) within req.DeadlineSeconds. An empty class list
-// (fleet mode before any worker registered) and cold software classes
-// admit optimistically.
-func (s *Server) admitDeadline(opts codec.Options, req JobRequest, frames, pw, ph int) error {
-	if req.DeadlineSeconds <= 0 {
-		return nil
-	}
-	classes := s.transport.classes()
-	job := sched.HeteroJob{
-		Report: s.costOf(req.Video), Opts: opts,
-		DeadlineSeconds: req.DeadlineSeconds, QualityFloor: req.QualityFloor,
-		Frames: frames, Width: pw, Height: ph,
-	}
-	if !sched.FeasibleAnywhere(job, classes, s.accel) {
-		return fmt.Errorf("%w (deadline %gs over %d live classes)",
-			ErrDeadlineInfeasible, req.DeadlineSeconds, len(classes))
-	}
-	return nil
-}
-
-// buildTask validates a request and resolves defaults into a sched.Task
-// plus its encode options (validated eagerly so a bad preset is a 400 at
-// submission, not a failed job later).
-func buildTask(req JobRequest) (sched.Task, codec.Options, error) {
-	if _, err := vbench.ByName(req.Video); err != nil {
-		return sched.Task{}, codec.Options{}, fmt.Errorf("serve: %w", err)
-	}
-	task := sched.Task{Video: req.Video, CRF: req.CRF, Refs: req.Refs, Preset: codec.Preset(req.Preset)}
-	if task.CRF == 0 {
-		task.CRF = 23
-	}
-	if task.Refs == 0 {
-		task.Refs = 3
-	}
-	if task.Preset == "" {
-		task.Preset = codec.PresetMedium
-	}
-	if task.CRF < 0 || task.CRF > 51 {
-		return sched.Task{}, codec.Options{}, fmt.Errorf("serve: crf %d out of range [0,51]", task.CRF)
-	}
-	if task.Refs < 1 || task.Refs > 16 {
-		return sched.Task{}, codec.Options{}, fmt.Errorf("serve: refs %d out of range [1,16]", task.Refs)
-	}
-	opts, err := task.Options()
-	if err != nil {
-		return sched.Task{}, codec.Options{}, fmt.Errorf("serve: %w", err)
-	}
-	return task, opts, nil
-}
-
-// --- HTTP API -------------------------------------------------------------------
-
-// Handler returns the service mux: the job API mounted on top of the
-// standard -debug-addr observability endpoints (/metrics, /debug/vars,
-// /debug/pprof), so one listener serves both. In fleet mode the worker
-// protocol endpoints (/fleet/*) are mounted too. Every route carries a
-// method-mismatch fallback with a JSON 405 and Allow header, so clients
-// never see a bare 404/405 page for using the wrong verb.
-func (s *Server) Handler() http.Handler {
-	mux := obs.Mux()
-	mux.HandleFunc("POST /jobs", s.handleSubmit)
-	mux.HandleFunc("/jobs", methodNotAllowed(http.MethodPost))
-	mux.HandleFunc("GET /jobs/{id}", s.handleJob)
-	mux.HandleFunc("/jobs/{id}", methodNotAllowed(http.MethodGet))
-	mux.HandleFunc("GET /jobs/{id}/rendition", s.handleRendition)
-	mux.HandleFunc("/jobs/{id}/rendition", methodNotAllowed(http.MethodGet))
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	if ft, ok := s.transport.(*fleetTransport); ok {
-		mux.HandleFunc("POST /fleet/heartbeat", ft.handleHeartbeat)
-		mux.HandleFunc("/fleet/heartbeat", methodNotAllowed(http.MethodPost))
-		mux.HandleFunc("POST /fleet/poll", ft.handlePoll)
-		mux.HandleFunc("/fleet/poll", methodNotAllowed(http.MethodPost))
-		mux.HandleFunc("POST /fleet/result", ft.handleResult)
-		mux.HandleFunc("/fleet/result", methodNotAllowed(http.MethodPost))
-	}
-	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-type errorBody struct {
-	Error  string `json:"error"`
-	Reason string `json:"reason,omitempty"`
-}
-
-// maxRequestBody caps every decoded POST body; job submissions and worker
-// protocol messages are all far below this.
-const maxRequestBody = 1 << 16
-
-// maxResultBody is the larger cap for /fleet/result, whose reports may
-// carry a part bitstream for the rendition stitch.
-const maxResultBody = 1 << 20
-
-// decodeJSON decodes one size-capped JSON body, writing the JSON error
-// response itself on failure; the return reports whether decoding
-// succeeded and the handler should proceed.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	return decodeJSONLimit(w, r, v, maxRequestBody)
-}
-
-func decodeJSONLimit(w http.ResponseWriter, r *http.Request, v any, limit int64) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, limit)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit), Reason: "too_large"})
-			return false
-		}
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
-		return false
-	}
-	return true
-}
-
-// methodNotAllowed is the fallback handler mounted on the method-less
-// pattern of every route: a JSON 405 naming the allowed verb.
-func methodNotAllowed(allow string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Allow", allow)
-		writeJSON(w, http.StatusMethodNotAllowed,
-			errorBody{Error: fmt.Sprintf("method %s not allowed (want %s)", r.Method, allow), Reason: "method"})
-	}
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	// Deliberately not r.Context(): a POSTed job is fire-and-forget; the
-	// client disconnecting must not withdraw it.
-	view, err := s.Submit(context.Background(), req)
-	switch {
-	case err == nil:
-		writeJSON(w, http.StatusAccepted, view)
-	case errors.Is(err, queue.ErrFull):
-		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error(), Reason: "full"})
-	case errors.Is(err, queue.ErrClosed):
-		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error(), Reason: "closed"})
-	case errors.Is(err, ErrDeadlineInfeasible):
-		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error(), Reason: "deadline_infeasible"})
-	default:
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-	}
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
-}
-
-// handleRendition serves the stitched bitstream of a completed multi-part
-// job: GET /jobs/{id}/rendition[?rung=name]. Parts keep their encoded
-// streams at settlement; once the parent is done the requested rung's
-// parts are stitched in segment order (codec.StitchStreams) — the
-// server-side counterpart of the byte-identical segment fan-out.
-func (s *Server) handleRendition(w http.ResponseWriter, r *http.Request) {
-	stream, status, eb := s.rendition(r.PathValue("id"), r.URL.Query().Get("rung"))
-	if status != http.StatusOK {
-		writeJSON(w, status, eb)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	w.Write(stream)
-}
-
-func (s *Server) rendition(id, rung string) ([]byte, int, errorBody) {
-	s.jobsMu.Lock()
-	rec := s.jobs[id]
-	s.jobsMu.Unlock()
-	if rec == nil {
-		return nil, http.StatusNotFound, errorBody{Error: "unknown job"}
-	}
-	rec.mu.Lock()
-	state := rec.state
-	rec.mu.Unlock()
-	if len(rec.parts) == 0 {
-		return nil, http.StatusNotFound, errorBody{
-			Error: "job has no stitchable parts (plain jobs carry no rendition)", Reason: "no_rendition"}
-	}
-	if state != StateDone {
-		return nil, http.StatusConflict, errorBody{
-			Error: fmt.Sprintf("job is %s, rendition needs done", state), Reason: "not_ready"}
-	}
-	var sel []*record
-	rungs := make(map[string]bool)
-	for _, p := range rec.parts {
-		rungs[p.rung] = true
-		if p.rung == rung {
-			sel = append(sel, p)
-		}
-	}
-	if len(sel) == 0 {
-		names := make([]string, 0, len(rungs))
-		for n := range rungs {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return nil, http.StatusNotFound, errorBody{
-			Error: fmt.Sprintf("unknown rung %q (have %q)", rung, names), Reason: "unknown_rung"}
-	}
-	sort.Slice(sel, func(i, j int) bool { return sel[i].seg.Start < sel[j].seg.Start })
-	streams := make([][]byte, len(sel))
-	for i, p := range sel {
-		p.mu.Lock()
-		st := p.stream
-		p.mu.Unlock()
-		if len(st) == 0 {
-			return nil, http.StatusInternalServerError, errorBody{
-				Error: fmt.Sprintf("part %s settled without its bitstream", p.id), Reason: "stream_unavailable"}
-		}
-		streams[i] = st
-	}
-	out, err := codec.StitchStreams(streams)
-	if err != nil {
-		return nil, http.StatusInternalServerError, errorBody{
-			Error: "stitch: " + err.Error(), Reason: "stitch_failed"}
-	}
-	return out, http.StatusOK, errorBody{}
-}
-
-// healthBody is the GET /healthz response. PoolSize is the live transport
-// size: configured servers for loopback, registered live workers in fleet
-// mode (where the per-worker detail rides in Workers).
-type healthBody struct {
-	Status      string       `json:"status"`
-	Policy      Policy       `json:"policy"`
-	PoolSize    int          `json:"pool_size"`
-	FreeServers int          `json:"free_servers"`
-	QueueDepth  int          `json:"queue_depth"`
-	Pressure    float64      `json:"pressure"`
-	Totals      Totals       `json:"totals"`
-	Fleet       bool         `json:"fleet,omitempty"`
-	Workers     []WorkerView `json:"workers,omitempty"`
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	body := healthBody{
-		Status: "ok", Policy: s.cfg.Policy, PoolSize: s.transport.size(),
-		FreeServers: len(s.transport.freeSlots()), QueueDepth: s.q.Depth(),
-		Pressure: s.q.Pressure(), Totals: s.Totals(),
-	}
-	if ft, ok := s.transport.(*fleetTransport); ok {
-		body.Fleet = true
-		body.Workers = ft.workerViews()
-	}
-	writeJSON(w, http.StatusOK, body)
-}

@@ -24,8 +24,8 @@ var tinyProto = core.Workload{Frames: 4, Scale: 16}
 
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
-	if cfg.Pool == nil {
-		cfg.Pool = sched.UniformPool(uarch.TableIV(), 1)
+	if cfg.Servers == nil {
+		cfg.Servers = sched.SoftwareFleet(uarch.TableIV(), 1)
 	}
 	if cfg.Proto == (core.Workload{}) {
 		cfg.Proto = tinyProto
@@ -46,15 +46,15 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 // fleet-seconds than random placement, and the whole comparison is
 // reproducible bit-for-bit from the seed.
 func TestSmartBeatsRandomDeterministic(t *testing.T) {
-	pool := sched.UniformPool(uarch.TableIV(), 1)
+	fleet := sched.SoftwareFleet(uarch.TableIV(), 1)
 	tasks := sched.GenerateTasks(8, 7)
 	ctx := context.Background()
 
-	first, err := RunComparison(ctx, pool, tasks, tinyProto, 42)
+	first, err := RunComparison(ctx, fleet, tasks, tinyProto, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := RunComparison(ctx, pool, tasks, tinyProto, 42)
+	second, err := RunComparison(ctx, fleet, tasks, tinyProto, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSmartBeatsRandomDeterministic(t *testing.T) {
 func TestColdThenLearned(t *testing.T) {
 	// A pool of only baseline servers: the cold random draw must land on
 	// baseline, which feeds the learning path.
-	s := newTestServer(t, Config{Pool: sched.Pool{uarch.Baseline(), uarch.Baseline()}})
+	s := newTestServer(t, Config{Servers: sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 2)})
 	ctx := context.Background()
 	s.Start(ctx)
 	defer s.Stop()
@@ -326,9 +326,8 @@ func TestStopDrainsQueuedJobs(t *testing.T) {
 // the online dispatcher adds on top of execution — with a warm cost model,
 // a four-job batch and a ten-server fleet.
 func BenchmarkDispatch(b *testing.B) {
-	pool := sched.UniformPool(uarch.TableIV(), 2)
 	s, err := New(Config{
-		Pool: pool, Proto: tinyProto, Seed: 1, Metrics: obs.NewRegistry(),
+		Servers: sched.SoftwareFleet(uarch.TableIV(), 2), Proto: tinyProto, Seed: 1, Metrics: obs.NewRegistry(),
 	})
 	if err != nil {
 		b.Fatal(err)

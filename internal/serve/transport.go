@@ -2,7 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/backend"
@@ -17,9 +19,10 @@ import (
 // This file is the transport half of the dispatcher split: the dispatcher
 // (dispatch.go) owns admission, ordering and placement; a transport owns
 // delivery and completion. Two transports exist: the in-process loopback
-// below (the PR-5 behaviour, kept so RunComparison and single-process
-// deployments work unchanged) and the networked pull-based worker fleet
-// (fleet.go).
+// below (kept so RunComparison and single-process deployments work
+// unchanged) and the networked pull-based worker fleet (fleet.go). Both end
+// in Execute — the loopback calls it directly, fleet workers
+// (internal/worker) call it on their side of the wire.
 
 // slot is one free execution slot the dispatcher can place onto. Slots are
 // snapshots: a fleet slot can vanish between Free and Start (the worker
@@ -55,14 +58,12 @@ type outcome struct {
 type transport interface {
 	// open starts the transport's background machinery under ctx.
 	open(ctx context.Context)
-	// size is the current fleet size (servers, or registered live workers).
-	size() int
+	// specs snapshots the capability of every live server (configured
+	// servers, or registered live workers): the fleet size, and the input
+	// of deadline admission's class list.
+	specs() []backend.ServerSpec
 	// freeSlots snapshots the currently idle slots in deterministic order.
 	freeSlots() []slot
-	// classes snapshots the distinct live capability classes (one spec per
-	// label) for deadline-admission checks; empty means no capability is
-	// known yet and admission stays optimistic.
-	classes() []backend.ServerSpec
 	// waitFree blocks until at least one slot is free; false means ctx won.
 	waitFree(ctx context.Context) bool
 	// start hands one placed job to the identified slot. finish is called
@@ -74,15 +75,91 @@ type transport interface {
 	close()
 }
 
+// distinctClasses dedupes specs to one per capability label, in first-seen
+// order, for deadline-admission checks; empty means no capability is known
+// yet and admission stays optimistic.
+func distinctClasses(specs []backend.ServerSpec) []backend.ServerSpec {
+	seen := make(map[string]bool)
+	var out []backend.ServerSpec
+	for _, spec := range specs {
+		if !seen[spec.Label()] {
+			seen[spec.Label()] = true
+			out = append(out, spec)
+		}
+	}
+	return out
+}
+
+// waitCond blocks on c until ready reports true (returns true) or ctx is
+// done first (returns false). ready runs with c.L held and is checked
+// before ctx, so a wait that is already satisfied never fails; ctx
+// cancellation broadcasts c so the wait observes it.
+func waitCond(ctx context.Context, c *sync.Cond, ready func() bool) bool {
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, func() {
+			c.L.Lock()
+			c.Broadcast()
+			c.L.Unlock()
+		})()
+	}
+	c.L.Lock()
+	defer c.L.Unlock()
+	for !ready() {
+		if ctx.Err() != nil {
+			return false
+		}
+		c.Wait()
+	}
+	return true
+}
+
+// Execute runs one placed unit on a server of the given capability: the
+// one execution path behind the loopback and every fleet worker. The job
+// runs on spec.Config (its own Config is ignored). A software server
+// simulates the whole transcode (core.Run) and reports the profile's
+// seconds. An accelerator runs the encode alone (core.EncodeOnly) — same
+// bits, no profile — and takes its wall clock from the closed-form
+// backend.DefaultAccel model over the unit's frames; options outside its
+// surface are an error, since placement never sends them there. The
+// result's Stream is set only when job.KeepStream is.
+func Execute(ctx context.Context, spec backend.ServerSpec, job core.Job) (float64, *core.Result, error) {
+	job.Config = spec.Config
+	if spec.Backend != backend.Accel {
+		res, err := core.Run(ctx, job)
+		if err != nil {
+			return 0, nil, err
+		}
+		return res.Report.Seconds, res, nil
+	}
+	accel := backend.DefaultAccel()
+	if !accel.Accepts(job.Options) {
+		return 0, nil, errors.New("serve: options outside the accelerator's surface")
+	}
+	pw, ph, frames, err := core.ProxyDims(job.Workload)
+	if err != nil {
+		return 0, nil, err
+	}
+	if !job.Segment.IsZero() {
+		frames = job.Segment.Len()
+	}
+	res, err := core.EncodeOnly(ctx, job)
+	if err != nil {
+		return 0, nil, err
+	}
+	if !job.KeepStream {
+		res.Stream = nil
+	}
+	return accel.Seconds(frames, pw, ph), res, nil
+}
+
 // --- loopback -------------------------------------------------------------------
 
 // loopback is the in-process transport: the fleet is simulated by running
-// every placed job through core.Run on the shared exec stream, one busy
+// every placed job through Execute on the shared exec stream, one busy
 // flag per configured server. It is the transport behind RunComparison and
 // any serve instance without Fleet options.
 type loopback struct {
 	fleet   sched.Fleet // per-server specs
-	accel   backend.AccelModel
 	workers int
 	proto   core.Workload
 	metrics *obs.Registry
@@ -99,7 +176,6 @@ type loopback struct {
 func newLoopback(cfg Config, reg *obs.Registry) *loopback {
 	l := &loopback{
 		fleet:   cfg.Servers,
-		accel:   backend.DefaultAccel(),
 		workers: cfg.Workers,
 		proto:   cfg.Proto,
 		metrics: reg,
@@ -115,7 +191,7 @@ func (l *loopback) open(ctx context.Context) {
 	l.stream = exec.Pool{Workers: l.workers, Metrics: l.metrics}.Stream(ctx)
 }
 
-func (l *loopback) size() int { return len(l.fleet) }
+func (l *loopback) specs() []backend.ServerSpec { return l.fleet }
 
 func (l *loopback) freeSlots() []slot {
 	l.mu.Lock()
@@ -123,43 +199,14 @@ func (l *loopback) freeSlots() []slot {
 	var out []slot
 	for i, b := range l.busy {
 		if !b {
-			out = append(out, slot{id: "local-" + itoa(i), label: l.fleet[i].Label(), spec: l.fleet[i]})
+			out = append(out, slot{id: "local-" + strconv.Itoa(i), label: l.fleet[i].Label(), spec: l.fleet[i]})
 		}
 	}
 	return out
 }
 
-func (l *loopback) classes() []backend.ServerSpec {
-	seen := make(map[string]bool)
-	var out []backend.ServerSpec
-	for _, spec := range l.fleet {
-		if !seen[spec.Label()] {
-			seen[spec.Label()] = true
-			out = append(out, spec)
-		}
-	}
-	return out
-}
-
-// waitFree blocks until at least one server is free; false means ctx
-// canceled first.
 func (l *loopback) waitFree(ctx context.Context) bool {
-	if ctx.Done() != nil {
-		defer context.AfterFunc(ctx, func() {
-			l.mu.Lock()
-			l.cond.Broadcast()
-			l.mu.Unlock()
-		})()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.free == 0 {
-		if ctx.Err() != nil {
-			return false
-		}
-		l.cond.Wait()
-	}
-	return true
+	return waitCond(ctx, l.cond, func() bool { return l.free > 0 })
 }
 
 func (l *loopback) start(ctx context.Context, sl slot, tk *queue.Ticket[*record], finish func(outcome)) error {
@@ -178,28 +225,13 @@ func (l *loopback) start(ctx context.Context, sl slot, tk *queue.Ticket[*record]
 	l.mu.Unlock()
 
 	rec := tk.Payload()
+	spec := l.fleet[i]
 	if err := l.stream.Submit(ctx, func(jctx context.Context) error {
-		spec := l.fleet[i]
 		w := l.proto
 		w.Video = rec.task.Video
-		job := core.Job{Workload: w, Options: rec.opts, Config: spec.Config, Segment: rec.seg, KeepStream: rec.wantStream}
-		if spec.Backend == backend.Accel {
-			// Fixed-function path: the encode runs with no uarch simulation
-			// attached (same bits, no profile) and the wall clock comes from
-			// the accelerator's closed-form throughput model.
-			res, err := core.EncodeOnly(jctx, job)
-			l.release(i)
-			if err != nil {
-				finish(outcome{config: spec.Label(), spec: spec, err: err})
-				return err
-			}
-			finish(outcome{
-				seconds: l.accel.Seconds(rec.frames(), rec.pw, rec.ph),
-				config:  spec.Label(), spec: spec, stream: res.Stream,
-			})
-			return nil
-		}
-		res, err := core.Run(jctx, job)
+		seconds, res, err := Execute(jctx, spec, core.Job{
+			Workload: w, Options: rec.opts, Segment: rec.seg, KeepStream: rec.wantStream,
+		})
 		// Release before finishing: a closed-loop client that saw the job
 		// settle must find the fleet capacity already restored.
 		l.release(i)
@@ -207,7 +239,7 @@ func (l *loopback) start(ctx context.Context, sl slot, tk *queue.Ticket[*record]
 			finish(outcome{config: spec.Label(), spec: spec, err: err})
 			return err
 		}
-		finish(outcome{seconds: res.Report.Seconds, report: res.Report, config: spec.Label(), spec: spec, stream: res.Stream})
+		finish(outcome{seconds: seconds, report: res.Report, config: spec.Label(), spec: spec, stream: res.Stream})
 		return nil
 	}); err != nil {
 		l.release(i)
@@ -232,17 +264,11 @@ func (l *loopback) close() {
 	}
 }
 
-// index resolves a loopback slot id back to its pool index.
+// index resolves a loopback slot id back to its fleet index.
 func (l *loopback) index(id string) (int, error) {
 	var i int
 	if _, err := fmt.Sscanf(id, "local-%d", &i); err != nil || i < 0 || i >= len(l.fleet) {
 		return 0, fmt.Errorf("serve: unknown loopback slot %q", id)
 	}
 	return i, nil
-}
-
-// itoa is a stdlib-free decimal render for small non-negative ints (slot
-// ids); the sched package keeps its own full-range variant.
-func itoa(v int) string {
-	return fmt.Sprintf("%d", v)
 }

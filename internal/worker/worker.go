@@ -1,8 +1,9 @@
 // Package worker is the execution half of the distributed serving layer:
 // a pull-based transcoding worker that registers with an orchestrator
 // (internal/serve in fleet mode) over HTTP, heartbeats with live load
-// telemetry, long-polls for leased jobs when idle, runs them through the
-// shared core pipeline, and streams results back. Registration is
+// telemetry, long-polls for leased jobs when idle, runs them through
+// serve.Execute (the path the in-process loopback runs too), and streams
+// results back. Registration is
 // idempotent — every heartbeat and poll upserts the worker — so a worker
 // that crashes can simply restart under the same id and rejoin; any job it
 // was holding is released by the orchestrator's lease machinery (instantly
@@ -76,7 +77,6 @@ type workerMetrics struct {
 type Worker struct {
 	opts   Options
 	spec   backend.ServerSpec // resolved economic capability
-	accel  backend.AccelModel
 	base   string
 	client *http.Client
 	met    workerMetrics
@@ -123,7 +123,6 @@ func New(opts Options) (*Worker, error) {
 			Backend: opts.Backend, Config: opts.Config,
 			PriceCentsHour: opts.PriceCentsHour, Spot: opts.Spot,
 		}.FillDefaults(),
-		accel:  backend.DefaultAccel(),
 		base:   opts.Orchestrator,
 		client: client,
 		met: workerMetrics{
@@ -197,25 +196,18 @@ func (w *Worker) execute(ctx context.Context, a serve.Assignment) {
 	if opts, err := task.Options(); err != nil {
 		rep.Error = err.Error()
 	} else {
-		job := core.Job{
+		seconds, res, err := serve.Execute(jctx, w.spec, core.Job{
 			Workload:   core.Workload{Video: a.Video, Frames: a.Frames, Scale: a.Scale, Seed: a.Seed},
 			Options:    opts,
-			Config:     w.opts.Config,
 			Segment:    codec.Segment{Start: a.SegStart, End: a.SegEnd},
 			KeepStream: a.WantStream,
-		}
-		if w.opts.Backend == backend.Accel {
-			w.executeAccel(jctx, job, &rep)
+		})
+		if err != nil {
+			rep.Error = err.Error()
 		} else {
-			res, err := core.Run(jctx, job)
-			if err != nil {
-				rep.Error = err.Error()
-			} else {
-				rep.Seconds = res.Report.Seconds
+			rep.Seconds, rep.Stream = seconds, res.Stream
+			if res.Report != nil {
 				rep.Topdown = &res.Report.Topdown
-				if a.WantStream {
-					rep.Stream = res.Stream
-				}
 			}
 		}
 		if pad := w.opts.MinJobTime - time.Since(started); pad > 0 {
@@ -239,35 +231,6 @@ func (w *Worker) execute(ctx context.Context, a serve.Assignment) {
 		w.mu.Lock()
 		w.jobsDone++
 		w.mu.Unlock()
-	}
-}
-
-// executeAccel is the fixed-function execution path: the encode runs with
-// no uarch simulation attached (identical bitstream, no profile) and the
-// reported wall clock comes from the accelerator's closed-form throughput
-// model. Jobs outside the ASIC's option surface are rejected — placement
-// never sends them here, so an arrival is a real error worth surfacing.
-func (w *Worker) executeAccel(ctx context.Context, job core.Job, rep *serve.ResultReport) {
-	if !w.accel.Accepts(job.Options) {
-		rep.Error = "worker: options outside the accelerator's surface"
-		return
-	}
-	pw, ph, frames, err := core.ProxyDims(job.Workload)
-	if err != nil {
-		rep.Error = err.Error()
-		return
-	}
-	if job.Segment.End > job.Segment.Start {
-		frames = job.Segment.End - job.Segment.Start
-	}
-	res, err := core.EncodeOnly(ctx, job)
-	if err != nil {
-		rep.Error = err.Error()
-		return
-	}
-	rep.Seconds = w.accel.Seconds(frames, pw, ph)
-	if job.KeepStream {
-		rep.Stream = res.Stream
 	}
 }
 

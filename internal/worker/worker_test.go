@@ -1,11 +1,16 @@
 package worker
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
@@ -169,6 +174,48 @@ func TestWorkerCrashMidJobReassigns(t *testing.T) {
 	snap := reg.Snapshot()
 	if snap.CounterTotal("fleet_lease_reassigned") == 0 {
 		t.Fatal("no lease reassignment recorded")
+	}
+}
+
+// TestAccelWorkerRejectsOutsideSurface pins the accelerator-surface check in
+// serve.Execute: an accel worker handed options it cannot run posts a
+// result error and the job fails instead of hanging. Placement never makes
+// that assignment, so the test misregisters the worker — a proxy rewrites
+// its advertised backend to software on the way in.
+func TestAccelWorkerRejectsOutsideSurface(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, ts, cancel := startFleet(t, 5*time.Second, reg)
+	h := s.Handler()
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		body = bytes.ReplaceAll(body, []byte(`"backend":"accel"`), []byte(`"backend":"software"`))
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		r.ContentLength = int64(len(body))
+		h.ServeHTTP(w, r)
+	}))
+	stop, done := startWorker(t, proxy.URL, "w-accel", uarch.Baseline(), Options{Backend: backend.Accel})
+	defer func() {
+		cancel()
+		s.Stop()
+		stop()
+		<-done
+		proxy.Close()
+		ts.Close()
+	}()
+
+	// Eight reference frames is outside the accelerator's surface (<= 4).
+	view, err := s.Submit(context.Background(), serve.JobRequest{Video: "bbb", Refs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wctx, wcancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer wcancel()
+	final, err := s.WaitJob(wctx, view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != serve.StateFailed || !strings.Contains(final.Error, "outside the accelerator") {
+		t.Fatalf("job ended %s (%q), want failed outside the accelerator's surface", final.State, final.Error)
 	}
 }
 

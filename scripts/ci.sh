@@ -34,6 +34,12 @@ if grep -rnE 'parallel[W]orkers|encodeRows[P]arallel|opt\.[W]orkers' --include='
 # of them: the column parse, its replay paths and the multi-sink fan-out
 # were deleted.
 if grep -rnE 'Parse[F]rom|Replay[M]ulti|Replay[P]arsed|\.Col[u]mns\(' --include='*.go' --include='*.sh' --include='*.yml' .; then exit 1; fi
+# One fleet type (sched.Fleet; a uniform software fleet is SoftwareFleet,
+# a flag's is backend.ParseFleet) and one smart scheduler over it; Job has
+# no encode-only knob (that is core.EncodeOnly); vprof's two roofline
+# constants replaced the roofline package. The names are word-bounded so
+# the tests that kept their names (TestUniformPool, ...) do not match.
+if grep -rnE '\bUniform[P]ool\b|\bPoolBy[N]ames\b|\bFleetFrom[P]ool\b|\bAssign[P]ool\b|Skip[D]ecode|internal/[r]oofline|sched\.P[o]ol\b' --include='*.go' --include='*.sh' --include='*.yml' .; then exit 1; fi
 
 go vet ./...
 go build ./...

@@ -256,26 +256,15 @@ func SweepVideos(ctx context.Context, videos []string, frames, scale int, base O
 
 // --- compiler optimization studies ---------------------------------------------
 
-// TrainAutoFDO runs a training encode of the workload and returns the
-// FDO-optimized code image for use in Job.Image.
+// TrainAutoFDO runs a training transcode of the workload's mezzanine — the
+// stream Profile transcodes — and returns the FDO-optimized code image for
+// use in Job.Image.
 func TrainAutoFDO(w Workload, opt Options) (*trace.Image, error) {
-	col := autofdo.NewCollector()
-	frames, err := synthesizeWorkload(w)
+	stream, err := core.Mezzanine(context.TODO(), w)
 	if err != nil {
 		return nil, err
 	}
-	info, err := vbench.ByName(w.Video)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := codec.NewEncoder(frames[0].Width, frames[0].Height, info.FPS, opt, col)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := enc.EncodeAll(frames); err != nil {
-		return nil, err
-	}
-	return col.Profile().Apply(trace.NewImage(nil), autofdo.Options{}), nil
+	return autofdo.Train(stream, opt)
 }
 
 // GraphiteTuning returns the codec loop tuning produced by the paper's
@@ -285,25 +274,6 @@ func GraphiteTuning(f GraphiteFlags) Tuning { return f.Tuning() }
 // AllGraphiteFlags is the paper's -floop-interchange
 // -ftree-loop-distribution -floop-block combination.
 func AllGraphiteFlags() GraphiteFlags { return graphite.All() }
-
-func synthesizeWorkload(w Workload) ([]*Frame, error) {
-	info, err := vbench.ByName(w.Video)
-	if err != nil {
-		return nil, err
-	}
-	frames := w.Frames
-	if frames <= 0 {
-		frames = 16
-	}
-	scale := w.Scale
-	if scale <= 0 {
-		scale = info.Height / 192
-		if scale < 1 {
-			scale = 1
-		}
-	}
-	return Synthesize(w.Video, frames, scale)
-}
 
 // --- scheduling ------------------------------------------------------------------
 
@@ -326,20 +296,6 @@ func SchedulerSpeedup(base, x []float64) float64 { return sched.Speedup(base, x)
 
 // --- fleet-scale scheduling (extension of the paper's case study) ---------------
 
-// ServerPool is a heterogeneous fleet of servers (configurations may
-// repeat).
-type ServerPool = sched.Pool
-
 // GenerateTasks deterministically samples n transcoding tasks across the
 // catalog and parameter space.
 func GenerateTasks(n int, seed uint64) []Task { return sched.GenerateTasks(n, seed) }
-
-// UniformPool builds a fleet with `each` servers of every configuration.
-func UniformPool(configs []Config, each int) ServerPool { return sched.UniformPool(configs, each) }
-
-// AssignPool places tasks one-to-one onto a fleet by characterization
-// affinity, generalizing the paper's smart scheduler. It fails when the
-// pool has fewer servers than there are tasks.
-func AssignPool(tasks []Task, baselineReports []*Report, pool ServerPool) ([]int, error) {
-	return sched.AssignPool(tasks, baselineReports, pool)
-}

@@ -4,7 +4,12 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"reflect"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/opt/autofdo"
+	"repro/internal/sched"
 )
 
 func testWorkload(video string) Workload {
@@ -120,6 +125,29 @@ func TestTrainAutoFDOProducesFasterImage(t *testing.T) {
 	}
 }
 
+// TestTrainAutoFDOTrainsOnTheMezzanine pins the facade to the job it
+// optimizes: at auto scale it trains on the workload's decoded mezzanine,
+// the stream Profile transcodes, exactly as cmd/paper's Figure 8 does.
+func TestTrainAutoFDOTrainsOnTheMezzanine(t *testing.T) {
+	w := Workload{Video: "desktop", Frames: 4}
+	opt := DefaultOptions()
+	got, err := TrainAutoFDO(w, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream, err := core.Mezzanine(context.Background(), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := autofdo.Train(stream, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("TrainAutoFDO's image differs from the one trained on the workload's mezzanine")
+	}
+}
+
 func TestGraphiteTuningFacade(t *testing.T) {
 	tn := GraphiteTuning(AllGraphiteFlags())
 	if !tn.FuseDeblock || !tn.InterchangeResidual || !tn.DistributeLookahead {
@@ -177,10 +205,8 @@ func TestFleetFacade(t *testing.T) {
 	if len(tasks) != 6 {
 		t.Fatalf("%d tasks", len(tasks))
 	}
-	pool := UniformPool(Configs()[1:], 2)
-	if len(pool) != 8 {
-		t.Fatalf("pool size %d", len(pool))
-	}
+	// A fleet with two servers of each optimized configuration.
+	configs := append(Configs()[1:], Configs()[1:]...)
 	// Synthetic baseline reports route tasks without simulation.
 	reports := make([]*Report, len(tasks))
 	for i := range reports {
@@ -188,13 +214,13 @@ func TestFleetFacade(t *testing.T) {
 		reports[i].Topdown.MemBound = float64(10 + i*5)
 		reports[i].Topdown.FrontEnd = float64(30 - i*5)
 	}
-	assign, err := AssignPool(tasks, reports, pool)
+	assign, err := sched.SmartAssignment(tasks, reports, configs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
 	for _, si := range assign {
-		if si < 0 || si >= len(pool) || seen[si] {
+		if si < 0 || si >= len(configs) || seen[si] {
 			t.Fatalf("invalid assignment %v", assign)
 		}
 		seen[si] = true
