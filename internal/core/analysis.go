@@ -96,7 +96,8 @@ func (e *Engine) parsedAnalysisTrace(ctx context.Context, w Workload, dopt codec
 // analysisMachine returns the cached post-decode, post-lookahead machine
 // snapshot, building it on first use by thawing the decode snapshot,
 // replaying the shared parsed view of the artifact's recorded events
-// into that machine and freezing it again.
+// into that machine and freezing it again, sharing cache levels with the
+// title's other landed configurations as decodedMachine does.
 func (e *Engine) analysisMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, a *codec.Analysis) (*uarch.Snapshot, error) {
 	w, err := w.normalized()
 	if err != nil {
@@ -114,6 +115,7 @@ func (e *Engine) analysisMachine(ctx context.Context, w Workload, dopt codec.Dec
 			return nil, err
 		}
 		m.ReplayEvents(parsed)
-		return m.Snapshot(), nil
+		siblings := e.anaSnap.landed(func(k anaSnapKey) bool { return k.w == w && k.dopt == dopt && k.p == a.Params })
+		return m.Snapshot(siblings...), nil
 	})
 }

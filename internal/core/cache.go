@@ -137,6 +137,22 @@ func (c *flightCache[K, V]) get(ctx context.Context, k K, build func() (V, error
 	}
 }
 
+// landed returns the values of the built, resident entries whose key
+// matches, read under the budget lock. A build still in flight is not
+// listed.
+func (c *flightCache[K, V]) landed(match func(K) bool) []V {
+	mu := c.locker()
+	mu.Lock()
+	defer mu.Unlock()
+	var out []V
+	for k, e := range c.m {
+		if e.elem != nil && e.err == nil && match(k) {
+			out = append(out, e.val)
+		}
+	}
+	return out
+}
+
 // land charges a finished build to the budget and evicts down to it.
 func (c *flightCache[K, V]) land(k K, e *flightEntry[V]) {
 	b := c.lru

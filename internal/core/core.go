@@ -134,13 +134,16 @@ type Result struct {
 
 // --- engine --------------------------------------------------------------------
 
-// DefaultCacheBudget bounds what the default engine retains. Chosen from
-// measurement (DESIGN.md §13, "PR 23, measured", re-measured in "PR 29,
-// measured"): the largest set any bench workload reuses is serve_ladder's
-// 38.7 MB; serve_fleet holds 13.5 MB and sweep_warm 2.8 MB. A
-// crf-refs grid on one CLI-size title (16 frames of about 256 lines) fits
-// with nothing evicted. A set bigger than this still runs, to the same bits;
-// it rebuilds what was evicted, as the videos scan does.
+// DefaultCacheBudget bounds what the default engine retains, in charged
+// bytes: a snapshot is charged every cache level it holds, including the
+// levels it shares with its siblings, so the heap behind a full budget is
+// smaller. Chosen from measurement (DESIGN.md §13, "PR 23, measured",
+// re-measured in "PR 29, measured"): the largest set any bench workload
+// reuses is charged 38.7 MB (serve_ladder); serve_fleet's is charged
+// 13.5 MB and sweep_warm's 2.8 MB. A crf-refs grid on one CLI-size title
+// (16 frames of about 256 lines) fits with nothing evicted. A set bigger
+// than this still runs, to the same bits; it rebuilds what was evicted, as
+// the videos scan does.
 const DefaultCacheBudget = 64 << 20
 
 // Engine owns the cached half of the pipeline. A title's decode side is
@@ -369,6 +372,8 @@ type snapKey struct {
 // use by replaying the shared parsed view of the recorded decode trace
 // into a fresh machine (one validation serves every configuration) and
 // freezing it. A Snapshot takes no events: each job thaws its own Machine.
+// The freeze shares each cache level with the title's other landed
+// configurations whose level ended in the same state.
 func (e *Engine) decodedMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config) (*uarch.Snapshot, error) {
 	w, err := w.normalized()
 	if err != nil {
@@ -381,7 +386,8 @@ func (e *Engine) decodedMachine(ctx context.Context, w Workload, dopt codec.Deco
 			return nil, err
 		}
 		m.ReplayEvents(parsed)
-		return m.Snapshot(), nil
+		siblings := e.snap.landed(func(k snapKey) bool { return k.w == w && k.opt == dopt })
+		return m.Snapshot(siblings...), nil
 	})
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/codec"
@@ -57,6 +58,68 @@ func TestSnapshotFootprint(t *testing.T) {
 		if got <= 0 || got > dense/4 {
 			t.Errorf("%s: snapshot retains %d B, want at most a quarter of the %d B of dense keys", cfg.Name, got, dense)
 		}
+	}
+}
+
+// TestSnapshotLayersShareLevels: a title's five decode and five analysis
+// snapshots share the frozen cache levels their configurations cannot
+// tell apart, so building them grows the heap by well under what they are
+// charged — each snapshot is charged every level it holds, shared or not.
+// The title's upstream layers are built first, so that only the ten
+// snapshots land between the two heap readings. Each decode snapshot also
+// retains its machine's code image and fetch tables, which no layer is
+// charged for; snapshots of five empty machines measure that part, and it
+// is taken off the growth.
+func TestSnapshotLayersShareLevels(t *testing.T) {
+	ctx, w, dopt := context.Background(), footprintWorkload(), codec.DecoderOptions{}
+	eng := NewEngine(DefaultCacheBudget)
+	a, err := eng.sharedAnalysis(ctx, w, dopt, codec.Defaults(), codec.Segment{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.ParsedDecodeTrace(ctx, w, dopt); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.parsedAnalysisTrace(ctx, w, dopt, a); err != nil {
+		t.Fatal(err)
+	}
+	heapAfterGC := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+
+	before := heapAfterGC()
+	var empty []*uarch.Snapshot
+	uncharged := int64(0)
+	for _, cfg := range uarch.TableIV() {
+		s := uarch.NewMachine(cfg, trace.NewImage(nil)).Snapshot()
+		empty = append(empty, s)
+		uncharged -= int64(s.SizeBytes())
+	}
+	uncharged += heapAfterGC() - before
+
+	before = heapAfterGC()
+	var charged int64
+	for _, cfg := range uarch.TableIV() {
+		dec, err := eng.decodedMachine(ctx, w, dopt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ana, err := eng.analysisMachine(ctx, w, dopt, cfg, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		charged += int64(dec.SizeBytes() + ana.SizeBytes())
+	}
+	grown := heapAfterGC() - before - uncharged
+	runtime.KeepAlive(eng)
+	runtime.KeepAlive(empty)
+	t.Logf("ten snapshots charged %d B, heap grew %d B beyond %d B of code images and fetch tables (%.1f%%)",
+		charged, grown, uncharged, 100*float64(grown)/float64(charged))
+	if grown > charged*6/10 {
+		t.Errorf("ten snapshots grew the heap by %d B of the %d B they are charged, want at most 60%%", grown, charged)
 	}
 }
 

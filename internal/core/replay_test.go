@@ -56,6 +56,64 @@ func TestReplayMachineEquivalence(t *testing.T) {
 	}
 }
 
+// TestResultLevelConservation checks the simulator's per-level
+// bookkeeping on the machine states core hands out: every access below
+// the L1s is a miss of the level above it. The L2 serves exactly the L1i
+// and L1d misses, every instruction fetch consults the iTLB, the L3 serves
+// the L2 misses (and, with the next-line prefetcher, also the lines it
+// pushes past an L2 hit), and an L4 serves the L3 misses. Checked on a
+// thawed decode snapshot and again after a real encode into it, on every
+// configuration.
+func TestResultLevelConservation(t *testing.T) {
+	ctx, w, dopt := context.Background(), Workload{Video: "cricket", Frames: 4, Scale: 16}, codec.DecoderOptions{}
+	eng := NewEngine(DefaultCacheBudget)
+	frames, _, err := eng.DecodedMezzanine(ctx, w, dopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, info, err := sourceFrames(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, cfg uarch.Config, r *uarch.Result) {
+		t.Helper()
+		if r.L2.Accesses != r.L1I.Misses+r.L1D.Misses {
+			t.Errorf("%s: L2 accesses %d, L1i+L1d misses %d", what, r.L2.Accesses, r.L1I.Misses+r.L1D.Misses)
+		}
+		if r.ITLB.Accesses != r.L1I.Accesses {
+			t.Errorf("%s: iTLB accesses %d, L1i accesses %d", what, r.ITLB.Accesses, r.L1I.Accesses)
+		}
+		if l3, l2 := r.L3.Accesses, r.L2.Misses; l3 < l2 || l3 != l2 && !cfg.NextLinePrefetch {
+			t.Errorf("%s: L3 accesses %d, L2 misses %d", what, l3, l2)
+		}
+		if cfg.L4 != nil && r.L4.Accesses != r.L3.Misses {
+			t.Errorf("%s: L4 accesses %d, L3 misses %d", what, r.L4.Accesses, r.L3.Misses)
+		}
+		if r.L1I.Misses == 0 || r.L1D.Misses == 0 || r.L2.Misses == 0 {
+			t.Errorf("%s: an idle level proves nothing: %+v", what, r)
+		}
+	}
+	for _, cfg := range uarch.Extended() {
+		snap, err := eng.decodedMachine(ctx, w, dopt, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := snap.Machine()
+		check(cfg.Name+" after decode", cfg, m.Result())
+		input := cloneFrames(frames)
+		enc, err := codec.NewEncoder(input[0].Width, input[0].Height, info.FPS, codec.Defaults(), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := enc.EncodeAll(input); err != nil {
+			t.Fatal(err)
+		}
+		r := m.Result()
+		check(cfg.Name+" after encode", cfg, r)
+		t.Logf("%-8s L2 %d = %d L1 misses, L3 %d vs %d L2 misses", cfg.Name, r.L2.Accesses, r.L1I.Misses+r.L1D.Misses, r.L3.Accesses, r.L2.Misses)
+	}
+}
+
 // referenceTranscode is the oracle every Run equivalence test is pinned
 // against: the job's transcode with no cache layer and no shared artifact
 // anywhere — the mezzanine is encoded here, decoded live into a fresh

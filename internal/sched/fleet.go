@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"strconv"
+
 	"repro/internal/codec"
 	"repro/internal/perf"
 	"repro/internal/uarch"
@@ -32,7 +34,7 @@ func GenerateTasks(n int, seed uint64) []Task {
 	}
 	for i := range out {
 		out[i] = Task{
-			Name:   "job" + itoa(i),
+			Name:   "job" + strconv.Itoa(i),
 			Video:  videos[next(len(videos))],
 			CRF:    10 + next(35),
 			Refs:   1 + next(8),
@@ -40,34 +42,6 @@ func GenerateTasks(n int, seed uint64) []Task {
 		}
 	}
 	return out
-}
-
-// itoa renders v in decimal. The buffer covers the full int range
-// (20 bytes: 19 digits of -math.MinInt64 plus the sign); the previous
-// fixed [8]byte version silently truncated nine-digit task indices.
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	// Negate via unsigned so math.MinInt64 (whose negation overflows int)
-	// still renders correctly.
-	u := uint64(v)
-	if neg {
-		u = -u
-	}
-	var buf [20]byte
-	i := len(buf)
-	for u > 0 {
-		i--
-		buf[i] = byte('0' + u%10)
-		u /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }
 
 // AssignDynamicBiased is the dynamic-fleet variant of SmartAssignment: it

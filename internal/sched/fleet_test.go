@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"math"
-	"strconv"
 	"testing"
 
 	"repro/internal/perf"
@@ -92,21 +90,6 @@ func TestAssignPoolOverloadErrors(t *testing.T) {
 	reports := []*perf.Report{{}, {}, {}}
 	if _, err := SmartAssignment(tasks, reports, []uarch.Config{uarch.Baseline()}); err == nil {
 		t.Fatal("3 tasks on a 1-server fleet must return an error")
-	}
-}
-
-func TestItoaBoundaries(t *testing.T) {
-	cases := []int{0, 1, 9, 10, 99999999, 100000000, 123456789, 2147483647, -1, -100000000}
-	for _, v := range cases {
-		if got, want := itoa(v), strconv.Itoa(v); got != want {
-			t.Errorf("itoa(%d) = %q, want %q", v, got, want)
-		}
-	}
-	if got, want := itoa(math.MaxInt64), strconv.Itoa(math.MaxInt64); got != want {
-		t.Errorf("itoa(MaxInt64) = %q, want %q", got, want)
-	}
-	if got, want := itoa(math.MinInt64), strconv.Itoa(math.MinInt64); got != want {
-		t.Errorf("itoa(MinInt64) = %q, want %q", got, want)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,11 +90,15 @@ func TestSegmentedJobGraph(t *testing.T) {
 	}
 }
 
+// ladderSharedAnalysisRuns counts TestLadderSharedAnalysis invocations, so
+// that each (go test -count=N repeats it) gets a title of its own.
+var ladderSharedAnalysisRuns atomic.Uint64
+
 // TestLadderSharedAnalysis pins the N-1 cache-hit contract: every rung of
 // an ABR ladder reuses the one shared codec.Analysis artifact of its
 // (video, segment), so N rungs cost exactly one analysis build plus N-1
-// cache hits. The workload carries a unique content seed so the global
-// core caches are guaranteed cold at entry.
+// cache hits. The workload carries a content seed no other test or earlier
+// invocation used, so the process-wide core caches are cold for it at entry.
 func TestLadderSharedAnalysis(t *testing.T) {
 	hitKey := obs.Key("core_cache_hits", "cache", "analysis")
 	missKey := obs.Key("core_cache_misses", "cache", "analysis")
@@ -101,7 +106,7 @@ func TestLadderSharedAnalysis(t *testing.T) {
 
 	s := newTestServer(t, Config{
 		Servers: sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 1),
-		Proto:   core.Workload{Frames: 4, Scale: 16, Seed: 0xAB120001},
+		Proto:   core.Workload{Frames: 4, Scale: 16, Seed: 0xAB120000 + ladderSharedAnalysisRuns.Add(1)},
 		Seed:    7,
 	})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -7,6 +7,7 @@ package cache
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 )
 
@@ -142,8 +143,16 @@ type Frozen struct {
 	keys []uint64 // the sets' valid prefixes, back to back
 }
 
-// Freeze captures the cache's contents, recency order and statistics.
-func (c *Cache) Freeze() *Frozen {
+// Freeze captures the cache's contents, recency order and statistics. If
+// one of like already holds exactly that state it is returned instead of a
+// new copy: caches that saw one address stream freeze to one shared Frozen.
+// nil entries of like are skipped.
+func (c *Cache) Freeze(like ...*Frozen) *Frozen {
+	for _, f := range like {
+		if f != nil && f.holds(c) {
+			return f
+		}
+	}
 	f := &Frozen{c: *c, lens: make([]uint16, len(c.keys)/c.assoc)}
 	f.c.keys = nil
 	valid := 0
@@ -161,6 +170,23 @@ func (c *Cache) Freeze() *Frozen {
 		f.keys = append(f.keys, c.keys[set*c.assoc:][:n]...)
 	}
 	return f
+}
+
+// holds reports whether f is c's state, comparing in place: geometry and
+// statistics first, then each set's valid prefix.
+func (f *Frozen) holds(c *Cache) bool {
+	if f.c.cfg != c.cfg || f.c.stats != c.stats || len(f.lens)*c.assoc != len(c.keys) {
+		return false
+	}
+	rest := f.keys
+	for set, n := range f.lens {
+		ways := c.keys[set*c.assoc:][:c.assoc]
+		if int(n) < len(ways) && ways[n] != 0 || !slices.Equal(ways[:n], rest[:n]) {
+			return false
+		}
+		rest = rest[n:]
+	}
+	return true
 }
 
 // Thaw returns a live cache in exactly the frozen state.

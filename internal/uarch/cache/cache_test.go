@@ -310,7 +310,8 @@ func fuzzGeometry(ways, setBits, lineBits uint8) Config {
 // Bit 6 of a stream byte freezes the cache and carries on with the thawed
 // copy, so the frozen form answers to the oracle too: a thaw must restore
 // every way of every set — empty, partly filled and full ones, on one-way
-// caches as on sixteen-way ones — and the statistics.
+// caches as on sixteen-way ones — and the statistics; freezing the
+// unchanged cache again must share the first frozen form, not copy it.
 func FuzzCacheMatchesReference(f *testing.F) {
 	f.Add(uint8(7), uint8(6), uint8(5), []byte("\x00\x01\x02\x00\x09\x01\x00"))
 	f.Add(uint8(0), uint8(0), uint8(0), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0, 1, 0, 2}) // one way, one set, frozen at every access
@@ -330,6 +331,9 @@ func FuzzCacheMatchesReference(f *testing.F) {
 		for i, b := range stream {
 			if b&0x40 != 0 {
 				fz := got.Freeze()
+				if again := got.Freeze(nil, fz); again != fz {
+					t.Fatalf("%+v access %d: refreezing an unchanged cache copied it instead of sharing its frozen form", cfg, i)
+				}
 				thawed := fz.Thaw()
 				if !slices.Equal(thawed.keys, got.keys) || thawed.Stats() != got.Stats() || thawed.Config() != cfg {
 					t.Fatalf("%+v access %d: thaw differs from the cache it was frozen from:\n frozen %v %+v\n thawed %v %+v", cfg, i, got.keys, got.Stats(), thawed.keys, thawed.Stats())
@@ -355,6 +359,44 @@ func FuzzCacheMatchesReference(f *testing.F) {
 			t.Fatalf("%+v: stats %+v, stamp-LRU says %+v", cfg, got.Stats(), want.stats)
 		}
 	})
+}
+
+// TestFreezeSharesOnlyEqualState: Freeze hands back a like exactly when
+// the live cache is in its state — geometry, statistics, and every set's
+// valid lines in recency order — whatever history led there.
+func TestFreezeSharesOnlyEqualState(t *testing.T) {
+	// 2 ways, 2 sets, 64 B lines: set = (addr>>6)&1.
+	geom := Config{Name: "t", Size: 256, LineSize: 64, Assoc: 2}
+	freeze := func(cfg Config, stream ...uint64) *Cache {
+		c := New(cfg)
+		for _, a := range stream {
+			c.Access(a)
+		}
+		return c
+	}
+	base := freeze(geom, 0x100, 0x000, 0x080).Freeze() // set 0 = [0x080 0x000], 0x100 evicted
+	for _, tc := range []struct {
+		name   string
+		c      *Cache
+		shared bool
+	}{
+		{"same stream", freeze(geom, 0x100, 0x000, 0x080), true},
+		{"same state, another evicted line", freeze(geom, 0x200, 0x000, 0x080), true},
+		{"recency order", freeze(geom, 0x100, 0x080, 0x000), false},
+		{"another line", freeze(geom, 0x100, 0x000, 0x180), false},
+		{"a line more in the other set", freeze(geom, 0x000, 0x080, 0x040), false},
+		{"statistics", freeze(geom, 0x000, 0x080, 0x080), false},
+		{"geometry", freeze(Config{Name: "t", Size: 256, LineSize: 64, Assoc: 4}, 0x100, 0x000, 0x080), false},
+		{"name", freeze(Config{Name: "u", Size: 256, LineSize: 64, Assoc: 2}, 0x100, 0x000, 0x080), false},
+	} {
+		got := tc.c.Freeze(nil, base)
+		if (got == base) != tc.shared {
+			t.Errorf("%s: shared=%v, want %v", tc.name, got == base, tc.shared)
+		}
+		if th := got.Thaw(); !slices.Equal(th.keys, tc.c.keys) || th.Stats() != tc.c.Stats() || th.Config() != tc.c.Config() {
+			t.Errorf("%s: frozen form thaws to %v %+v, the cache is %v %+v", tc.name, th.keys, th.Stats(), tc.c.keys, tc.c.Stats())
+		}
+	}
 }
 
 // The closed-form cases: miss counts that follow from LRU and the geometry

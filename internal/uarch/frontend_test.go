@@ -204,6 +204,69 @@ func checkRunBatching(t *testing.T, cfg Config, img *trace.Image, evs []event) {
 		got.Result().L1I.Accesses, got.lineRuns, got.lineRuns+got.pageRuns)
 }
 
+// TestSnapshotsShareEqualLevels drives the five Table IV machines with one
+// encode trace and snapshots each with the ones before it as siblings. No
+// core parameter or predictor changes the address stream, so baseline,
+// be_op2 and bs_op hold one L1i, L1d, L2, L3 and iTLB; be_op1 (other
+// L1d/L2/L3, an L4) still shares the L1i and iTLB, and fe_op (other
+// L1i/iTLB) the L1d. The snapshots are thawed concurrently — the shared
+// levels are read by several thaws at once (scripts/ci.sh runs this under
+// -race) — and each thawed machine must replay the trace again onto the
+// counters of the machine it was frozen from.
+func TestSnapshotsShareEqualLevels(t *testing.T) {
+	parsed := encodeTrace(t)
+	img := trace.NewImage(nil)
+	cfgs := TableIV()
+	machines := make([]*Machine, len(cfgs))
+	snaps := make(map[string]*Snapshot)
+	var like []*Snapshot
+	for i, cfg := range cfgs {
+		machines[i] = NewMachine(cfg, img)
+		machines[i].ReplayEvents(parsed)
+		s := machines[i].Snapshot(like...)
+		snaps[cfg.Name] = s
+		like = append(like, s)
+	}
+	const l1i, l1d, l2, l3, itlb = 0, 1, 2, 3, 5
+	names := [...]string{"l1i", "l1d", "l2", "l3", "l4", "itlb"}
+	for _, c := range []struct {
+		a, b   string
+		shared []int
+	}{
+		{"baseline", "be_op2", []int{l1i, l1d, l2, l3, itlb}},
+		{"baseline", "bs_op", []int{l1i, l1d, l2, l3, itlb}},
+		{"baseline", "be_op1", []int{l1i, itlb}},
+		{"baseline", "fe_op", []int{l1d}},
+	} {
+		a, b := snaps[c.a], snaps[c.b]
+		for _, lvl := range c.shared {
+			if a.levels[lvl] != b.levels[lvl] {
+				t.Errorf("%s and %s hold separate copies of the %s", c.a, c.b, names[lvl])
+			}
+		}
+	}
+	if snaps["baseline"].levels[l1i] == snaps["fe_op"].levels[l1i] {
+		t.Errorf("baseline and fe_op share an L1i of different geometry")
+	}
+	var wg sync.WaitGroup
+	thawed := make([]*Machine, len(cfgs))
+	for i, s := range like {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			thawed[i] = s.Machine()
+			thawed[i].ReplayEvents(parsed)
+		}()
+	}
+	wg.Wait()
+	for i, m := range machines {
+		m.ReplayEvents(parsed)
+		if want, got := m.Result(), thawed[i].Result(); !got.Equal(want) {
+			t.Errorf("%s: thawed from a sharing snapshot, diverged on replay:\n want %+v\n got  %+v", cfgs[i].Name, want, got)
+		}
+	}
+}
+
 // benchSink keeps the benchmarked copies alive past the optimizer.
 var benchSink *Machine
 

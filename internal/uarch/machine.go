@@ -173,7 +173,9 @@ var _ trace.Sink = (*Machine)(nil)
 // cached state further events is to thaw a private Machine from it.
 // Counters, fetch cursors and the line/page-run state are kept by value,
 // the caches frozen to their valid lines (cache.Frozen), the predictor
-// cloned; the code image and its fetch tables are shared.
+// cloned; the code image and its fetch tables are shared. A frozen level
+// may also be shared with sibling snapshots whose level is in the same
+// state (Machine.Snapshot's like).
 type Snapshot struct {
 	m      Machine // cache pointers nil, pred private to the snapshot
 	levels [6]*cache.Frozen
@@ -184,13 +186,21 @@ func (m *Machine) levels() [6]**cache.Cache {
 	return [6]**cache.Cache{&m.l1i, &m.l1d, &m.l2, &m.l3, &m.l4, &m.itlb}
 }
 
-// Snapshot freezes the machine's current state. m is only read.
-func (m *Machine) Snapshot() *Snapshot {
+// Snapshot freezes the machine's current state. m is only read. Each cache
+// level that is in the same state as that level of one of like is shared
+// with it rather than copied: no core parameter or predictor changes the
+// address stream, so machines that replayed one trace on configurations
+// differing only there freeze to the same caches.
+func (m *Machine) Snapshot(like ...*Snapshot) *Snapshot {
 	s := &Snapshot{m: *m}
 	s.m.pred = m.pred.Clone()
+	sib := make([]*cache.Frozen, len(like))
 	for i, c := range s.m.levels() {
 		if *c != nil {
-			s.levels[i], *c = (*c).Freeze(), nil
+			for j, l := range like {
+				sib[j] = l.levels[i]
+			}
+			s.levels[i], *c = (*c).Freeze(sib...), nil
 		}
 	}
 	return s
@@ -209,8 +219,10 @@ func (s *Snapshot) Machine() *Machine {
 	return &m
 }
 
-// SizeBytes is the heap the snapshot retains beyond what it shares: the
-// fixed part, the predictor and the frozen caches.
+// SizeBytes is the heap the snapshot retains beyond the code image: the
+// fixed part, the predictor and the frozen caches. A level shared with a
+// sibling is counted in full by each snapshot that holds it, so a sum of
+// SizeBytes bounds the heap from above.
 func (s *Snapshot) SizeBytes() int {
 	n := int(unsafe.Sizeof(*s)) + s.m.pred.SizeBytes()
 	for _, f := range s.levels {

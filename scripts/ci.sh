@@ -49,18 +49,21 @@ go test ./...
 # number — so surface them before the long run below. The admission queue
 # and serving layer join the list: their exactly-once guarantee (no job
 # lost or double-executed under concurrent submit/dispatch/cancel) only
-# means something under the race detector.
+# means something under the race detector. The serving tests run twice in
+# one process: a test that only passes on a cold process-wide engine fails
+# its second pass.
 go test -race ./internal/exec/... ./internal/obs/... ./internal/queue/...
-go test -race ./internal/serve/... ./internal/worker/...
-go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSnapshotFootprint|TestEveryCacheLayerReportsBytes|TestEvictedLayerRebuildsBitIdentical|TestEngineSoakHoldsBudget' ./internal/core/...
+go test -race -count=2 ./internal/serve/... ./internal/worker/...
+go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSnapshotFootprint|TestSnapshotLayersShareLevels|TestEveryCacheLayerReportsBytes|TestEvictedLayerRebuildsBitIdentical|TestEngineSoakHoldsBudget' ./internal/core/...
 # Eviction under concurrency is a matter of interleavings — a waiter whose
 # entry is evicted before it wakes, a key rebuilt while its old value is
 # still in use, a canceled builder landing late — so these repeat.
 go test -race -count=10 -run 'TestEngineConcurrentRunsOverBudget|TestFlightCacheBudgetStress|TestFlightCacheCancelDetach|TestFailedEntryAgesOut' ./internal/core/...
 # Sweep workers thaw one shared machine snapshot concurrently: freezing a
 # machine with a live fetch-run count, cloning it and thawing the snapshot
-# must not write to their source.
-go test -race -run 'TestFrontEndRunBatchingEquivalence|TestBlockWalkMatchesRowLoads' ./internal/uarch
+# must not write to their source, and a frozen cache level that several
+# sibling snapshots share is thawed by several workers at once.
+go test -race -run 'TestFrontEndRunBatchingEquivalence|TestSnapshotsShareEqualLevels|TestBlockWalkMatchesRowLoads' ./internal/uarch
 # The fused kernels on both sides of the trace.Sink against the paths they
 # replaced: the one-pass block walk against per-row Load/Store (line above)
 # and the sub-pel cost against scalar interpolation + the staged metric.
