@@ -137,11 +137,11 @@ type Result struct {
 // DefaultCacheBudget bounds what the default engine retains, in charged
 // bytes: a snapshot is charged every cache level it holds, including the
 // levels it shares with its siblings, so the heap behind a full budget is
-// smaller. Chosen from measurement (DESIGN.md §13, "PR 23, measured",
-// re-measured in "PR 29, measured"): the largest set any bench workload
-// reuses is charged 38.7 MB (serve_ladder); serve_fleet's is charged
-// 13.5 MB and sweep_warm's 2.8 MB. A crf-refs grid on one CLI-size title
-// (16 frames of about 256 lines) fits with nothing evicted. A set bigger
+// smaller. Chosen from measurement (DESIGN.md §13, whose latest
+// "measured" entry these figures come from): the largest set any bench
+// workload reuses is charged 26.3 MB (serve_ladder); serve_fleet's is
+// charged 11.1 MB and sweep_warm's 2.2 MB. A crf-refs grid on one
+// CLI-size title (16 frames of about 256 lines) fits with nothing evicted. A set bigger
 // than this still runs, to the same bits; it rebuilds what was evicted, as
 // the videos scan does.
 const DefaultCacheBudget = 64 << 20
@@ -367,6 +367,10 @@ type snapKey struct {
 	cfg uarch.Config
 }
 
+// defaultImage is the compiler-ordered code image every decode machine
+// runs. A machine only reads its image, so one serves them all.
+var defaultImage = trace.NewImage(nil)
+
 // decodedMachine returns the cached post-decode machine snapshot for a
 // (workload, decoder options, configuration) triple, building it on first
 // use by replaying the shared parsed view of the recorded decode trace
@@ -380,7 +384,7 @@ func (e *Engine) decodedMachine(ctx context.Context, w Workload, dopt codec.Deco
 		return nil, err
 	}
 	return e.snap.get(ctx, snapKey{w: w, opt: dopt, cfg: cfg}, func() (*uarch.Snapshot, error) {
-		m := uarch.NewMachine(cfg, trace.NewImage(nil))
+		m := uarch.NewMachine(cfg, defaultImage)
 		parsed, err := e.ParsedDecodeTrace(context.Background(), w, dopt)
 		if err != nil {
 			return nil, err
@@ -400,6 +404,21 @@ func cloneFrames(src []*frame.Frame) []*frame.Frame {
 		out[i] = f.Clone()
 	}
 	return out
+}
+
+// jobInput is a job's private copy of the frames it encodes: the whole
+// cached clip, or a segment job's slice of it. Frames keep their absolute
+// PTS and decoder-assigned bases, so a segment's encode is exactly what
+// codec.EncodeSegment produces for its range, and only that range is
+// copied.
+func jobInput(frames []*frame.Frame, seg codec.Segment) ([]*frame.Frame, error) {
+	if !seg.IsZero() {
+		if err := seg.Validate(len(frames)); err != nil {
+			return nil, err
+		}
+		frames = frames[seg.Start:seg.End]
+	}
+	return cloneFrames(frames), nil
 }
 
 // Run simulates one transcoding job end to end: decode the mezzanine,
@@ -472,18 +491,10 @@ func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
 		}
 		machine.ReplayEvents(parsed)
 	}
-	input := cloneFrames(frames)
-
-	if !job.Segment.IsZero() {
-		// Segment jobs encode a slice of the decoded clip; frames keep their
-		// absolute PTS and decoder-assigned bases, so the per-segment encode
-		// is exactly what codec.EncodeSegment produces for this range.
-		if err := job.Segment.Validate(len(input)); err != nil {
-			return nil, err
-		}
-		input = input[job.Segment.Start:job.Segment.End]
+	input, err := jobInput(frames, job.Segment)
+	if err != nil {
+		return nil, err
 	}
-
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -536,12 +547,9 @@ func (e *Engine) EncodeOnly(ctx context.Context, job Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	input := cloneFrames(frames)
-	if !job.Segment.IsZero() {
-		if err := job.Segment.Validate(len(input)); err != nil {
-			return nil, err
-		}
-		input = input[job.Segment.Start:job.Segment.End]
+	input, err := jobInput(frames, job.Segment)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -36,7 +36,7 @@ func TestEveryCacheLayerReportsBytes(t *testing.T) {
 }
 
 // TestSnapshotFootprint pins the sparse snapshot's gain: after a decode the
-// frozen form of every configuration's machine is at most a quarter of its
+// frozen form of every configuration's machine is at most a tenth of its
 // dense cache arrays (8 bytes a way). (That the thawed machine carries on
 // bit-identically is TestReplayRunEquivalence's business.)
 func TestSnapshotFootprint(t *testing.T) {
@@ -55,21 +55,21 @@ func TestSnapshotFootprint(t *testing.T) {
 		}
 		dense, got := 8*ways, snap.SizeBytes()
 		t.Logf("%-8s snapshot %7d B, dense keys %8d B (%.1f%%)", cfg.Name, got, dense, 100*float64(got)/float64(dense))
-		if got <= 0 || got > dense/4 {
-			t.Errorf("%s: snapshot retains %d B, want at most a quarter of the %d B of dense keys", cfg.Name, got, dense)
+		if got <= 0 || got > dense/10 {
+			t.Errorf("%s: snapshot retains %d B, want at most a tenth of the %d B of dense keys", cfg.Name, got, dense)
 		}
 	}
 }
 
 // TestSnapshotLayersShareLevels: a title's five decode and five analysis
 // snapshots share the frozen cache levels their configurations cannot
-// tell apart, so building them grows the heap by well under what they are
-// charged — each snapshot is charged every level it holds, shared or not.
-// The title's upstream layers are built first, so that only the ten
-// snapshots land between the two heap readings. Each decode snapshot also
-// retains its machine's code image and fetch tables, which no layer is
-// charged for; snapshots of five empty machines measure that part, and it
-// is taken off the growth.
+// tell apart, so building them grows the heap by well under what the same
+// ten machines retain frozen apart. The title's upstream layers are built
+// first, and the default layout's fetch table (one per process), so that
+// only the ten snapshots land between the two heap readings; the control
+// thaws each of them and freezes it again without siblings, which copies
+// every level its snapshot shares. A heap reading collects twice, so that
+// what sync.Pools held at the first reading is gone from the second too.
 func TestSnapshotLayersShareLevels(t *testing.T) {
 	ctx, w, dopt := context.Background(), footprintWorkload(), codec.DecoderOptions{}
 	eng := NewEngine(DefaultCacheBudget)
@@ -85,23 +85,15 @@ func TestSnapshotLayersShareLevels(t *testing.T) {
 	}
 	heapAfterGC := func() int64 {
 		runtime.GC()
+		runtime.GC()
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
 
+	uarch.NewMachine(uarch.Baseline(), defaultImage) // the process's fetch table of the default layout
 	before := heapAfterGC()
-	var empty []*uarch.Snapshot
-	uncharged := int64(0)
-	for _, cfg := range uarch.TableIV() {
-		s := uarch.NewMachine(cfg, trace.NewImage(nil)).Snapshot()
-		empty = append(empty, s)
-		uncharged -= int64(s.SizeBytes())
-	}
-	uncharged += heapAfterGC() - before
-
-	before = heapAfterGC()
-	var charged int64
+	var shared []*uarch.Snapshot
 	for _, cfg := range uarch.TableIV() {
 		dec, err := eng.decodedMachine(ctx, w, dopt, cfg)
 		if err != nil {
@@ -111,15 +103,26 @@ func TestSnapshotLayersShareLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		charged += int64(dec.SizeBytes() + ana.SizeBytes())
+		shared = append(shared, dec, ana)
 	}
-	grown := heapAfterGC() - before - uncharged
+	grown := heapAfterGC() - before
+
+	var thawed []*uarch.Machine
+	for _, s := range shared {
+		thawed = append(thawed, s.Machine())
+	}
+	before = heapAfterGC()
+	var apart []*uarch.Snapshot
+	for _, m := range thawed {
+		apart = append(apart, m.Snapshot())
+	}
+	control := heapAfterGC() - before
 	runtime.KeepAlive(eng)
-	runtime.KeepAlive(empty)
-	t.Logf("ten snapshots charged %d B, heap grew %d B beyond %d B of code images and fetch tables (%.1f%%)",
-		charged, grown, uncharged, 100*float64(grown)/float64(charged))
-	if grown > charged*6/10 {
-		t.Errorf("ten snapshots grew the heap by %d B of the %d B they are charged, want at most 60%%", grown, charged)
+	runtime.KeepAlive(thawed)
+	runtime.KeepAlive(apart)
+	t.Logf("ten snapshots grew the heap by %d B, frozen apart by %d B (%.1f%%)", grown, control, 100*float64(grown)/float64(control))
+	if grown > control*6/10 {
+		t.Errorf("ten sibling snapshots grew the heap by %d B, frozen apart %d B: want at most 60%%", grown, control)
 	}
 }
 

@@ -5,9 +5,9 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math"
-	"slices"
+	"math/bits"
 	"unsafe"
 )
 
@@ -59,10 +59,9 @@ type Cache struct {
 // New builds a cache. Size must be a multiple of LineSize*Assoc and the set
 // count must be a power of two; New panics otherwise since configurations
 // are static data. LineSize must be at least 2: every line number then
-// fits in 63 bits, so line+1 can never wrap onto the invalid marker. A
-// set's way count must fit the 16 bits Frozen gives it.
+// fits in 63 bits, so line+1 can never wrap onto the invalid marker.
 func New(cfg Config) *Cache {
-	if cfg.LineSize < 2 || cfg.Assoc <= 0 || cfg.Assoc > math.MaxUint16 || cfg.Size <= 0 {
+	if cfg.LineSize < 2 || cfg.Assoc <= 0 || cfg.Size <= 0 {
 		panic(fmt.Sprintf("cache %s: bad config %+v", cfg.Name, cfg))
 	}
 	sets := cfg.Size / (cfg.LineSize * cfg.Assoc)
@@ -130,18 +129,24 @@ func (c *Cache) Clone() *Cache {
 	return &n
 }
 
-// Frozen is the immutable retained form of a Cache: geometry, statistics,
-// how many ways of each set are valid, and those keys in recency order.
-// Invalid ways only sit behind valid ones, so the valid prefix is the whole
-// set and an empty way costs nothing — after a decode the outer levels hold
-// a few thousand lines in a hundred thousand ways. A full set is a prefix
-// of assoc keys: sparseness is the encoding, not an assumption. Thaw only
-// reads, so concurrent sweep workers thaw one shared Frozen.
+// Frozen is the immutable retained form of a Cache: geometry, statistics
+// and one byte stream of its valid lines. For each set in order the stream
+// holds the number of valid ways, then each valid line's tag — its line
+// number without the set-index bits, which the set's position restores —
+// in recency order, all as uvarints. Invalid ways only sit behind valid
+// ones, so the valid prefix is the whole set and an empty way costs
+// nothing: after a decode the outer levels hold a few thousand lines in a
+// hundred thousand ways, and an empty set costs one byte, a line two to
+// four. A full set is a prefix of assoc tags: sparseness is the encoding,
+// not an assumption. Thaw only reads, so concurrent sweep workers thaw one
+// shared Frozen.
 type Frozen struct {
-	c    Cache    // keys nil
-	lens []uint16 // valid ways per set
-	keys []uint64 // the sets' valid prefixes, back to back
+	c    Cache  // keys nil
+	data []byte // per set: uvarint(valid ways), then uvarint(tag) per way
 }
+
+// setBits is the number of set-index bits of a line number.
+func (c *Cache) setBits() uint { return uint(bits.Len64(c.setMask)) }
 
 // Freeze captures the cache's contents, recency order and statistics. If
 // one of like already holds exactly that state it is returned instead of a
@@ -153,56 +158,96 @@ func (c *Cache) Freeze(like ...*Frozen) *Frozen {
 			return f
 		}
 	}
-	f := &Frozen{c: *c, lens: make([]uint16, len(c.keys)/c.assoc)}
-	f.c.keys = nil
-	valid := 0
-	for set := range f.lens {
-		for _, k := range c.keys[set*c.assoc:][:c.assoc] {
-			if k == 0 {
-				break
-			}
-			f.lens[set]++
-			valid++
+	sb, size := c.setBits(), 0
+	for set := uint64(0); set <= c.setMask; set++ {
+		ways := c.valid(set)
+		size += uvarintLen(uint64(len(ways)))
+		for _, k := range ways {
+			size += uvarintLen((k - 1) >> sb)
 		}
 	}
-	f.keys = make([]uint64, 0, valid)
-	for set, n := range f.lens {
-		f.keys = append(f.keys, c.keys[set*c.assoc:][:n]...)
+	f := &Frozen{c: *c, data: make([]byte, 0, size)}
+	f.c.keys = nil
+	for set := uint64(0); set <= c.setMask; set++ {
+		ways := c.valid(set)
+		f.data = binary.AppendUvarint(f.data, uint64(len(ways)))
+		for _, k := range ways {
+			f.data = binary.AppendUvarint(f.data, (k-1)>>sb)
+		}
 	}
 	return f
 }
 
+// valid returns the valid prefix of set.
+func (c *Cache) valid(set uint64) []uint64 {
+	ways := c.keys[int(set)*c.assoc:][:c.assoc]
+	n := 0
+	for n < len(ways) && ways[n] != 0 {
+		n++
+	}
+	return ways[:n]
+}
+
 // holds reports whether f is c's state, comparing in place: geometry and
-// statistics first, then each set's valid prefix.
+// statistics first, then each set's valid prefix against the stream.
 func (f *Frozen) holds(c *Cache) bool {
-	if f.c.cfg != c.cfg || f.c.stats != c.stats || len(f.lens)*c.assoc != len(c.keys) {
+	if f.c.cfg != c.cfg || f.c.stats != c.stats {
 		return false
 	}
-	rest := f.keys
-	for set, n := range f.lens {
-		ways := c.keys[set*c.assoc:][:c.assoc]
-		if int(n) < len(ways) && ways[n] != 0 || !slices.Equal(ways[:n], rest[:n]) {
+	sb, r := c.setBits(), uvarints{d: f.data}
+	for set := uint64(0); set <= c.setMask; set++ {
+		ways := c.valid(set)
+		if uint64(len(ways)) != r.next() {
 			return false
 		}
-		rest = rest[n:]
+		for _, k := range ways {
+			if k != (r.next()<<sb|set)+1 {
+				return false
+			}
+		}
 	}
 	return true
 }
 
 // Thaw returns a live cache in exactly the frozen state.
 func (f *Frozen) Thaw() *Cache {
-	c, rest := f.c, f.keys
-	c.keys = make([]uint64, len(f.lens)*c.assoc)
-	for set, n := range f.lens {
-		copy(c.keys[set*c.assoc:], rest[:n])
-		rest = rest[n:]
+	c, sb, r := f.c, f.c.setBits(), uvarints{d: f.data}
+	c.keys = make([]uint64, int(c.setMask+1)*c.assoc)
+	for set := uint64(0); set <= c.setMask; set++ {
+		ways := c.keys[int(set)*c.assoc:][:r.next()]
+		for i := range ways {
+			ways[i] = (r.next()<<sb | set) + 1
+		}
 	}
 	return &c
 }
 
+// uvarints reads the stream Freeze wrote. next inlines, so a thaw decodes
+// without a call per set or per line.
+type uvarints struct {
+	d []byte
+	i int
+}
+
+// next decodes the uvarint at the read position and moves past it.
+func (r *uvarints) next() uint64 {
+	var x uint64
+	for s := uint(0); ; s += 7 {
+		b := r.d[r.i]
+		r.i++
+		x |= uint64(b&0x7f) << s
+		if b < 0x80 {
+			return x
+		}
+	}
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // SizeBytes is the heap the frozen form retains.
 func (f *Frozen) SizeBytes() int {
-	return int(unsafe.Sizeof(*f)) + 2*len(f.lens) + 8*len(f.keys)
+	return int(unsafe.Sizeof(*f)) + len(f.data)
 }
 
 // NewTLB builds a translation buffer with the given entry count,

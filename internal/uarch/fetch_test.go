@@ -1,6 +1,8 @@
 package uarch
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/trace"
@@ -101,5 +103,40 @@ func TestITLBCapacityEffect(t *testing.T) {
 	}
 	if r.ITLB.Misses > r.ITLB.Accesses {
 		t.Fatal("more misses than accesses")
+	}
+}
+
+// TestMachinesShareFetchTables: machines built from equal code layouts in
+// separately allocated images hold one fetch table, whichever of several concurrent builders got there first
+// (scripts/ci.sh runs this under -race); another layout gets its own, and
+// each table is the one its image builds.
+func TestMachinesShareFetchTables(t *testing.T) {
+	fdo := func() *trace.Image {
+		return trace.NewImage(nil).Relayout([]trace.FuncID{trace.FnSATD, trace.FnSAD}, map[trace.FuncID]bool{trace.FnSATD: true})
+	}
+	const builders = 8
+	var wg sync.WaitGroup
+	machines := make([][2]*Machine, builders)
+	for i := range machines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			machines[i] = [2]*Machine{NewMachine(Baseline(), trace.NewImage(nil)), NewMachine(FeOp(), fdo())}
+		}()
+	}
+	wg.Wait()
+	for layout, img := range []*trace.Image{trace.NewImage(nil), fdo()} {
+		want := machines[0][layout].fmeta
+		if !reflect.DeepEqual(want, buildFetchMeta(img)) {
+			t.Errorf("layout %d: the shared fetch table is not the one its image builds", layout)
+		}
+		for i, ms := range machines {
+			if ms[layout].fmeta != want {
+				t.Errorf("layout %d: machine %d holds its own fetch table", layout, i)
+			}
+		}
+	}
+	if machines[0][0].fmeta == machines[0][1].fmeta {
+		t.Error("two layouts share one fetch table")
 	}
 }

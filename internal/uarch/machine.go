@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"sync"
 	"unsafe"
 
 	"repro/internal/trace"
@@ -21,7 +22,7 @@ import (
 type Machine struct {
 	cfg   Config
 	img   *trace.Image
-	fmeta *[trace.NumFuncs]fetchMeta // derived from img; immutable, shared by clones
+	fmeta *[trace.NumFuncs]fetchMeta // derived from img's regions; immutable, shared (fetchTable)
 
 	l1i  *cache.Cache
 	l1d  *cache.Cache
@@ -131,9 +132,25 @@ func buildFetchMeta(img *trace.Image) *[trace.NumFuncs]fetchMeta {
 	return &fms
 }
 
+// fetchTables memoizes buildFetchMeta by code layout: the tables are a pure
+// function of the image's regions, and a process runs a handful of layouts
+// (the default image and each AutoFDO relayout), so every machine of one
+// layout — each snapshot a title's decode and analysis layers retain —
+// shares one table.
+var fetchTables sync.Map // [trace.NumFuncs]trace.Region -> *[trace.NumFuncs]fetchMeta
+
+// fetchTable returns the shared fetch tables of img's layout.
+func fetchTable(img *trace.Image) *[trace.NumFuncs]fetchMeta {
+	if t, ok := fetchTables.Load(img.Regions); ok {
+		return t.(*[trace.NumFuncs]fetchMeta)
+	}
+	t, _ := fetchTables.LoadOrStore(img.Regions, buildFetchMeta(img))
+	return t.(*[trace.NumFuncs]fetchMeta)
+}
+
 // NewMachine builds a machine for the given configuration and code image.
 func NewMachine(cfg Config, img *trace.Image) *Machine {
-	m := &Machine{cfg: cfg, img: img, fmeta: buildFetchMeta(img)}
+	m := &Machine{cfg: cfg, img: img, fmeta: fetchTable(img)}
 	m.l1i = cache.New(cfg.L1I.cacheConfig("l1i"))
 	m.l1d = cache.New(cfg.L1D.cacheConfig("l1d"))
 	m.l2 = cache.New(cfg.L2.cacheConfig("l2"))
@@ -173,9 +190,10 @@ var _ trace.Sink = (*Machine)(nil)
 // cached state further events is to thaw a private Machine from it.
 // Counters, fetch cursors and the line/page-run state are kept by value,
 // the caches frozen to their valid lines (cache.Frozen), the predictor
-// cloned; the code image and its fetch tables are shared. A frozen level
-// may also be shared with sibling snapshots whose level is in the same
-// state (Machine.Snapshot's like).
+// cloned; the code image is shared with the machine, and the fetch tables
+// with every machine of its layout (fetchTable). A frozen level may also be
+// shared with sibling snapshots whose level is in the same state
+// (Machine.Snapshot's like).
 type Snapshot struct {
 	m      Machine // cache pointers nil, pred private to the snapshot
 	levels [6]*cache.Frozen
@@ -219,10 +237,10 @@ func (s *Snapshot) Machine() *Machine {
 	return &m
 }
 
-// SizeBytes is the heap the snapshot retains beyond the code image: the
-// fixed part, the predictor and the frozen caches. A level shared with a
-// sibling is counted in full by each snapshot that holds it, so a sum of
-// SizeBytes bounds the heap from above.
+// SizeBytes is the heap the snapshot retains beyond the code image and the
+// per-layout fetch tables: the fixed part, the predictor and the frozen
+// caches. A level shared with a sibling is counted in full by each
+// snapshot that holds it, so a sum of SizeBytes bounds the heap from above.
 func (s *Snapshot) SizeBytes() int {
 	n := int(unsafe.Sizeof(*s)) + s.m.pred.SizeBytes()
 	for _, f := range s.levels {

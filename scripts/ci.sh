@@ -61,9 +61,14 @@ go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSnapshotFootprint|T
 go test -race -count=10 -run 'TestEngineConcurrentRunsOverBudget|TestFlightCacheBudgetStress|TestFlightCacheCancelDetach|TestFailedEntryAgesOut' ./internal/core/...
 # Sweep workers thaw one shared machine snapshot concurrently: freezing a
 # machine with a live fetch-run count, cloning it and thawing the snapshot
-# must not write to their source, and a frozen cache level that several
-# sibling snapshots share is thawed by several workers at once.
-go test -race -run 'TestFrontEndRunBatchingEquivalence|TestSnapshotsShareEqualLevels|TestBlockWalkMatchesRowLoads' ./internal/uarch
+# must not write to their source, a frozen cache level that several
+# sibling snapshots share is thawed by several workers at once, and
+# machines built at once from one code layout get its one fetch table.
+go test -race -run 'TestFrontEndRunBatchingEquivalence|TestSnapshotsShareEqualLevels|TestBlockWalkMatchesRowLoads|TestMachinesShareFetchTables' ./internal/uarch
+# A frozen cache level is a varint stream of tags that the set index
+# completes: the cache, frozen and thawed mid-stream, against its stamp-LRU
+# oracle on arbitrary geometries and addresses.
+go test -run '^$' -fuzz FuzzCacheMatchesReference -fuzztime 20s ./internal/uarch/cache
 # The fused kernels on both sides of the trace.Sink against the paths they
 # replaced: the one-pass block walk against per-row Load/Store (line above)
 # and the sub-pel cost against scalar interpolation + the staged metric.
