@@ -134,9 +134,6 @@ func SummaryLine(name string, s obs.Snapshot) string {
 		fmt.Fprintf(&b, ", point p50 %s p95 %s p99 %s",
 			obs.FmtDuration(h.P50), obs.FmtDuration(h.P95), obs.FmtDuration(h.P99))
 	}
-	if h, ok := s.HistogramByName("core_sweep_warmup_ns"); ok && h.Count > 0 {
-		fmt.Fprintf(&b, ", warm-up %s", obs.FmtDuration(h.Sum))
-	}
 	hits, misses := s.CounterTotal("core_cache_hits"), s.CounterTotal("core_cache_misses")
 	if hits+misses > 0 {
 		fmt.Fprintf(&b, ", cache %d hits / %d misses", hits, misses)

@@ -42,28 +42,21 @@ type Encoder struct {
 	visited  []uint32
 	visitGen uint32
 
-	scratch arena
+	// mb is the macroblock under construction. encodeMB resets and reuses
+	// it, so the ~2KB coefficient record is not heap-allocated per
+	// macroblock; nothing retains the pointer across macroblocks (neighbour
+	// state is copied out into mvField/deblockState).
+	mb macroblock
 
 	// analysis, when set, replaces the lookahead and variance computation
 	// with the shared per-video artifact (see analysis.go).
 	analysis *Analysis
 
-	// Per-stage latency accounting (see stage.go). Both nil unless a
+	// Per-stage latency accounting (see stage.go): stage holds the
+	// nanoseconds not yet reported, and is only touched while a
 	// StageObserver is attached.
 	stageObs StageObserver
-	stage    *stageClock
-}
-
-// arena is the encoder's typed scratch storage: working buffers with
-// per-macroblock lifetime that would otherwise be heap-allocated in the MB
-// loop. It extends the recon-frame recycling (getRecon) down to the
-// macroblock level — the ~2KB coefficient record alone used to account for
-// the bulk of a sweep point's steady-state allocations.
-type arena struct {
-	// mb is the macroblock under construction. encodeMB resets and reuses
-	// it; nothing retains the pointer across macroblocks (neighbour state
-	// is copied out into mvField/deblockState).
-	mb macroblock
+	stage    [NumEncodeStages]int64
 }
 
 // NewEncoder builds an encoder for w x h @ fps video with the given options
@@ -201,7 +194,7 @@ func (e *Encoder) EncodeAll(frames []*frame.Frame) ([]byte, *Stats, error) {
 
 	// Coding order: anchors first, then the B frames they close.
 	var pendingB []int
-	encodeOne := func(i int, t FrameType) error {
+	encodeOne := func(i int, t FrameType) {
 		var list1 *frame.Frame
 		list0 := e.dpb
 		if t == FrameB {
@@ -215,33 +208,22 @@ func (e *Encoder) EncodeAll(frames []*frame.Frame) ([]byte, *Stats, error) {
 		if t != FrameI && len(list0) == 0 {
 			t = FrameI
 		}
-		fs, err := e.encodeFrame(frames[i], t, list0, list1)
-		if err != nil {
-			return err
-		}
-		stats.Frames = append(stats.Frames, fs)
-		return nil
+		stats.Frames = append(stats.Frames, e.encodeFrame(frames[i], t, list0, list1))
 	}
 	for i, t := range types {
 		if t == FrameB {
 			pendingB = append(pendingB, i)
 			continue
 		}
-		if err := encodeOne(i, t); err != nil {
-			return nil, nil, err
-		}
+		encodeOne(i, t)
 		for _, b := range pendingB {
-			if err := encodeOne(b, FrameB); err != nil {
-				return nil, nil, err
-			}
+			encodeOne(b, FrameB)
 		}
 		pendingB = pendingB[:0]
 	}
 	// Trailing B frames with no closing anchor degrade to P.
 	for _, b := range pendingB {
-		if err := encodeOne(b, FrameP); err != nil {
-			return nil, nil, err
-		}
+		encodeOne(b, FrameP)
 	}
 
 	out := e.bw.Bytes()
@@ -265,7 +247,7 @@ func (e *Encoder) pushAnchor(rec *frame.Frame) {
 }
 
 // encodeFrame encodes one picture and returns its statistics.
-func (e *Encoder) encodeFrame(src *frame.Frame, t FrameType, list0 []*frame.Frame, list1 *frame.Frame) (FrameStats, error) {
+func (e *Encoder) encodeFrame(src *frame.Frame, t FrameType, list0 []*frame.Frame, list1 *frame.Frame) FrameStats {
 	startBits := e.bw.BitsWritten()
 	frameQP := e.rc.frameQP(t, src.PTS-e.basePTS)
 	e.traceRC()
@@ -298,11 +280,7 @@ func (e *Encoder) encodeFrame(src *frame.Frame, t FrameType, list0 []*frame.Fram
 			e.tr.nextMB()
 			e.tr.call(trace.FnDriver)
 			e.tr.ops(trace.FnDriver, 80)
-			mb, err := e.encodeMB(src, t, list0, list1, mx, my, frameQP)
-			if err != nil {
-				return FrameStats{}, err
-			}
-			switch mb.kind {
+			switch mb := e.encodeMB(src, t, list0, list1, mx, my, frameQP); mb.kind {
 			case kindIntra:
 				intraMB++
 			case kindInter:
@@ -350,48 +328,19 @@ func (e *Encoder) encodeFrame(src *frame.Frame, t FrameType, list0 []*frame.Fram
 		IntraMB: intraMB,
 		InterMB: interMB,
 		SkipMB:  skipMB,
-	}, nil
+	}
 }
 
-// encodeMB analyses, reconstructs and writes one macroblock.
-func (e *Encoder) encodeMB(src *frame.Frame, t FrameType, list0 []*frame.Frame, list1 *frame.Frame, mx, my, frameQP int) (*macroblock, error) {
-	mb := &e.scratch.mb
+// encodeMB analyses, reconstructs and writes one macroblock: mode
+// decision, reconstruction, entropy coding, and the neighbour bookkeeping
+// that feeds MV prediction and deblocking.
+func (e *Encoder) encodeMB(src *frame.Frame, t FrameType, list0 []*frame.Frame, list1 *frame.Frame, mx, my, frameQP int) *macroblock {
+	mb := &e.mb
 	*mb = macroblock{x: mx * 16, y: my * 16}
 
 	// Macroblock quantizer: AQ spatial offset plus CBR row feedback.
 	variance := e.mbVariance(src, mx, my)
 	mb.qp = e.rc.mbQP(frameQP, variance, e.opt.AQMode > 0)
-
-	e.decideMB(src, t, list0, list1, mb)
-	e.sequenceMB(mb, t, mx, my, list1 != nil)
-	return mb, nil
-}
-
-// mbVariance returns the luma activity of macroblock (mx, my) when adaptive
-// quantization is active, emitting the exact trace events the serial
-// computation would.
-func (e *Encoder) mbVariance(src *frame.Frame, mx, my int) float64 {
-	if e.opt.AQMode <= 0 {
-		return 0
-	}
-	x, y := mx*16, my*16
-	if v, ok := e.analysisVariance(src.PTS, mx, my); ok {
-		// Cached map: emit the exact events the computation would have
-		// (byte-stable traces), skip the arithmetic.
-		e.tr.varianceEvents(&src.Y, x, y, 16, 16)
-		return v
-	}
-	return e.tr.blockVariance(&src.Y, x, y, 16, 16)
-}
-
-// decideMB runs the per-macroblock mode decision and reconstruction: inter
-// and intra analysis, the RD compare, and residual coding into mb (whose
-// position and qp must already be set). This is the portion of encodeMB
-// that reads only neighbour state — reconstructed pixels and MV fields —
-// never the bit writer, rate controller or deblock maps, which sequenceMB
-// updates afterwards.
-func (e *Encoder) decideMB(src *frame.Frame, t FrameType, list0 []*frame.Frame, list1 *frame.Frame, mb *macroblock) {
-	mx, my := mb.x/16, mb.y/16
 	lambda := lambdaFor(mb.qp)
 
 	// Mode decision.
@@ -444,24 +393,37 @@ func (e *Encoder) decideMB(src *frame.Frame, t FrameType, list0 []*frame.Frame, 
 	t1 := e.stageStart()
 	e.reconstructMB(src, mb, list0, list1)
 	e.stageEnd(StageTransform, t1)
-}
 
-// sequenceMB runs the tail of a macroblock after decideMB: entropy coding
-// and the neighbour bookkeeping that feeds MV prediction and deblocking.
-func (e *Encoder) sequenceMB(mb *macroblock, t FrameType, mx, my int, hasL1 bool) {
 	// Entropy coding.
-	t0 := e.stageStart()
+	t2 := e.stageStart()
 	startBits := e.bw.BitsWritten()
 	e.writeMB(mb, t)
 	e.bitWriterTrace(startBits)
-	e.stageEnd(StageEntropy, t0)
+	e.stageEnd(StageEntropy, t2)
 
-	e.setMVField(mx, my, mb, hasL1)
+	e.setMVField(mx, my, mb, list1 != nil)
 	qpForDeblock := mb.qp
 	if mb.kind == kindSkip {
 		qpForDeblock = e.qpPrev
 	}
 	e.dbs.set(mx, my, qpForDeblock, mb.kind)
+	return mb
+}
+
+// mbVariance returns the luma activity of macroblock (mx, my) when adaptive
+// quantization is active.
+func (e *Encoder) mbVariance(src *frame.Frame, mx, my int) float64 {
+	if e.opt.AQMode <= 0 {
+		return 0
+	}
+	x, y := mx*16, my*16
+	if v, ok := e.analysisVariance(src.PTS, mx, my); ok {
+		// Cached map: emit the exact events the computation would have
+		// (byte-stable traces), skip the arithmetic.
+		e.tr.varianceEvents(&src.Y, x, y, 16, 16)
+		return v
+	}
+	return e.tr.blockVariance(&src.Y, x, y, 16, 16)
 }
 
 // setMVField publishes the macroblock's transmitted vectors for neighbour

@@ -1,9 +1,6 @@
 package codec
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // EncodeStage labels one phase of the encode hot path for latency
 // accounting. The split mirrors the paper's per-function breakdown: frame
@@ -46,27 +43,18 @@ type StageObserver interface {
 	ObserveStage(stage EncodeStage, d time.Duration)
 }
 
-// stageClock accumulates per-stage nanoseconds for the one encode that owns
-// it.
-type stageClock [NumEncodeStages]atomic.Int64
-
 // SetStageObserver attaches a latency observer. The default (nil) keeps the
 // hot path entirely free of timing calls — the only residual cost is one
-// pointer nil-check per stage boundary. Must be called before EncodeAll.
+// nil-check per stage boundary. Must be called before EncodeAll.
 func (e *Encoder) SetStageObserver(o StageObserver) {
 	e.stageObs = o
-	if o != nil && e.stage == nil {
-		e.stage = new(stageClock)
-	}
-	if o == nil {
-		e.stage = nil
-	}
+	e.stage = [NumEncodeStages]int64{}
 }
 
 // stageStart returns the stage timestamp, or the zero time when no observer
 // is attached.
 func (e *Encoder) stageStart() time.Time {
-	if e.stage == nil {
+	if e.stageObs == nil {
 		return time.Time{}
 	}
 	return time.Now()
@@ -74,21 +62,22 @@ func (e *Encoder) stageStart() time.Time {
 
 // stageEnd charges the time elapsed since stageStart to a stage.
 func (e *Encoder) stageEnd(s EncodeStage, t0 time.Time) {
-	if e.stage == nil || t0.IsZero() {
+	if e.stageObs == nil {
 		return
 	}
-	e.stage[s].Add(int64(time.Since(t0)))
+	e.stage[s] += int64(time.Since(t0))
 }
 
 // flushStages reports and clears the accumulated stage times. Called once
 // after the lookahead and once per coded frame.
 func (e *Encoder) flushStages() {
-	if e.stage == nil || e.stageObs == nil {
+	if e.stageObs == nil {
 		return
 	}
 	for s := EncodeStage(0); s < NumEncodeStages; s++ {
-		if ns := e.stage[s].Swap(0); ns > 0 {
+		if ns := e.stage[s]; ns > 0 {
 			e.stageObs.ObserveStage(s, time.Duration(ns))
 		}
 	}
+	e.stage = [NumEncodeStages]int64{}
 }

@@ -13,7 +13,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -633,21 +632,10 @@ type SweepOpts struct {
 	Progress func(done, total int)
 }
 
-// WarmTarget names one decode-cache entry a sweep's points will hit, so the
-// workers fan out against warm state instead of stampeding a cold cache.
-type WarmTarget struct {
-	Workload Workload
-	Decoder  codec.DecoderOptions
-	Config   uarch.Config
-}
-
-// Plan declares a sweep: which caches to warm, how many points there are,
-// and how to build each point's job and coordinates. Every §III-C sweep is
-// a Plan; so is any future axis.
+// Plan declares a sweep: how many points there are, and how to build each
+// point's job and coordinates. Every §III-C sweep is a Plan; so is any
+// future axis.
 type Plan struct {
-	// Warm lists the decode-cache entries to pre-build (in parallel) before
-	// the points fan out.
-	Warm []WarmTarget
 	// N is the number of points.
 	N int
 	// Build returns the i-th point's job and coordinate labels. A build
@@ -665,30 +653,12 @@ type Plan struct {
 // in-flight job per worker; points that never started carry ctx.Err() in
 // Point.Err. Per-point failures (build or run) land in Point.Err without
 // stopping the other points.
+//
+// Points of one title share its cache entries: the first point to need an
+// entry builds it, and the others wait on that build (flightCache), so a
+// sweep builds each title once however its points are scheduled.
 func (e *Engine) Sweep(ctx context.Context, p Plan) Points {
 	met := obs.Default()
-	if len(p.Warm) > 0 {
-		warmSpan := met.Histogram("core_sweep_warmup_ns").Start()
-		errs, err := exec.Pool{Policy: exec.FailFast}.Map(ctx, len(p.Warm), func(ctx context.Context, i int) error {
-			// The snapshot build pulls in the mezzanine, the decoded frames
-			// and the parsed decode trace underneath it.
-			t := p.Warm[i]
-			_, err := e.decodedMachine(ctx, t.Workload, t.Decoder, t.Config)
-			return err
-		})
-		warmSpan.End()
-		if err != nil {
-			// Preserve the pre-engine contract: a warm-up failure yields a
-			// single point naming the workload that failed.
-			for i, e := range errs {
-				if e != nil && !errors.Is(e, exec.ErrSkipped) {
-					return Points{{Video: p.Warm[i].Workload.Video, Err: e}}
-				}
-			}
-			return Points{{Err: err}}
-		}
-	}
-
 	points := make(Points, p.N)
 	jobs := make([]Job, p.N)
 	runnable := make([]bool, p.N)
@@ -741,10 +711,7 @@ func SweepCRFRefs(ctx context.Context, w Workload, base codec.Options, cfg uarch
 // SweepCRFRefsWith is SweepCRFRefs with explicit execution options.
 func SweepCRFRefsWith(ctx context.Context, w Workload, base codec.Options, cfg uarch.Config, crfs, refs []int, opts SweepOpts) Points {
 	return Sweep(ctx, Plan{
-		// Every point shares one decoder configuration: crf and refs only
-		// alter the encode half.
-		Warm: []WarmTarget{{Workload: w, Decoder: decoderOptions(base), Config: cfg}},
-		N:    len(crfs) * len(refs),
+		N: len(crfs) * len(refs),
 		Build: func(i int) (Job, Point, error) {
 			crf := crfs[i/len(refs)]
 			rf := refs[i%len(refs)]
@@ -769,11 +736,7 @@ func SweepPresets(ctx context.Context, w Workload, cfg uarch.Config, presets []c
 // SweepPresetsWith is SweepPresets with explicit execution options.
 func SweepPresetsWith(ctx context.Context, w Workload, cfg uarch.Config, presets []codec.Preset, crf, refs int, opts SweepOpts) Points {
 	return Sweep(ctx, Plan{
-		// All preset points decode full-trace with default tuning (the
-		// presets alter only the encode half), so they share one decode
-		// cache entry.
-		Warm: []WarmTarget{{Workload: w, Config: cfg}},
-		N:    len(presets),
+		N: len(presets),
 		Build: func(i int) (Job, Point, error) {
 			pt := Point{Video: w.Video, CRF: crf, Refs: refs, Preset: presets[i]}
 			opt := codec.Options{RC: codec.RCCRF, CRF: crf, QP: 26, KeyintMax: 250}
@@ -794,21 +757,10 @@ func SweepVideos(ctx context.Context, videos []string, frames, scale int, base c
 	return SweepVideosWith(ctx, videos, frames, scale, base, cfg, SweepOpts{})
 }
 
-// SweepVideosWith is SweepVideos with explicit execution options. The
-// per-video warm-up runs in parallel on the pool (it was serial before the
-// execution layer existed).
+// SweepVideosWith is SweepVideos with explicit execution options.
 func SweepVideosWith(ctx context.Context, videos []string, frames, scale int, base codec.Options, cfg uarch.Config, opts SweepOpts) Points {
-	warm := make([]WarmTarget, len(videos))
-	for i, v := range videos {
-		warm[i] = WarmTarget{
-			Workload: Workload{Video: v, Frames: frames, Scale: scale},
-			Decoder:  decoderOptions(base),
-			Config:   cfg,
-		}
-	}
 	return Sweep(ctx, Plan{
-		Warm: warm,
-		N:    len(videos),
+		N: len(videos),
 		Build: func(i int) (Job, Point, error) {
 			w := Workload{Video: videos[i], Frames: frames, Scale: scale}
 			return Job{Workload: w, Options: base, Config: cfg},

@@ -252,6 +252,49 @@ func TestEngineSoakHoldsBudget(t *testing.T) {
 	t.Logf("title %d B, budget %d B, resident %d B, %d evictions, heap %d then %v", title, budgetBytes, got, evictions, heapBefore, heap)
 }
 
+// TestSweepOverBudgetBuildsEachTitleOnce runs one sweep over a catalog
+// twice what the budget holds, one point per title as SweepVideosWith
+// plans it. The pool's workers build their titles side by side under
+// the budget, and no layer of any title is built twice: a sweep needs no
+// pass that builds its titles ahead of the points.
+func TestSweepOverBudgetBuildsEachTitleOnce(t *testing.T) {
+	ctx := context.Background()
+	probe := NewEngine(DefaultCacheBudget)
+	if _, err := probe.Run(ctx, soakJob(0)); err != nil {
+		t.Fatal(err)
+	}
+	title, _ := residentOf(probe)
+	// Room for every worker's title and two more; the catalog is twice that.
+	room := runtime.GOMAXPROCS(0) + 2
+	catalog := 2 * room
+	eng := NewEngine(int64(room)*title + title/2)
+	layers := layersOf(eng)
+	missesBefore := cacheCounters("core_cache_misses", layers)
+
+	pts := eng.Sweep(ctx, Plan{
+		N: catalog,
+		Build: func(i int) (Job, Point, error) {
+			job := soakJob(i)
+			return job, Point{Video: job.Workload.Video, CRF: job.Options.CRF, Refs: job.Options.Refs}, nil
+		},
+	})
+	if len(pts) != catalog {
+		t.Fatalf("%d points for %d titles", len(pts), catalog)
+	}
+	if err := pts.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	requireWithinBudget(t, "after the sweep", eng)
+	missesAfter := cacheCounters("core_cache_misses", layers)
+	for _, l := range layers {
+		if m := missesAfter[l.name] - missesBefore[l.name]; m != int64(catalog) {
+			t.Errorf("layer %s was built %d times for %d titles", l.name, m, catalog)
+		}
+	}
+	got, _ := residentOf(eng)
+	t.Logf("%d titles of %d B, budget %d B, resident %d B", catalog, title, eng.lru.limit, got)
+}
+
 // TestEngineConcurrentRunsOverBudget runs a catalog larger than the budget
 // from several goroutines at once, each in its own order: every run of a
 // title must report identically no matter which of its entries had been

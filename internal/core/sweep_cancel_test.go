@@ -176,3 +176,53 @@ func TestFlightCacheCancelDetach(t *testing.T) {
 		t.Fatalf("post-cancel get = %d, %v; cache was poisoned", v, err)
 	}
 }
+
+// TestSweepReturnsOnePointPerPlannedJob pins Sweep's contract on the paths
+// that fail: a bad title fails only its own point, with its own error, and
+// a canceled sweep still returns every planned point with its coordinates.
+func TestSweepReturnsOnePointPerPlannedJob(t *testing.T) {
+	t.Run("unknown video", func(t *testing.T) {
+		videos := []string{"desktop", "nosuchvideo", "holi"}
+		pts := SweepVideos(context.Background(), videos, 4, 8, codec.Defaults(), uarch.Baseline())
+		if len(pts) != len(videos) {
+			t.Fatalf("%d points for %d planned jobs: %+v", len(pts), len(videos), pts)
+		}
+		for i, p := range pts {
+			if p.Video != videos[i] {
+				t.Fatalf("point %d is video %q, planned %q", i, p.Video, videos[i])
+			}
+			if p.CRF != codec.Defaults().CRF || p.Refs != codec.Defaults().Refs {
+				t.Errorf("point %d lost its coordinates: crf %d refs %d", i, p.CRF, p.Refs)
+			}
+		}
+		for _, i := range []int{0, 2} {
+			if pts[i].Err != nil || pts[i].Report == nil {
+				t.Errorf("point %d (%s) did not run: err %v", i, videos[i], pts[i].Err)
+			}
+		}
+		if err := pts[1].Err; err == nil || !strings.Contains(err.Error(), `vbench: unknown video "nosuchvideo"`) {
+			t.Errorf("bad video's point carries %v, want its unknown-video error", err)
+		}
+		if pts[1].Report != nil {
+			t.Error("bad video's point has a report")
+		}
+	})
+
+	t.Run("pre-canceled grid", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		crfs, refs := []int{20, 30}, []int{1, 2}
+		pts := SweepCRFRefs(ctx, tinyWorkload("cricket"), codec.Defaults(), uarch.Baseline(), crfs, refs)
+		if len(pts) != len(crfs)*len(refs) {
+			t.Fatalf("%d points for %d planned jobs: %+v", len(pts), len(crfs)*len(refs), pts)
+		}
+		for i, p := range pts {
+			if p.Video != "cricket" || p.CRF != crfs[i/len(refs)] || p.Refs != refs[i%len(refs)] {
+				t.Errorf("point %d has coordinates %s crf %d refs %d", i, p.Video, p.CRF, p.Refs)
+			}
+			if !errors.Is(p.Err, context.Canceled) || p.Report != nil {
+				t.Errorf("point %d: err %v, report %v; want context.Canceled and no report", i, p.Err, p.Report != nil)
+			}
+		}
+	})
+}

@@ -40,6 +40,10 @@ if grep -rnE 'Parse[F]rom|Replay[M]ulti|Replay[P]arsed|\.Col[u]mns\(' --include=
 # constants replaced the roofline package. The names are word-bounded so
 # the tests that kept their names (TestUniformPool, ...) do not match.
 if grep -rnE '\bUniform[P]ool\b|\bPoolBy[N]ames\b|\bFleetFrom[P]ool\b|\bAssign[P]ool\b|Skip[D]ecode|internal/[r]oofline|sched\.P[o]ol\b' --include='*.go' --include='*.sh' --include='*.yml' .; then exit 1; fi
+# A Plan is its points: the sweep's warm-up pass, which built every title
+# ahead of the points and rebuilt what the budget evicted, was deleted
+# (the singleflight caches build each title once for all its points).
+if grep -rnE 'Warm[T]arget|Plan\.W[a]rm' --include='*.go' --include='*.sh' --include='*.yml' .; then exit 1; fi
 
 go vet ./...
 go build ./...
@@ -54,7 +58,7 @@ go test ./...
 # its second pass.
 go test -race ./internal/exec/... ./internal/obs/... ./internal/queue/...
 go test -race -count=2 ./internal/serve/... ./internal/worker/...
-go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSnapshotFootprint|TestSnapshotLayersShareLevels|TestEveryCacheLayerReportsBytes|TestEvictedLayerRebuildsBitIdentical|TestEngineSoakHoldsBudget' ./internal/core/...
+go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSnapshotFootprint|TestSnapshotLayersShareLevels|TestEveryCacheLayerReportsBytes|TestEvictedLayerRebuildsBitIdentical|TestEngineSoakHoldsBudget|TestSweepOverBudgetBuildsEachTitleOnce' ./internal/core/...
 # Eviction under concurrency is a matter of interleavings — a waiter whose
 # entry is evicted before it wakes, a key rebuilt while its old value is
 # still in use, a canceled builder landing late — so these repeat.

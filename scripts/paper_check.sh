@@ -9,22 +9,35 @@
 # 6 at -frames 20 -scale 4 (run one section per process, so -fig 3 prints
 # the header -all gives the three figures it covers), then a hand-written
 # note pointing at the three files below; it is compared up to that note.
+#
+# Each step prints "section <name> <seconds>" on stderr (build, table1-4,
+# fig2/3/6/7/8/9), so a slow figure shows up in the log; BENCH_paper.json
+# records one such run per side of a change that moves them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# section runs one step and prints its wall time on stderr; the step's
+# stdout passes through untouched.
+section() {
+	local name="$1" t0="$EPOCHREALTIME"
+	shift
+	"$@"
+	awk -v n="$name" -v a="$t0" -v b="$EPOCHREALTIME" 'BEGIN { printf "section %s %.2f\n", n, b - a }' >&2
+}
+
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/paper" ./cmd/paper
+section build go build -o "$tmp/paper" ./cmd/paper
 
 {
-	for t in 1 2 3 4; do "$tmp/paper" -table "$t"; done
-	for f in 2 3 6; do "$tmp/paper" -fig "$f" -frames 20 -scale 4; done
+	for t in 1 2 3 4; do section "table$t" "$tmp/paper" -table "$t"; done
+	for f in 2 3 6; do section "fig$f" "$tmp/paper" -fig "$f" -frames 20 -scale 4; done
 } | sed 's/^=== Figure 3 ===$/=== Figures 3-5 ===/' >"$tmp/paper_output.txt"
 n="$(wc -c <"$tmp/paper_output.txt")"
 head -c "$n" paper_output.txt | cmp - "$tmp/paper_output.txt"
 tail -c +"$((n + 1))" paper_output.txt | grep '^(Figures 7-9 were run separately' >/dev/null
 
 for f in 7 8 9; do
-	"$tmp/paper" -fig "$f" -frames 8 | cmp - "paper_fig$f.txt"
+	section "fig$f" "$tmp/paper" -fig "$f" -frames 8 | cmp - "paper_fig$f.txt"
 done
 echo "paper outputs ok: paper_output.txt ($n bytes before its note) and paper_fig{7,8,9}.txt regenerate byte for byte"

@@ -62,12 +62,9 @@ type (
 	Points = core.Points
 	// SweepOpts adjusts sweep execution (stage metrics, progress reporting).
 	SweepOpts = core.SweepOpts
-	// Plan is a declarative sweep for the generic Sweep engine: warm-up
-	// targets plus an indexed point builder.
+	// Plan is a declarative sweep for the generic Sweep engine: a point
+	// count plus an indexed point builder.
 	Plan = core.Plan
-	// WarmTarget names one (workload, decoder, config) combination a Plan
-	// pre-warms before its points run.
-	WarmTarget = core.WarmTarget
 	// MachineResult carries the raw counter state of a finished simulation.
 	MachineResult = uarch.Result
 	// DecoderOptions configure decode-side instrumentation and tuning.
