@@ -266,6 +266,7 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) (JobView, error) {
 	s.totMu.Lock()
 	s.totals.Submitted++
 	s.totMu.Unlock()
+	s.wake() // a waiting dispatcher may find one of these placeable
 	return job.view(), nil
 }
 

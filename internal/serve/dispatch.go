@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/backend"
@@ -32,35 +34,58 @@ import (
 
 // run is the dispatcher loop; it exits when ctx cancels or the queue is
 // closed and fully drained (including jobs put back by expiring leases).
+// Its one wait, holding a dequeued job, is for the change counter to
+// move: while no slot is free, or once the queue offers again a job found
+// unplaceable since it last moved. The counter is read before the
+// free-slot snapshot, so an event between the two still ends the wait.
 func (s *Server) run(ctx context.Context) {
 	defer close(s.runDone)
+	// tried holds the jobs of rounds that placed nothing since the counter
+	// read triedAt: no slot then free could run them, none has freed
+	// since. passed holds those the queue offered again since the last
+	// round, put straight back so its round-robin reaches other classes.
+	var tried, passed []*queue.Ticket[*record]
+	var triedAt uint64
+	var held *queue.Ticket[*record]
 	for {
-		ticket, err := s.q.Dequeue(ctx)
-		if err != nil {
-			if errors.Is(err, queue.ErrClosed) && s.waitDrain(ctx) {
-				// A lease expired during drain and put its job back: the
-				// closed queue has work again, keep dispatching.
-				continue
-			}
-			return // canceled, or closed and drained
-		}
-		batch := []*queue.Ticket[*record]{ticket}
-		var free []slot
-		for {
-			if !s.transport.waitFree(ctx) {
-				// Canceled while no slot was free: the dequeued jobs never
-				// ran; settle them so no waiter hangs.
-				for _, tk := range batch {
-					s.settleCanceled(tk.Payload())
+		ticket := held
+		held = nil
+		if ticket == nil {
+			var err error
+			if ticket, err = s.q.Dequeue(ctx); err != nil {
+				if errors.Is(err, queue.ErrClosed) && s.waitDrain(ctx) {
+					// A lease expired during drain and put its job back:
+					// the closed queue has work again, keep dispatching.
+					continue
 				}
+				return // canceled, or closed and drained
+			}
+		}
+		seen := s.changes.Load()
+		if seen != triedAt {
+			tried, passed, triedAt = tried[:0], passed[:0], seen
+		}
+		var free []slot
+		if !slices.Contains(tried, ticket) {
+			free = s.transport.freeSlots()
+		} else if !slices.Contains(passed, ticket) {
+			passed = append(passed, ticket)
+			_ = s.q.Requeue(ticket) // dequeued by this loop, so it cannot fail
+			continue
+		}
+		if len(free) == 0 {
+			if !waitCond(ctx, s.flowCond, func() bool { return s.changes.Load() != seen }) {
+				// Canceled while waiting: the job never ran; settle it so
+				// no waiter hangs.
+				s.settleCanceled(ticket.Payload())
 				return
 			}
-			if free = s.transport.freeSlots(); len(free) > 0 {
-				break
-			}
-			// The slot that woke us vanished (fleet churn); wait again.
+			held = ticket
+			continue
 		}
+		passed = passed[:0]
 		sp := s.met.dispatch.Start()
+		batch := []*queue.Ticket[*record]{ticket}
 		for len(batch) < len(free) {
 			extra, ok := s.q.TryDequeue()
 			if !ok {
@@ -74,24 +99,21 @@ func (s *Server) run(ctx context.Context) {
 		}
 		placements := s.place(recs, free)
 		sp.End()
-		launched := false
+		var unplaced []*queue.Ticket[*record]
 		for bi, tk := range batch {
-			p := placements[bi]
-			if p.slot < 0 {
-				// No placeable slot left for this row; back in line at its
-				// original rank.
-				s.requeue(tk)
-				continue
+			if p := placements[bi]; p.slot >= 0 {
+				s.launch(ctx, tk, free[p.slot], p.mode)
+			} else {
+				unplaced = append(unplaced, tk)
 			}
-			launched = true
-			s.launch(ctx, tk, free[p.slot], p.mode)
 		}
-		if !launched {
-			// Every row was unplaceable on the current free set (e.g. only
-			// accelerator slots are free and the batch needs software).
-			// Requeue preserved the jobs; pause briefly so the retry loop
-			// doesn't spin hot until a compatible slot frees up.
-			time.Sleep(2 * time.Millisecond)
+		if len(unplaced) == len(batch) {
+			tried = append(tried, unplaced...)
+		}
+		// Jobs no free slot can run were never dispatched: back at their
+		// rank, neither counted as requeues nor waking anyone.
+		for _, tk := range unplaced {
+			_ = s.q.Requeue(tk) // dequeued by this loop, so it cannot fail
 		}
 	}
 }
@@ -108,6 +130,40 @@ func (s *Server) waitDrain(ctx context.Context) bool {
 		return work || s.inflight == 0
 	})
 	return work
+}
+
+// wake bumps the change counter on an event that can make a queued job
+// placeable: a slot released or parked, a dispatched job back in the
+// queue, an admission. Callers bump after releasing their own lock, so the
+// dispatcher's next free-slot snapshot sees the change.
+func (s *Server) wake() {
+	s.flowMu.Lock()
+	s.changes.Add(1)
+	s.flowCond.Broadcast()
+	s.flowMu.Unlock()
+}
+
+// waitCond blocks on c until ready reports true (returns true) or ctx is
+// done first (returns false). ready runs with c.L held and is checked
+// before ctx, so a wait that is already satisfied never fails; ctx
+// cancellation broadcasts c so the wait observes it.
+func waitCond(ctx context.Context, c *sync.Cond, ready func() bool) bool {
+	if ctx.Done() != nil {
+		defer context.AfterFunc(ctx, func() {
+			c.L.Lock()
+			c.Broadcast()
+			c.L.Unlock()
+		})()
+	}
+	c.L.Lock()
+	defer c.L.Unlock()
+	for !ready() {
+		if ctx.Err() != nil {
+			return false
+		}
+		c.Wait()
+	}
+	return true
 }
 
 // addInflight tracks dispatched-but-unfinished jobs for drain accounting.
@@ -129,10 +185,9 @@ type placement struct {
 	mode string // smart | random | cold
 }
 
-// place assigns every batch entry to a distinct slot of the free snapshot.
-// len(batch) never exceeds len(free) (run caps the batch), so normally
-// every entry gets a slot; -1 rows only appear if that invariant is ever
-// loosened.
+// place assigns every batch entry to a distinct slot of the free snapshot
+// (run caps the batch at len(free)); a row none of the slots left to it
+// can run gets -1.
 func (s *Server) place(batch []*record, free []slot) []placement {
 	out := make([]placement, len(batch))
 	reports := make([]*perf.Report, len(batch))
@@ -193,7 +248,7 @@ func (s *Server) place(batch []*record, free []slot) []placement {
 			}
 		}
 		if len(remaining) == 0 {
-			continue // no compatible slot for this row; it requeues
+			continue // no compatible slot for this row; run puts it back
 		}
 		// Per-job hash, not a shared RNG stream: the draw depends only on
 		// (seed, job sequence), so placement is reproducible regardless of
@@ -324,9 +379,7 @@ func (s *Server) requeue(tk *queue.Ticket[*record]) {
 		return
 	}
 	s.met.requeues.Inc()
-	s.flowMu.Lock()
-	s.flowCond.Broadcast()
-	s.flowMu.Unlock()
+	s.wake()
 }
 
 // lateSettle handles a result that arrives after its lease expired: the

@@ -106,7 +106,6 @@ type fleetTransport struct {
 	met  fleetMetrics
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	workers map[string]*fleetWorker
 	leases  map[string]*lease
 	seq     uint64
@@ -149,7 +148,6 @@ func newFleetTransport(s *Server, opts FleetOptions, reg *obs.Registry) *fleetTr
 		},
 	}
 	f.met.ttlMs.Set(f.ttl.Milliseconds())
-	f.cond = sync.NewCond(&f.mu)
 	return f
 }
 
@@ -228,25 +226,6 @@ func (f *fleetTransport) freeSlots() []slot {
 	return out
 }
 
-// waitFree blocks until some worker is idle; false means ctx canceled or
-// the transport closed first.
-func (f *fleetTransport) waitFree(ctx context.Context) bool {
-	free := false
-	waitCond(ctx, f.cond, func() bool {
-		if f.closed {
-			return true
-		}
-		for _, w := range f.workers {
-			if w.idle() {
-				free = true
-				return true
-			}
-		}
-		return false
-	})
-	return free
-}
-
 // start leases the job to the chosen parked worker and delivers the
 // assignment into its waiting poll. An error means the worker is no longer
 // deliverable (crashed, poll lapsed, already leased) and the caller
@@ -255,9 +234,6 @@ func (f *fleetTransport) start(_ context.Context, sl slot, tk *queue.Ticket[*rec
 	rec := tk.Payload()
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.closed {
-		return errors.New("serve: fleet transport closed")
-	}
 	w := f.workers[sl.id]
 	if w == nil || !w.idle() {
 		return fmt.Errorf("serve: worker %q is not free", sl.id)
@@ -304,7 +280,6 @@ func (f *fleetTransport) close() {
 			w.park = nil
 		}
 	}
-	f.cond.Broadcast()
 	f.mu.Unlock()
 	close(f.stopc)
 	<-f.monitorDone
@@ -384,18 +359,20 @@ func (f *fleetTransport) sweep(now time.Time) {
 
 // upsertLocked registers-or-refreshes a worker; every protocol message
 // funnels through here, which is what makes re-registration idempotent and
-// crash-rejoin under the same id seamless.
-func (f *fleetTransport) upsertLocked(id string, spec backend.ServerSpec, now time.Time) *fleetWorker {
-	w := f.workers[id]
+// crash-rejoin under the same id seamless. revived reports a worker that
+// was gone: if it is still parked, it is a free slot again.
+func (f *fleetTransport) upsertLocked(id string, spec backend.ServerSpec, now time.Time) (w *fleetWorker, revived bool) {
+	w = f.workers[id]
 	if w == nil {
 		w = &fleetWorker{id: id}
 		f.workers[id] = w
 	}
+	revived = w.gone
 	w.spec = spec
 	w.last = now
 	w.gone = false
 	f.met.workersG.Set(int64(f.liveLocked()))
-	return w
+	return w, revived
 }
 
 // --- HTTP handlers --------------------------------------------------------------
@@ -404,21 +381,21 @@ func (f *fleetTransport) upsertLocked(id string, spec backend.ServerSpec, now ti
 // resolves it to a full server spec; false means the error response was
 // written. Software workers must name a known uarch config; accelerator
 // workers carry no config (the ASIC's host core is not modeled).
-func parseWorker(w http.ResponseWriter, workerID, config, backendName string, price float64, spot bool) (backend.ServerSpec, bool) {
-	if workerID == "" {
+func parseWorker(w http.ResponseWriter, c Capability) (backend.ServerSpec, bool) {
+	if c.WorkerID == "" {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "missing worker_id"})
 		return backend.ServerSpec{}, false
 	}
-	kind, err := backend.ParseKind(backendName)
+	kind, err := backend.ParseKind(c.Backend)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return backend.ServerSpec{}, false
 	}
-	spec := backend.ServerSpec{Backend: kind, PriceCentsHour: price, Spot: spot}
+	spec := backend.ServerSpec{Backend: kind, PriceCentsHour: c.PriceCentsHour, Spot: c.Spot}
 	if kind == backend.Software {
-		cfg, ok := uarch.ByName(config)
+		cfg, ok := uarch.ByName(c.Config)
 		if !ok {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown configuration %q", config)})
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("unknown configuration %q", c.Config)})
 			return backend.ServerSpec{}, false
 		}
 		spec.Config = cfg
@@ -431,7 +408,7 @@ func (f *fleetTransport) handleHeartbeat(w http.ResponseWriter, r *http.Request)
 	if !decodeJSON(w, r, &hb) {
 		return
 	}
-	spec, ok := parseWorker(w, hb.WorkerID, hb.Config, hb.Backend, hb.PriceCentsHour, hb.Spot)
+	spec, ok := parseWorker(w, hb.Capability)
 	if !ok {
 		return
 	}
@@ -442,7 +419,7 @@ func (f *fleetTransport) handleHeartbeat(w http.ResponseWriter, r *http.Request)
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "shutting down", Reason: "closed"})
 		return
 	}
-	fw := f.upsertLocked(hb.WorkerID, spec, now)
+	fw, revived := f.upsertLocked(hb.WorkerID, spec, now)
 	fw.util = hb.UtilizationPct
 	fw.jobs = hb.JobsDone
 	f.met.utilW(fw.id).Set(int64(hb.UtilizationPct))
@@ -456,6 +433,9 @@ func (f *fleetTransport) handleHeartbeat(w http.ResponseWriter, r *http.Request)
 		}
 	}
 	f.mu.Unlock()
+	if revived {
+		f.s.wake()
+	}
 	writeJSON(w, http.StatusOK, HeartbeatReply{OK: true, LeaseValid: leaseValid})
 }
 
@@ -464,7 +444,7 @@ func (f *fleetTransport) handlePoll(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	spec, ok := parseWorker(w, req.WorkerID, req.Config, req.Backend, req.PriceCentsHour, req.Spot)
+	spec, ok := parseWorker(w, req.Capability)
 	if !ok {
 		return
 	}
@@ -475,7 +455,7 @@ func (f *fleetTransport) handlePoll(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "shutting down", Reason: "closed"})
 		return
 	}
-	fw := f.upsertLocked(req.WorkerID, spec, now)
+	fw, _ := f.upsertLocked(req.WorkerID, spec, now)
 	var disclaimed *lease
 	if l := fw.lease; l != nil && !l.done {
 		// The lease holder itself says it is idle (it crashed and restarted,
@@ -494,11 +474,11 @@ func (f *fleetTransport) handlePoll(w http.ResponseWriter, r *http.Request) {
 	ch := make(chan Assignment, 1)
 	fw.park = ch
 	f.met.busyW(fw.id).Set(0)
-	f.cond.Broadcast() // a slot became free
 	f.mu.Unlock()
 	if disclaimed != nil {
 		disclaimed.finish(outcome{requeue: true})
 	}
+	f.s.wake() // a slot became free
 
 	timer := time.NewTimer(f.wait)
 	defer timer.Stop()

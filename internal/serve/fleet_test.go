@@ -87,15 +87,18 @@ func (w *protoWorker) post(path string, body, out any) int {
 	return resp.StatusCode
 }
 
+func (w *protoWorker) capability() Capability {
+	return Capability{
+		WorkerID: w.id, Config: w.cfg,
+		Backend: w.backend, PriceCentsHour: w.price, Spot: w.spot,
+	}
+}
+
 // poll blocks like a real worker's long poll; ok is false on 204.
 func (w *protoWorker) poll() (Assignment, bool) {
 	w.t.Helper()
 	var a Assignment
-	req := PollRequest{
-		WorkerID: w.id, Config: w.cfg,
-		Backend: w.backend, PriceCentsHour: w.price, Spot: w.spot,
-	}
-	switch code := w.post("/fleet/poll", req, &a); code {
+	switch code := w.post("/fleet/poll", PollRequest{Capability: w.capability()}, &a); code {
 	case http.StatusOK:
 		return a, true
 	case http.StatusNoContent:
@@ -109,14 +112,53 @@ func (w *protoWorker) poll() (Assignment, bool) {
 func (w *protoWorker) beat(lease string) HeartbeatReply {
 	w.t.Helper()
 	var reply HeartbeatReply
-	hb := Heartbeat{
-		WorkerID: w.id, Config: w.cfg, LeaseID: lease, Busy: lease != "",
-		Backend: w.backend, PriceCentsHour: w.price, Spot: w.spot,
-	}
+	hb := Heartbeat{Capability: w.capability(), LeaseID: lease, Busy: lease != ""}
 	if code := w.post("/fleet/heartbeat", hb, &reply); code != http.StatusOK {
 		w.t.Fatalf("heartbeat: unexpected status %d", code)
 	}
 	return reply
+}
+
+// parkedPoll is how a background poll ended.
+type parkedPoll struct {
+	a    Assignment
+	code int
+	err  error
+}
+
+// park starts w's long poll in the background (its goroutine reports on
+// the channel instead of failing the test) and returns once the
+// orchestrator holds it as a free slot.
+func (w *protoWorker) park(h *fleetHarness) <-chan parkedPoll {
+	w.t.Helper()
+	raw, err := json.Marshal(PollRequest{Capability: w.capability()})
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	out := make(chan parkedPoll, 1)
+	go func() {
+		var p parkedPoll
+		resp, err := http.Post(w.base+"/fleet/poll", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			p.err = err
+		} else {
+			p.code = resp.StatusCode
+			if p.code == http.StatusOK {
+				p.err = json.NewDecoder(resp.Body).Decode(&p.a)
+			}
+			resp.Body.Close()
+		}
+		out <- p
+	}()
+	waitUntil(w.t, 3*time.Second, w.id+" parked", func() bool {
+		for _, sl := range h.s.transport.freeSlots() {
+			if sl.id == w.id {
+				return true
+			}
+		}
+		return false
+	})
+	return out
 }
 
 func (w *protoWorker) result(a Assignment, seconds float64, errMsg string) ResultReply {
@@ -411,5 +453,149 @@ func TestHTTPHardening(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || eb.Error == "" {
 		t.Fatalf("bad JSON: status %d body %+v, want 400 with error", resp.StatusCode, eb)
+	}
+}
+
+// TestCapabilityWireBytes pins the JSON of the two messages that carry a
+// worker's Capability: embedding flattens its fields, so heartbeats and
+// polls read byte for byte as they did when each spelled them out.
+func TestCapabilityWireBytes(t *testing.T) {
+	full := Capability{WorkerID: "w1", Config: "baseline", Backend: "accel", PriceCentsHour: 12.5, Spot: true}
+	bare := Capability{WorkerID: "w2", Config: "fe_op"}
+	for _, c := range []struct {
+		msg  any
+		want string
+	}{
+		{Heartbeat{Capability: full, Busy: true, LeaseID: "lease-3", UtilizationPct: 40, JobsDone: 7},
+			`{"worker_id":"w1","config":"baseline","backend":"accel","price_cents_hour":12.5,"spot":true,"busy":true,"lease_id":"lease-3","utilization_pct":40,"jobs_done":7}`},
+		{Heartbeat{Capability: bare},
+			`{"worker_id":"w2","config":"fe_op","busy":false,"utilization_pct":0,"jobs_done":0}`},
+		{PollRequest{Capability: full},
+			`{"worker_id":"w1","config":"baseline","backend":"accel","price_cents_hour":12.5,"spot":true}`},
+		{PollRequest{Capability: bare}, `{"worker_id":"w2","config":"fe_op"}`},
+	} {
+		got, err := json.Marshal(c.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("%T marshals to\n%s\nwant\n%s", c.msg, got, c.want)
+		}
+	}
+}
+
+// TestUnplaceableRowWaitsForACompatibleSlot: a job no free slot can run
+// waits for one, without being requeued or retried on a timer, and while
+// it waits a job of another class still takes the slot it cannot use.
+// refs 8 is outside the accelerator's option surface; the default job
+// (refs 3) is inside it.
+func TestUnplaceableRowWaitsForACompatibleSlot(t *testing.T) {
+	ctx := context.Background()
+	t.Run("waits_for_software", func(t *testing.T) {
+		h := newFleetHarness(t, 10*time.Second)
+		accel := &protoWorker{t: t, base: h.ts.URL, id: "w-accel", backend: "accel"}
+		accelPoll := accel.park(h)
+		view, err := h.s.Submit(ctx, JobRequest{Video: "bbb", Refs: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for end := time.Now().Add(100 * time.Millisecond); time.Now().Before(end); {
+			select {
+			case p := <-accelPoll:
+				t.Fatalf("accelerator poll ended with %+v, want it parked", p)
+			case <-time.After(5 * time.Millisecond):
+			}
+			if got, _ := h.s.Job(view.ID); got.State != StateQueued {
+				t.Fatalf("job %s, want queued", got.State)
+			}
+			if got := h.counter("serve_requeues"); got != 0 {
+				t.Fatalf("serve_requeues %d while waiting, want 0", got)
+			}
+		}
+		// The dispatcher looks at the job again only when something
+		// happens: the admission, the accelerator's own park (its wake-up
+		// may land after the job), and the first look, each at most one
+		// round plus one pass of the queue. A timer would return it every
+		// few milliseconds.
+		if got := h.counter("queue_requeued"); got > 6 {
+			t.Fatalf("queue_requeued %d in 100ms with nothing happening, want <= 6", got)
+		}
+
+		sw := &protoWorker{t: t, base: h.ts.URL, id: "w-sw", cfg: "baseline"}
+		a, ok := sw.poll()
+		if !ok || a.JobID != view.ID {
+			t.Fatalf("software poll got %+v (ok %v), want %s", a, ok, view.ID)
+		}
+		if reply := sw.result(a, 1.5, ""); !reply.Accepted {
+			t.Fatalf("result rejected: %+v", reply)
+		}
+		final, err := h.s.WaitJob(ctx, view.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != StateDone || final.Server != "w-sw" || final.Attempts != 1 {
+			t.Fatalf("final %+v, want done on w-sw in one attempt", final)
+		}
+		if got := h.counter("serve_requeues"); got != 0 {
+			t.Fatalf("serve_requeues %d, want 0", got)
+		}
+	})
+	t.Run("another_class_takes_the_accelerator", func(t *testing.T) {
+		h := newFleetHarness(t, 10*time.Second)
+		accel := &protoWorker{t: t, base: h.ts.URL, id: "w-accel", backend: "accel"}
+		accelPoll := accel.park(h)
+		head, err := h.s.Submit(ctx, JobRequest{Video: "bbb", Refs: 8, Class: "a"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, 3*time.Second, "the software-only job found unplaceable", func() bool {
+			return h.counter("queue_requeued") >= 1
+		})
+		other, err := h.s.Submit(ctx, JobRequest{Video: "bbb", Class: "b"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case p := <-accelPoll:
+			if p.err != nil || p.code != http.StatusOK || p.a.JobID != other.ID {
+				t.Fatalf("accelerator poll ended with %+v, want an assignment of %s", p, other.ID)
+			}
+		case <-time.After(3 * time.Second):
+			t.Fatalf("%s never reached the parked accelerator", other.ID)
+		}
+		if got, _ := h.s.Job(head.ID); got.State != StateQueued {
+			t.Fatalf("software-only job %s, want queued", got.State)
+		}
+		if got := h.counter("serve_requeues"); got != 0 {
+			t.Fatalf("serve_requeues %d, want 0", got)
+		}
+	})
+}
+
+// TestRevivedWorkerTakesWaitingJob: a parked worker the monitor declared
+// gone is a free slot again as soon as a heartbeat revives it, so the job
+// waiting for a slot goes to it then, not when its poll window lapses.
+func TestRevivedWorkerTakesWaitingJob(t *testing.T) {
+	h := newFleetHarness(t, 10*time.Second)
+	w1 := &protoWorker{t: t, base: h.ts.URL, id: "w1", cfg: "baseline"}
+	polled := w1.park(h)
+	h.s.transport.(*fleetTransport).sweep(time.Now().Add(time.Minute)) // silent past its TTL
+	view, err := h.s.Submit(context.Background(), JobRequest{Video: "bbb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case p := <-polled:
+		t.Fatalf("gone worker's poll ended with %+v", p)
+	case <-time.After(50 * time.Millisecond):
+	}
+	w1.beat("")
+	select {
+	case p := <-polled:
+		if p.err != nil || p.code != http.StatusOK || p.a.JobID != view.ID {
+			t.Fatalf("revived worker's poll ended with %+v, want an assignment of %s", p, view.ID)
+		}
+	case <-time.After(time.Second): // inside the harness's 2 s poll window
+		t.Fatal("revived worker never got the waiting job")
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backend"
@@ -318,6 +319,9 @@ type Server struct {
 	flowMu   sync.Mutex // drain accounting: dispatched-but-unfinished jobs
 	flowCond *sync.Cond
 	inflight int
+	// changes counts events that can make a queued job placeable (see
+	// wake); bumped under flowMu, so a waiter on flowCond misses none.
+	changes atomic.Uint64
 
 	jobsMu sync.Mutex
 	jobs   map[string]*record
@@ -398,7 +402,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Fleet != nil {
 		s.transport = newFleetTransport(s, *cfg.Fleet, reg)
 	} else {
-		s.transport = newLoopback(cfg, reg)
+		s.transport = newLoopback(cfg, reg, s.wake)
 	}
 	return s, nil
 }

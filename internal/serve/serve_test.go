@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/perf"
@@ -288,6 +289,62 @@ func TestHTTPAdmissionFull(t *testing.T) {
 	if got := s.Totals().Rejected; got != 1 {
 		t.Fatalf("rejected total %d, want 1", got)
 	}
+}
+
+// FuzzSubmitRequest feeds arbitrary bytes to POST /jobs on an unstarted
+// server. Every answer is a JSON admission outcome, never a panic or a
+// 500, and every 202 names a job GET /jobs/{id} finds. The fleet is one
+// accelerator, so deadline admission can refuse (a cold software class
+// admits anything), and the queue holds 4, so a ladder of segments can
+// overflow it.
+func FuzzSubmitRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"video":"bbb"}`,
+		`{"video":"desktop","crf":40,"refs":2,"preset":"fast","class":"live","priority":3,"deadline_ms":500}`,
+		`{"video":"bbb","refs":8}`,
+		`{"video":"bbb","deadline_seconds":1e-9}`,
+		`{"video":"bbb","quality_floor":1,"deadline_seconds":5}`,
+		`{"video":"holi","segments":2,"ladder":[{"name":"hi","crf":20},{"crf":35,"preset":"veryfast"}]}`,
+		`{"video":"bbb","segments":3,"ladder":[{},{}]}`,
+		`{"video":"bbb","segments":65}`,
+		`{"video":"bbb","crf":52}`,
+		`{"video":"bbb","preset":"warp"}`,
+		`{"video":"nosuchvideo"}`,
+		`{"video":"bbb"} trailing`,
+		`{not json`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	want := map[int]bool{
+		http.StatusAccepted: true, http.StatusBadRequest: true,
+		http.StatusRequestEntityTooLarge: true, http.StatusUnprocessableEntity: true,
+		http.StatusTooManyRequests: true, http.StatusServiceUnavailable: true,
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := newTestServer(t, Config{
+			Servers:    sched.Fleet{backend.ServerSpec{Backend: backend.Accel}},
+			QueueDepth: 4,
+		})
+		h := s.Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
+		if !want[rec.Code] {
+			t.Fatalf("POST /jobs %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusAccepted {
+			return
+		}
+		var view JobView
+		if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil || view.ID == "" {
+			t.Fatalf("POST /jobs %q: 202 body %q (%v)", body, rec.Body, err)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/jobs/"+view.ID, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /jobs/%s after 202: status %d", view.ID, rec.Code)
+		}
+	})
 }
 
 // TestStopDrainsQueuedJobs checks graceful shutdown: jobs admitted before

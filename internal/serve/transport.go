@@ -63,9 +63,8 @@ type transport interface {
 	// of deadline admission's class list.
 	specs() []backend.ServerSpec
 	// freeSlots snapshots the currently idle slots in deterministic order.
+	// A transport calls Server.wake whenever a slot becomes free.
 	freeSlots() []slot
-	// waitFree blocks until at least one slot is free; false means ctx won.
-	waitFree(ctx context.Context) bool
 	// start hands one placed job to the identified slot. finish is called
 	// exactly once with the outcome — unless start itself returns an error
 	// (the slot vanished between freeSlots and start), in which case the
@@ -88,29 +87,6 @@ func distinctClasses(specs []backend.ServerSpec) []backend.ServerSpec {
 		}
 	}
 	return out
-}
-
-// waitCond blocks on c until ready reports true (returns true) or ctx is
-// done first (returns false). ready runs with c.L held and is checked
-// before ctx, so a wait that is already satisfied never fails; ctx
-// cancellation broadcasts c so the wait observes it.
-func waitCond(ctx context.Context, c *sync.Cond, ready func() bool) bool {
-	if ctx.Done() != nil {
-		defer context.AfterFunc(ctx, func() {
-			c.L.Lock()
-			c.Broadcast()
-			c.L.Unlock()
-		})()
-	}
-	c.L.Lock()
-	defer c.L.Unlock()
-	for !ready() {
-		if ctx.Err() != nil {
-			return false
-		}
-		c.Wait()
-	}
-	return true
 }
 
 // Execute runs one placed unit on a server of the given capability: the
@@ -166,25 +142,22 @@ type loopback struct {
 	busySrv *obs.Gauge
 
 	stream *exec.Stream
+	wake   func() // Server.wake, called when a server is released
 
 	mu   sync.Mutex
-	cond *sync.Cond
 	busy []bool
-	free int
 }
 
-func newLoopback(cfg Config, reg *obs.Registry) *loopback {
-	l := &loopback{
+func newLoopback(cfg Config, reg *obs.Registry, wake func()) *loopback {
+	return &loopback{
 		fleet:   cfg.Servers,
 		workers: cfg.Workers,
 		proto:   cfg.Proto,
 		metrics: reg,
 		busySrv: reg.Gauge("serve_busy_servers"),
+		wake:    wake,
 		busy:    make([]bool, len(cfg.Servers)),
-		free:    len(cfg.Servers),
 	}
-	l.cond = sync.NewCond(&l.mu)
-	return l
 }
 
 func (l *loopback) open(ctx context.Context) {
@@ -205,10 +178,6 @@ func (l *loopback) freeSlots() []slot {
 	return out
 }
 
-func (l *loopback) waitFree(ctx context.Context) bool {
-	return waitCond(ctx, l.cond, func() bool { return l.free > 0 })
-}
-
 func (l *loopback) start(ctx context.Context, sl slot, tk *queue.Ticket[*record], finish func(outcome)) error {
 	i, err := l.index(sl.id)
 	if err != nil {
@@ -220,8 +189,7 @@ func (l *loopback) start(ctx context.Context, sl slot, tk *queue.Ticket[*record]
 		return fmt.Errorf("serve: slot %s already busy", sl.id)
 	}
 	l.busy[i] = true
-	l.free--
-	l.busySrv.Set(int64(len(l.fleet) - l.free))
+	l.busySrv.Add(1)
 	l.mu.Unlock()
 
 	rec := tk.Payload()
@@ -252,10 +220,9 @@ func (l *loopback) start(ctx context.Context, sl slot, tk *queue.Ticket[*record]
 func (l *loopback) release(i int) {
 	l.mu.Lock()
 	l.busy[i] = false
-	l.free++
-	l.busySrv.Set(int64(len(l.fleet) - l.free))
-	l.cond.Broadcast()
+	l.busySrv.Add(-1)
 	l.mu.Unlock()
+	l.wake()
 }
 
 func (l *loopback) close() {

@@ -12,11 +12,10 @@ import "repro/internal/perf"
 //	POST /fleet/poll       PollRequest  -> 200 Assignment | 204 no work
 //	POST /fleet/result     ResultReport -> ResultReply
 
-// Heartbeat is the worker's periodic liveness + telemetry message. Every
-// heartbeat doubles as (re-)registration — a worker that crashed and
-// restarted under the same id is simply upserted, so rejoining needs no
-// dedicated handshake.
-type Heartbeat struct {
+// Capability is who a worker is and what it can run, carried by every
+// heartbeat and poll. Embedded, its fields sit at the top level of either
+// message's JSON.
+type Capability struct {
 	WorkerID string `json:"worker_id"`
 	// Config is the worker's uarch configuration name — its capability
 	// metadata, driving characterization-based placement. Ignored (and may
@@ -29,7 +28,15 @@ type Heartbeat struct {
 	Backend        string  `json:"backend,omitempty"`
 	PriceCentsHour float64 `json:"price_cents_hour,omitempty"`
 	Spot           bool    `json:"spot,omitempty"`
-	Busy           bool    `json:"busy"`
+}
+
+// Heartbeat is the worker's periodic liveness + telemetry message. Every
+// heartbeat doubles as (re-)registration — a worker that crashed and
+// restarted under the same id is simply upserted, so rejoining needs no
+// dedicated handshake.
+type Heartbeat struct {
+	Capability
+	Busy bool `json:"busy"`
 	// LeaseID names the lease the worker believes it holds; carrying it
 	// renews the lease's expiry.
 	LeaseID        string  `json:"lease_id,omitempty"`
@@ -51,15 +58,10 @@ type HeartbeatReply struct {
 // the worker, and — because a worker only polls when idle — implicitly
 // disclaims any lease the orchestrator still holds for it, releasing the
 // orphaned job back to the queue immediately instead of waiting out the
-// lease TTL.
+// lease TTL. It carries the heartbeat's Capability, so a poll-first worker
+// is registered with its full spec.
 type PollRequest struct {
-	WorkerID string `json:"worker_id"`
-	Config   string `json:"config"`
-	// Backend/PriceCentsHour/Spot mirror the Heartbeat capability fields,
-	// so a poll-first worker is registered with its full spec.
-	Backend        string  `json:"backend,omitempty"`
-	PriceCentsHour float64 `json:"price_cents_hour,omitempty"`
-	Spot           bool    `json:"spot,omitempty"`
+	Capability
 }
 
 // Assignment is one leased job: the task parameters plus the workload

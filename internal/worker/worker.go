@@ -75,11 +75,12 @@ type workerMetrics struct {
 
 // Worker is one fleet member; create with New, drive with Run.
 type Worker struct {
-	opts   Options
-	spec   backend.ServerSpec // resolved economic capability
-	base   string
-	client *http.Client
-	met    workerMetrics
+	opts       Options
+	spec       backend.ServerSpec // resolved economic capability
+	capability serve.Capability   // spec on the wire, sent with every beat and poll
+	base       string
+	client     *http.Client
+	met        workerMetrics
 
 	mu       sync.Mutex
 	leaseID  string             // lease of the in-flight job, "" when idle
@@ -117,12 +118,17 @@ func New(opts Options) (*Worker, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
+	spec := backend.ServerSpec{
+		Backend: opts.Backend, Config: opts.Config,
+		PriceCentsHour: opts.PriceCentsHour, Spot: opts.Spot,
+	}.FillDefaults()
 	return &Worker{
 		opts: opts,
-		spec: backend.ServerSpec{
-			Backend: opts.Backend, Config: opts.Config,
-			PriceCentsHour: opts.PriceCentsHour, Spot: opts.Spot,
-		}.FillDefaults(),
+		spec: spec,
+		capability: serve.Capability{
+			WorkerID: opts.ID, Config: opts.Config.Name, Backend: string(spec.Backend),
+			PriceCentsHour: spec.PriceCentsHour, Spot: spec.Spot,
+		},
 		base:   opts.Orchestrator,
 		client: client,
 		met: workerMetrics{
@@ -160,7 +166,10 @@ func (w *Worker) Run(ctx context.Context) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		a, ok, err := w.poll(ctx)
+		// The poll parks server-side until a job is leased to this worker
+		// (200) or the window lapses (204: park again).
+		var a serve.Assignment
+		ok, err := w.post(ctx, "/fleet/poll", serve.PollRequest{Capability: w.capability}, &a)
 		if err != nil {
 			if ctx.Err() != nil {
 				return ctx.Err()
@@ -170,10 +179,9 @@ func (w *Worker) Run(ctx context.Context) error {
 			}
 			continue
 		}
-		if !ok {
-			continue // empty poll window; park again
+		if ok {
+			w.execute(ctx, a)
 		}
-		w.execute(ctx, a)
 	}
 }
 
@@ -239,7 +247,7 @@ func (w *Worker) execute(ctx context.Context, a serve.Assignment) {
 func (w *Worker) report(ctx context.Context, rep serve.ResultReport) bool {
 	for attempt := 0; attempt < 5; attempt++ {
 		var reply serve.ResultReply
-		if err := w.post(ctx, "/fleet/result", rep, &reply); err == nil {
+		if _, err := w.post(ctx, "/fleet/result", rep, &reply); err == nil {
 			return true
 		}
 		if !sleep(ctx, w.opts.Heartbeat) {
@@ -247,41 +255,6 @@ func (w *Worker) report(ctx context.Context, rep serve.ResultReport) bool {
 		}
 	}
 	return false
-}
-
-// poll asks for one job; ok is false on an empty window (HTTP 204).
-func (w *Worker) poll(ctx context.Context) (serve.Assignment, bool, error) {
-	body, err := json.Marshal(serve.PollRequest{
-		WorkerID: w.opts.ID, Config: w.opts.Config.Name,
-		Backend:        string(w.spec.Backend),
-		PriceCentsHour: w.spec.PriceCentsHour, Spot: w.spec.Spot,
-	})
-	if err != nil {
-		return serve.Assignment{}, false, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+"/fleet/poll", bytes.NewReader(body))
-	if err != nil {
-		return serve.Assignment{}, false, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return serve.Assignment{}, false, err
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusNoContent:
-		return serve.Assignment{}, false, nil
-	case http.StatusOK:
-		var a serve.Assignment
-		if err := json.NewDecoder(resp.Body).Decode(&a); err != nil {
-			return serve.Assignment{}, false, err
-		}
-		return a, true, nil
-	default:
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return serve.Assignment{}, false, fmt.Errorf("worker: poll: %s: %s", resp.Status, msg)
-	}
 }
 
 // heartbeatLoop is the background liveness/telemetry loop.
@@ -305,15 +278,12 @@ func (w *Worker) beat(ctx context.Context) {
 	w.mu.Lock()
 	lease := w.leaseID
 	hb := serve.Heartbeat{
-		WorkerID: w.opts.ID, Config: w.opts.Config.Name,
-		Backend:        string(w.spec.Backend),
-		PriceCentsHour: w.spec.PriceCentsHour, Spot: w.spec.Spot,
-		Busy: lease != "", LeaseID: lease,
+		Capability: w.capability, Busy: lease != "", LeaseID: lease,
 		UtilizationPct: w.utilLocked(time.Now()), JobsDone: w.jobsDone,
 	}
 	w.mu.Unlock()
 	var reply serve.HeartbeatReply
-	if err := w.post(ctx, "/fleet/heartbeat", hb, &reply); err != nil {
+	if _, err := w.post(ctx, "/fleet/heartbeat", hb, &reply); err != nil {
 		return
 	}
 	w.met.heartbeats.Inc()
@@ -348,27 +318,32 @@ func (w *Worker) utilLocked(now time.Time) float64 {
 	return pct
 }
 
-// post is the plain request/reply POST (heartbeat, result).
-func (w *Worker) post(ctx context.Context, path string, body, reply any) error {
+// post is the worker's one request path: it POSTs body as JSON and decodes
+// a 200 reply into reply. A 204 (only a poll gets one: no assignment this
+// window) reports ok false with no error.
+func (w *Worker) post(ctx context.Context, path string, body, reply any) (ok bool, err error) {
 	raw, err := json.Marshal(body)
 	if err != nil {
-		return err
+		return false, err
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.base+path, bytes.NewReader(raw))
 	if err != nil {
-		return err
+		return false, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.client.Do(req)
 	if err != nil {
-		return err
+		return false, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("worker: %s: %s: %s", path, resp.Status, msg)
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return true, json.NewDecoder(resp.Body).Decode(reply)
+	case http.StatusNoContent:
+		return false, nil
 	}
-	return json.NewDecoder(resp.Body).Decode(reply)
+	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+	return false, fmt.Errorf("worker: %s: %s: %s", path, resp.Status, msg)
 }
 
 // sleep is a ctx-aware pause; false means ctx won.

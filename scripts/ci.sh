@@ -44,6 +44,11 @@ if grep -rnE '\bUniform[P]ool\b|\bPoolBy[N]ames\b|\bFleetFrom[P]ool\b|\bAssign[P
 # ahead of the points and rebuilt what the budget evicted, was deleted
 # (the singleflight caches build each title once for all its points).
 if grep -rnE 'Warm[T]arget|Plan\.W[a]rm' --include='*.go' --include='*.sh' --include='*.yml' .; then exit 1; fi
+# The dispatcher has one wake-up, the server's change counter: the
+# transports' own slot waits and the 2 ms retry sleep for unplaceable jobs
+# were deleted, and no timer comes back into the serving layer.
+if grep -rn 'wait[F]ree' --include='*.go' .; then exit 1; fi
+if grep -n 'time\.[S]leep' $(ls internal/serve/*.go | grep -v '_test\.go$'); then exit 1; fi
 
 go vet ./...
 go build ./...
@@ -73,6 +78,9 @@ go test -race -run 'TestFrontEndRunBatchingEquivalence|TestSnapshotsShareEqualLe
 # completes: the cache, frozen and thawed mid-stream, against its stamp-LRU
 # oracle on arbitrary geometries and addresses.
 go test -run '^$' -fuzz FuzzCacheMatchesReference -fuzztime 20s ./internal/uarch/cache
+# The job API's decoder on arbitrary bodies: an admission status, never a
+# panic, and every 202 names a job that GET /jobs/{id} finds.
+go test -run '^$' -fuzz 'FuzzSubmitRequest$' -fuzztime 20s ./internal/serve
 # The fused kernels on both sides of the trace.Sink against the paths they
 # replaced: the one-pass block walk against per-row Load/Store (line above)
 # and the sub-pel cost against scalar interpolation + the staged metric.
