@@ -36,7 +36,7 @@ var flagDebugAddr = flag.String("debug-addr", "",
 func Main(name string, run func(ctx context.Context) error) {
 	flag.Parse()
 	if *flagDebugAddr != "" {
-		addr, err := obs.Serve(*flagDebugAddr)
+		addr, err := obs.Serve(*flagDebugAddr, obs.Default())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)

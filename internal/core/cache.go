@@ -60,15 +60,10 @@ const failedEntryBytes = 256
 // triggering caller was canceled before the build landed, i.e. work the
 // detach policy saved from being wasted.
 type flightCache[K comparable, V any] struct {
-	// name labels this cache's metrics; empty disables self-reporting.
-	name string
-	// size measures a built value's footprint; every budgeted cache has one.
-	size func(V) int64
-	// lru is the engine's shared budget; nil (a bare cache) never evicts.
-	lru *budget
-
-	mu sync.Mutex // guards m when lru is nil; a budgeted cache uses lru.mu
-	m  map[K]*flightEntry[V]
+	name string        // labels this cache's metrics
+	size func(V) int64 // a built value's footprint
+	lru  *budget       // the engine's shared budget; lru.mu guards m
+	m    map[K]*flightEntry[V]
 }
 
 type flightEntry[V any] struct {
@@ -78,17 +73,8 @@ type flightEntry[V any] struct {
 	elem *list.Element // place in lru.order once landed
 }
 
-func (c *flightCache[K, V]) locker() *sync.Mutex {
-	if c.lru != nil {
-		return &c.lru.mu
-	}
-	return &c.mu
-}
-
 func (c *flightCache[K, V]) count(metric string, n int64) {
-	if c.name != "" {
-		obs.Default().Counter(metric, "cache", c.name).Add(n)
-	}
+	obs.Default().Counter(metric, "cache", c.name).Add(n)
 }
 
 // get returns the cached value for k, building it with build on first use.
@@ -101,8 +87,7 @@ func (c *flightCache[K, V]) count(metric string, n int64) {
 // are bounded CPU work (one encode or decode), so letting an abandoned
 // build finish costs at most one job's worth of compute.
 func (c *flightCache[K, V]) get(ctx context.Context, k K, build func() (V, error)) (V, error) {
-	mu := c.locker()
-	mu.Lock()
+	c.lru.mu.Lock()
 	if c.m == nil {
 		c.m = make(map[K]*flightEntry[V])
 	}
@@ -119,7 +104,7 @@ func (c *flightCache[K, V]) get(ctx context.Context, k K, build func() (V, error
 	} else if e.elem != nil {
 		c.lru.order.MoveToFront(e.elem)
 	}
-	mu.Unlock()
+	c.lru.mu.Unlock()
 	if builder {
 		c.count("core_cache_misses", 1)
 	} else {
@@ -141,9 +126,8 @@ func (c *flightCache[K, V]) get(ctx context.Context, k K, build func() (V, error
 // matches, read under the budget lock. A build still in flight is not
 // listed.
 func (c *flightCache[K, V]) landed(match func(K) bool) []V {
-	mu := c.locker()
-	mu.Lock()
-	defer mu.Unlock()
+	c.lru.mu.Lock()
+	defer c.lru.mu.Unlock()
 	var out []V
 	for k, e := range c.m {
 		if e.elem != nil && e.err == nil && match(k) {
@@ -156,9 +140,6 @@ func (c *flightCache[K, V]) landed(match func(K) bool) []V {
 // land charges a finished build to the budget and evicts down to it.
 func (c *flightCache[K, V]) land(k K, e *flightEntry[V]) {
 	b := c.lru
-	if b == nil {
-		return
-	}
 	size := int64(failedEntryBytes)
 	if e.err == nil {
 		size = c.size(e.val)

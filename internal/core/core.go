@@ -136,13 +136,13 @@ type Result struct {
 // DefaultCacheBudget bounds what the default engine retains, in charged
 // bytes: a snapshot is charged every cache level it holds, including the
 // levels it shares with its siblings, so the heap behind a full budget is
-// smaller. Chosen from measurement (DESIGN.md §13, whose latest
-// "measured" entry these figures come from): the largest set any bench
-// workload reuses is charged 26.3 MB (serve_ladder); serve_fleet's is
-// charged 11.1 MB and sweep_warm's 2.2 MB. A crf-refs grid on one
-// CLI-size title (16 frames of about 256 lines) fits with nothing evicted. A set bigger
-// than this still runs, to the same bits; it rebuilds what was evicted, as
-// the videos scan does.
+// smaller. Chosen from measurement (traced core.cache_mb, seeds 1–3, in
+// the CHANGES.md entry that made frozen levels tag streams): the largest
+// set any bench workload reuses is charged 26.3 MB (serve_ladder);
+// serve_fleet's is charged 11.1 MB and sweep_warm's 2.2 MB. A crf-refs
+// grid on one CLI-size title (16 frames of about 256 lines) fits with
+// nothing evicted. A set bigger than this still runs, to the same bits; it
+// rebuilds what was evicted, as the videos scan does.
 const DefaultCacheBudget = 64 << 20
 
 // Engine owns the cached half of the pipeline. A title's decode side is

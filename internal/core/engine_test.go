@@ -343,7 +343,7 @@ func TestEngineConcurrentRunsOverBudget(t *testing.T) {
 // budget's count equals what the map holds and fits the budget.
 func TestFlightCacheBudgetStress(t *testing.T) {
 	const keys, callers, gets = 16, 8, 400
-	c := flightCache[int, int]{size: func(int) int64 { return 10 }, lru: &budget{limit: 45}}
+	c := flightCache[int, int]{name: "test", size: func(int) int64 { return 10 }, lru: &budget{limit: 45}}
 	var inflight [keys]atomic.Int32
 	var builds atomic.Int64
 	build := func(k int) func() (int, error) {
@@ -408,7 +408,7 @@ func TestFlightCacheBudgetStress(t *testing.T) {
 // grow the map without bound — and a failure that aged out fails
 // identically when rebuilt.
 func TestFailedEntryAgesOut(t *testing.T) {
-	c := flightCache[int, int]{size: func(int) int64 { return 1 }, lru: &budget{limit: 4 * failedEntryBytes}}
+	c := flightCache[int, int]{name: "test", size: func(int) int64 { return 1 }, lru: &budget{limit: 4 * failedEntryBytes}}
 	fail := func(k int) func() (int, error) {
 		return func() (int, error) { return 0, fmt.Errorf("key %d cannot be built", k) }
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // footprintWorkload is the title the retained-bytes figures in DESIGN.md
-// are stated on: 8 frames of cricket at 160x96.
+// §6 and CHANGES.md are stated on: 8 frames of cricket at 160x96.
 func footprintWorkload() Workload { return Workload{Video: "cricket", Frames: 8, Scale: 8} }
 
 // TestEveryCacheLayerReportsBytes: on-boarding one title on one

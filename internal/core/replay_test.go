@@ -308,7 +308,7 @@ func TestCacheSingleflight(t *testing.T) {
 // TestFlightCacheBuildsOnce checks the singleflight primitive directly: n
 // concurrent gets of one cold key run build exactly once.
 func TestFlightCacheBuildsOnce(t *testing.T) {
-	var c flightCache[string, int]
+	c := flightCache[string, int]{name: "test", size: func(int) int64 { return 1 }, lru: &budget{limit: 1 << 20}}
 	var builds int32
 	var mu sync.Mutex
 	const callers = 32

@@ -149,7 +149,7 @@ func TestSweepProgressCounts(t *testing.T) {
 // build keeps running and lands in the cache, so later callers get the
 // real value — the cache is never poisoned by a canceled context.
 func TestFlightCacheCancelDetach(t *testing.T) {
-	var c flightCache[string, int]
+	c := flightCache[string, int]{name: "test", size: func(int) int64 { return 1 }, lru: &budget{limit: 1 << 20}}
 	building := make(chan struct{})
 	release := make(chan struct{})
 

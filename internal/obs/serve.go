@@ -27,20 +27,20 @@ func Publish() {
 // Mux returns a fresh mux carrying the standard debug endpoints every
 // binary's -debug-addr serves:
 //
-//	/metrics     — the default registry snapshot as indented JSON
+//	/metrics     — reg's snapshot as indented JSON
 //	/debug/vars  — expvar, including the "obs" snapshot
 //	/debug/pprof — the standard pprof profile index
 //
 // The serving layer mounts its API routes on top of this mux so one
 // listener carries both the service and its observability side door.
-func Mux() *http.ServeMux {
+func Mux(reg *Registry) *http.ServeMux {
 	Publish()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(Default().Snapshot())
+		enc.Encode(reg.Snapshot())
 	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -52,14 +52,14 @@ func Mux() *http.ServeMux {
 }
 
 // Serve starts the debug HTTP endpoint on addr and returns the bound
-// listener address (useful when addr ends in ":0"). It serves Mux until
+// listener address (useful when addr ends in ":0"). It serves Mux(reg) until
 // the process exits; Serve fails fast (rather than in the background) when
 // the address cannot be bound.
-func Serve(addr string) (string, error) {
+func Serve(addr string, reg *Registry) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("obs: debug endpoint: %w", err)
 	}
-	go http.Serve(ln, Mux())
+	go http.Serve(ln, Mux(reg))
 	return ln.Addr().String(), nil
 }

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/uarch"
 )
@@ -56,9 +54,9 @@ type Matrix struct {
 
 // Measure simulates every task on every configuration. workload fields
 // other than Video are taken from proto (Frames/Scale/Seed), letting tests
-// shrink the study. The task×config cells fan out on the shared execution
-// engine (they are independent simulations); the first failure aborts the
-// remaining cells and cancellation propagates from ctx.
+// shrink the study. The task×config cells are one core.Sweep plan, task
+// major, so cells of one title share its cache entries; the error is the
+// first failing cell in plan order, and cancellation propagates from ctx.
 func Measure(ctx context.Context, tasks []Task, configs []uarch.Config, proto core.Workload) (*Matrix, error) {
 	m := &Matrix{Tasks: tasks, Configs: configs}
 	m.Seconds = make([][]float64, len(tasks))
@@ -74,25 +72,23 @@ func Measure(ctx context.Context, tasks []Task, configs []uarch.Config, proto co
 		m.Reports[ti] = make([]*perf.Report, len(configs))
 	}
 	nc := len(configs)
-	cellHist := obs.Default().Histogram("sched_cell_ns")
-	cells := obs.Default().Counter("sched_cells_measured")
-	_, err := exec.Pool{Policy: exec.FailFast}.Map(ctx, len(tasks)*nc, func(ctx context.Context, i int) error {
-		ti, ci := i/nc, i%nc
-		w := proto
-		w.Video = tasks[ti].Video
-		sp := cellHist.Start()
-		res, err := core.Run(ctx, core.Job{Workload: w, Options: opts[ti], Config: configs[ci]})
-		sp.End()
-		if err != nil {
-			return fmt.Errorf("sched: %s on %s: %w", tasks[ti].Name, configs[ci].Name, err)
-		}
-		cells.Inc()
-		m.Seconds[ti][ci] = res.Report.Seconds
-		m.Reports[ti][ci] = res.Report
-		return nil
+	points := core.Sweep(ctx, core.Plan{
+		N: len(tasks) * nc,
+		Build: func(i int) (core.Job, core.Point, error) {
+			t := tasks[i/nc]
+			w := proto
+			w.Video = t.Video
+			return core.Job{Workload: w, Options: opts[i/nc], Config: configs[i%nc]},
+				core.Point{Video: t.Video, CRF: t.CRF, Refs: t.Refs, Preset: t.Preset}, nil
+		},
 	})
-	if err != nil {
-		return nil, err
+	for i, pt := range points {
+		ti, ci := i/nc, i%nc
+		if pt.Err != nil {
+			return nil, fmt.Errorf("sched: %s on %s: %w", tasks[ti].Name, configs[ci].Name, pt.Err)
+		}
+		m.Seconds[ti][ci] = pt.Report.Seconds
+		m.Reports[ti][ci] = pt.Report
 	}
 	return m, nil
 }

@@ -1,9 +1,12 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/codec"
+	"repro/internal/core"
 	"repro/internal/perf"
 	"repro/internal/uarch"
 )
@@ -142,5 +145,21 @@ func TestAffinityMapping(t *testing.T) {
 	}
 	if Affinity(rep, cfgBase) != 0 {
 		t.Fatal("baseline has no affinity")
+	}
+}
+
+// TestMeasureNamesFailingCell checks Measure's error path: a task whose
+// video is unknown fails, and the error names the task and the first
+// configuration of its row in plan order, wrapping the catalog's error.
+func TestMeasureNamesFailingCell(t *testing.T) {
+	tasks := []Task{{"ghost", "nosuchvideo", 23, 1, codec.PresetMedium}}
+	configs := uarch.TableIV()[:2]
+	m, err := Measure(context.Background(), tasks, configs, core.Workload{Frames: 2})
+	if err == nil {
+		t.Fatalf("unknown video measured: %+v", m)
+	}
+	want := "sched: ghost on " + configs[0].Name + `: vbench: unknown video "nosuchvideo"`
+	if err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
 	}
 }

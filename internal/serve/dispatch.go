@@ -446,7 +446,7 @@ func (s *Server) settle(rec *record, st settlement) {
 		rec.deadlineSeconds > 0 && st.seconds > rec.deadlineSeconds {
 		// Deadlines bound per-placed-unit service time; a parent's seconds
 		// is the sum over parallel parts, so its verdict comes from st.miss
-		// (any part missed), set by the finalizing partSettled call.
+		// (any part missed), set by foldParts.
 		miss = true
 	}
 	rec.deadlineMiss = miss
@@ -454,7 +454,6 @@ func (s *Server) settle(rec *record, st settlement) {
 		rec.errMsg = st.err.Error()
 	}
 	enq := rec.enq
-	errMsg := rec.errMsg
 	rec.mu.Unlock()
 
 	if st.state == StateDone && st.class != "" {
@@ -468,7 +467,7 @@ func (s *Server) settle(rec *record, st settlement) {
 			s.met.partsCompleted.Inc()
 		}
 		close(rec.done)
-		s.partSettled(rec, st.state, st.seconds, st.cost, miss, errMsg)
+		s.partSettled(rec, st.state)
 		return
 	}
 
@@ -520,71 +519,76 @@ func (s *Server) partLaunched(rec *record, first bool) {
 	}
 }
 
-// partSettled folds one terminal part into its parent record. The caller
-// holds no locks. Exactly one call observes the parent complete (partsTerm
-// reaches len(parts) once), and that call settles the parent: done only if
-// every part completed, failed on any part failure (the first failure also
-// withdraws still-queued siblings — running parts finish and settle
-// normally), canceled when cancellation emptied the graph without a
-// failure.
-func (s *Server) partSettled(rec *record, state JobState, seconds, cost float64, miss bool, errMsg string) {
+// partSettled counts one terminal part against its parent. The caller
+// holds no locks. A failed part withdraws its still-queued siblings
+// (Ticket.Cancel is false for tickets already off the queue, so running
+// parts finish and settle normally); each withdrawal settles that sibling,
+// re-entering here. Exactly one call brings the count to len(parts), and
+// that call settles the parent with the fold of its parts.
+func (s *Server) partSettled(rec *record, state JobState) {
 	p := rec.parent
 	p.mu.Lock()
-	p.partsTerm++
-	p.partsCost += cost
-	if miss {
-		p.partsMissed++
-	}
-	switch state {
-	case StateDone:
-		p.partsDone++
-		p.partsSeconds += seconds
-		if p.firstDone.IsZero() {
-			p.firstDone = time.Now()
-		}
-	case StateFailed:
-		p.partsFailed++
-		if p.partErr == "" {
-			p.partErr = rec.id + ": " + errMsg
-		}
-	case StateCanceled:
-		p.partsCanceled++
-	}
-	firstFailure := state == StateFailed && p.partsFailed == 1
-	finished := p.partsTerm == len(p.parts)
-	var siblings []*record
-	if firstFailure && !finished {
-		siblings = append(siblings, p.parts...)
-	}
-	failed, canceled, missed := p.partsFailed, p.partsCanceled, p.partsMissed
-	sum, costSum := p.partsSeconds, p.partsCost
-	partErr, firstDone := p.partErr, p.firstDone
+	p.settled++
+	finished := p.settled == len(p.parts)
 	p.mu.Unlock()
-
-	// Fail fast: withdraw queued siblings. Each successful cancellation
-	// settles that part, re-entering partSettled; the invocation that
-	// brings partsTerm to len(parts) — possibly one of these nested calls —
-	// finalizes the parent.
-	for _, sib := range siblings {
-		if sib != rec && sib.ticket.Cancel() {
-			s.settleCanceled(sib)
+	if state == StateFailed && !finished {
+		for _, sib := range p.parts {
+			if sib != rec && sib.ticket.Cancel() {
+				s.settleCanceled(sib)
+			}
 		}
 	}
 	if !finished {
 		return
 	}
-	if !firstDone.IsZero() {
-		s.met.stitch.ObserveSince(firstDone)
+	st, anchor := foldParts(p.parts)
+	if !anchor.IsZero() {
+		s.met.stitch.ObserveSince(anchor)
+	}
+	s.settle(p, st)
+}
+
+// foldParts is a parent's settlement as a function of its settled parts,
+// read in part order, so neither the numbers nor the error depend on the
+// order parts finished in: failed if any part failed (the error names the
+// first in part order), else canceled if any was canceled, else done.
+// Seconds sum the done parts, cost sums every part, and the parent misses
+// its deadline only if it is done and some part missed. anchor is the
+// earliest finish of a done part, where the stitch latency starts.
+func foldParts(parts []*record) (st settlement, anchor time.Time) {
+	st.state = StateDone
+	failed, canceled, missed := 0, 0, false
+	first := ""
+	for _, p := range parts {
+		p.mu.Lock()
+		st.cost += p.costCents
+		switch p.state {
+		case StateDone:
+			st.seconds += p.seconds
+			missed = missed || p.deadlineMiss
+			if anchor.IsZero() || p.finished.Before(anchor) {
+				anchor = p.finished
+			}
+		case StateFailed:
+			if failed == 0 {
+				first = p.id + ": " + p.errMsg
+			}
+			failed++
+		case StateCanceled:
+			canceled++
+		}
+		p.mu.Unlock()
 	}
 	switch {
 	case failed > 0:
-		s.settle(p, settlement{state: StateFailed, seconds: sum, cost: costSum,
-			err: fmt.Errorf("serve: %d of %d parts failed; first: %s", failed, len(p.parts), partErr)})
+		st.state = StateFailed
+		st.err = fmt.Errorf("serve: %d of %d parts failed; first: %s", failed, len(parts), first)
 	case canceled > 0:
-		s.settle(p, settlement{state: StateCanceled, seconds: sum, cost: costSum, err: context.Canceled})
+		st.state, st.err = StateCanceled, context.Canceled
 	default:
-		s.settle(p, settlement{state: StateDone, seconds: sum, cost: costSum, miss: missed > 0})
+		st.miss = missed
 	}
+	return st, anchor
 }
 
 // settleCanceled marks a withdrawn job (its queue ticket was canceled

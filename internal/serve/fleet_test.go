@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -597,5 +598,64 @@ func TestRevivedWorkerTakesWaitingJob(t *testing.T) {
 		}
 	case <-time.After(time.Second): // inside the harness's 2 s poll window
 		t.Fatal("revived worker never got the waiting job")
+	}
+}
+
+// TestParentSettlesInPartOrder pins a job graph's parent as a fold over its
+// parts in part order: three workers report 0.1, 0.2 and 0.3 s for parts
+// 0, 1 and 2 and post their results in reverse. Float addition is not
+// associative, so only the part-order sums match whatever order the parts
+// finished in.
+func TestParentSettlesInPartOrder(t *testing.T) {
+	h := newFleetHarness(t, 10*time.Second)
+	view, err := h.s.Submit(context.Background(), JobRequest{Video: "bbb", Segments: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Parts) != 3 {
+		t.Fatalf("parts %v, want 3", view.Parts)
+	}
+	secs := []float64{0.1, 0.2, 0.3}
+	type held struct {
+		w *protoWorker
+		a Assignment
+	}
+	byPart := make([]held, len(view.Parts))
+	for _, id := range []string{"w0", "w1", "w2"} {
+		w := &protoWorker{t: t, base: h.ts.URL, id: id, cfg: "baseline"}
+		a, ok := w.poll()
+		if !ok {
+			t.Fatalf("%s: poll returned no assignment", id)
+		}
+		i := slices.Index(view.Parts, a.JobID)
+		if i < 0 || byPart[i].w != nil {
+			t.Fatalf("%s: assignment %s is not a fresh part of %v", id, a.JobID, view.Parts)
+		}
+		byPart[i] = held{w, a}
+	}
+	for i := len(byPart) - 1; i >= 0; i-- {
+		if reply := byPart[i].w.result(byPart[i].a, secs[i], ""); !reply.Accepted {
+			t.Fatalf("part %d result %+v, want accepted", i, reply)
+		}
+	}
+	final, err := h.s.WaitJob(context.Background(), view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seconds, cost float64
+	for i, id := range view.Parts {
+		part, _ := h.s.Job(id)
+		if part.State != StateDone || part.SimSeconds != secs[i] {
+			t.Fatalf("part %d %+v, want done @%v s", i, part, secs[i])
+		}
+		seconds += part.SimSeconds
+		cost += part.CostCents
+	}
+	if final.State != StateDone || final.PartsDone != 3 {
+		t.Fatalf("parent %+v, want done with 3 parts done", final)
+	}
+	if final.SimSeconds != seconds || final.CostCents != cost {
+		t.Fatalf("parent %.17g s, %.17g ¢; want part-order sums %.17g s, %.17g ¢",
+			final.SimSeconds, final.CostCents, seconds, cost)
 	}
 }

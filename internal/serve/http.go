@@ -12,13 +12,13 @@ import (
 )
 
 // Handler returns the service mux: the job API mounted on top of the
-// standard -debug-addr observability endpoints (/metrics, /debug/vars,
-// /debug/pprof), so one listener serves both. In fleet mode the worker
+// standard -debug-addr observability endpoints (/metrics of the server's
+// own registry, /debug/vars, /debug/pprof), so one listener serves both. In fleet mode the worker
 // protocol endpoints (/fleet/*) are mounted too. Every route carries a
 // method-mismatch fallback with a JSON 405 and Allow header, so clients
 // never see a bare 404/405 page for using the wrong verb.
 func (s *Server) Handler() http.Handler {
-	mux := obs.Mux()
+	mux := obs.Mux(s.cfg.Metrics)
 	mux.HandleFunc("POST /jobs", s.handleSubmit)
 	mux.HandleFunc("/jobs", methodNotAllowed(http.MethodPost))
 	mux.HandleFunc("GET /jobs/{id}", s.handleJob)

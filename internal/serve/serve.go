@@ -212,20 +212,13 @@ type record struct {
 	deadlineMiss bool
 	stream       []byte // part bitstream retained for the rendition stitch
 
-	// Parent-side aggregates (multi-part submissions only; guarded by mu).
-	// The parent never enters the queue — it settles when its last part
-	// does.
+	// Parent side (multi-part submissions only). The parent never enters
+	// the queue: it settles when its last part does, by folding parts in
+	// part order (partSettled). parts is fixed at admission; the two
+	// counts are guarded by mu.
 	parts         []*record
 	partsLaunched int // parts past their first dispatch (fan-out tracking)
-	partsTerm     int // parts in any terminal state
-	partsDone     int // parts that completed successfully
-	partsFailed   int
-	partsCanceled int
-	partsSeconds  float64   // summed simulated seconds of done parts
-	partsCost     float64   // summed cost of settled parts
-	partsMissed   int       // parts that completed past their deadline
-	partErr       string    // first part failure, surfaced as the parent error
-	firstDone     time.Time // first part completion (stitch-latency anchor)
+	settled       int // parts in a terminal state
 }
 
 // frames is the clip length this record encodes: the segment width for
@@ -268,10 +261,14 @@ func (r *record) view() JobView {
 	}
 	if len(r.parts) > 0 {
 		v.PartsTotal = len(r.parts)
-		v.PartsDone = r.partsDone
 		v.Parts = make([]string, len(r.parts))
 		for i, p := range r.parts {
 			v.Parts[i] = p.id
+			p.mu.Lock()
+			if p.state == StateDone {
+				v.PartsDone++
+			}
+			p.mu.Unlock()
 		}
 	}
 	return v
@@ -363,10 +360,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Fleet == nil && (cfg.Workers <= 0 || cfg.Workers > len(cfg.Servers)) {
 		cfg.Workers = len(cfg.Servers)
 	}
-	reg := cfg.Metrics
-	if reg == nil {
-		reg = obs.Default()
+	if cfg.Metrics == nil {
+		cfg.Metrics = obs.Default()
 	}
+	reg := cfg.Metrics
 	s := &Server{
 		cfg:   cfg,
 		accel: backend.DefaultAccel(),

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -250,11 +251,16 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Fatalf("bad body status %d, want 400", resp.StatusCode)
 	}
 
-	// The obs side door rides on the same mux.
+	// The obs side door rides on the same mux and shows the server's own
+	// registry, not the process default.
 	if r, err = http.Get(ts.URL + "/metrics"); err != nil || r.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %v %v", r.StatusCode, err)
 	}
+	body, err := io.ReadAll(r.Body)
 	r.Body.Close()
+	if err != nil || !bytes.Contains(body, []byte(`"serve_jobs_submitted"`)) {
+		t.Fatalf("metrics body lacks serve_jobs_submitted (err %v):\n%s", err, body)
+	}
 }
 
 // TestHTTPAdmissionFull pins the 429 path: a depth-1 queue with no

@@ -74,7 +74,9 @@ func Parse(buf []byte) (*EventBuf, error) {
 // Replay passes to the Sink method. Calling any other method, or none,
 // loses the cursor's place. The split — the caller's one switch on the
 // kind, operands returned in registers — keeps ReplayEvents within a few
-// percent of a walk over operands decoded in advance (DESIGN.md §13).
+// percent of a walk over operands decoded in advance (measured in the
+// CHANGES.md entry that made the parsed layers views of the recorded
+// bytes).
 type Cursor struct {
 	buf      []byte
 	pos      int

@@ -49,6 +49,15 @@ if grep -rnE 'Warm[T]arget|Plan\.W[a]rm' --include='*.go' --include='*.sh' --inc
 # were deleted, and no timer comes back into the serving layer.
 if grep -rn 'wait[F]ree' --include='*.go' .; then exit 1; fi
 if grep -n 'time\.[S]leep' $(ls internal/serve/*.go | grep -v '_test\.go$'); then exit 1; fi
+# A job graph's parent is a fold over its parts in part order (foldParts),
+# not running aggregates kept in the order parts happened to finish.
+if grep -nE 'parts(Term|Done|Failed|Canceled|Seconds|Cost|Missed)|part[E]rr|first[D]one' $(ls internal/serve/*.go | grep -v '_test\.go$'); then exit 1; fi
+# Fig. 9's task x config grid is one core.Sweep plan; its private cell pool
+# and the two metrics nothing read were deleted.
+if grep -rn 'sched_[c]ell' --include='*.go' .; then exit 1; fi
+# DESIGN.md describes the design it has; a change's measurements live in
+# its CHANGES.md entry, not in per-PR logs beside the design.
+if grep -n '^\*\*PR [0-9]*, measured' DESIGN.md; then exit 1; fi
 
 go vet ./...
 go build ./...
@@ -63,6 +72,9 @@ go test ./...
 # its second pass.
 go test -race ./internal/exec/... ./internal/obs/... ./internal/queue/...
 go test -race -count=2 ./internal/serve/... ./internal/worker/...
+# A parent settles as the fold of its parts in part order, whatever order
+# the parts finish in.
+go test -race -count=5 -run 'TestParentSettlesInPartOrder' ./internal/serve
 go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSnapshotFootprint|TestSnapshotLayersShareLevels|TestEveryCacheLayerReportsBytes|TestEvictedLayerRebuildsBitIdentical|TestEngineSoakHoldsBudget|TestSweepOverBudgetBuildsEachTitleOnce' ./internal/core/...
 # Eviction under concurrency is a matter of interleavings — a waiter whose
 # entry is evicted before it wakes, a key rebuilt while its old value is
