@@ -39,8 +39,7 @@ import (
 )
 
 var (
-	flagAddr     = flag.String("addr", "localhost:8080", "serve instance to drive")
-	flagTarget   = flag.String("target", "", "base URL of a remote orchestrator (overrides -addr; e.g. http://host:8080)")
+	flagAddr     = flag.String("addr", "localhost:8080", "serve instance to drive: host:port or base URL (e.g. http://host:8080)")
 	flagN        = flag.Int("n", 50, "jobs to submit")
 	flagRate     = flag.Float64("rate", 25, "mean arrival rate, jobs/second")
 	flagSeed     = flag.Uint64("seed", 1, "seed for tasks and interarrival gaps")
@@ -122,9 +121,6 @@ func runLoad(ctx context.Context) error {
 	}
 	multi := *flagSegs > 1 || len(rungs) > 0
 	base := cli.BaseURL(*flagAddr)
-	if *flagTarget != "" {
-		base = cli.BaseURL(*flagTarget)
-	}
 	client := &http.Client{Timeout: 10 * time.Second}
 	reg := obs.NewRegistry()
 	sojourn := reg.Histogram("loadgen_sojourn_ns")

@@ -71,7 +71,7 @@ func Ints(s string) ([]int, error) {
 
 // BaseURL normalizes a server flag into a request base URL: a bare
 // host:port gets the http scheme and trailing slashes are trimmed, so both
-// "-addr localhost:8080" and "-target http://host:8080/" produce a prefix
+// "-addr localhost:8080" and "-addr http://host:8080/" produce a prefix
 // that path concatenation works on.
 func BaseURL(s string) string {
 	s = strings.TrimRight(s, "/")

@@ -58,12 +58,6 @@ func (w Workload) normalized() (Workload, error) {
 	return w, nil
 }
 
-// DefaultWorkload returns the proxy settings used by the experiment
-// harness: a 16-frame clip auto-scaled to roughly proxyLines (256) lines.
-func DefaultWorkload(video string) Workload {
-	return Workload{Video: video}
-}
-
 // SegmentsFor computes the segment plan a workload splits into: parts
 // balanced contiguous frame ranges (codec.SplitSegments) over the
 // workload's normalized clip length. The plan is what a multi-part serve
@@ -97,11 +91,6 @@ type Job struct {
 	// timing calls cost real wall time per macroblock, so throughput-critical
 	// paths (the benchmarked sweeps) leave it off.
 	StageMetrics bool
-	// KeepStream retains the encoded bitstream on the Result. Off by
-	// default: characterization sweeps only need the profile, and holding
-	// every part's bitstream would bloat long runs. The serving layer turns
-	// it on for segmented jobs so parts can be stitched into a rendition.
-	KeepStream bool
 }
 
 // stageRecorder bridges codec.StageObserver onto the shared metrics
@@ -126,8 +115,9 @@ func (r *stageRecorder) ObserveStage(s codec.EncodeStage, d time.Duration) {
 type Result struct {
 	Report *perf.Report
 	Stats  *codec.Stats
-	// Stream is the encoded bitstream, populated only when Job.KeepStream
-	// was set (or by EncodeOnly, which always returns it).
+	// Stream is the encoded bitstream. Whoever holds the Result decides
+	// whether to keep it: a sweep Point drops it, a serve part keeps it
+	// for the rendition stitch.
 	Stream []byte
 }
 
@@ -514,11 +504,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
 		return nil, fmt.Errorf("core: encode of %s: %w", job.Workload.Video, err)
 	}
 	rep := perf.FromResult(machine.Result(), enc.SampleFactor())
-	res := &Result{Report: rep, Stats: stats}
-	if job.KeepStream {
-		res.Stream = stream
-	}
-	return res, nil
+	return &Result{Report: rep, Stats: stats, Stream: stream}, nil
 }
 
 // EncodeOnly runs the codec half of a job with no microarchitectural

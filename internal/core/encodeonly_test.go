@@ -25,13 +25,13 @@ func TestEncodeOnlyMatchesRun(t *testing.T) {
 	seg := codec.Segment{Start: 2, End: 5}
 	soft, err := Run(context.Background(), Job{
 		Workload: w, Options: opt, Config: uarch.Baseline(),
-		Segment: seg, KeepStream: true,
+		Segment: seg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(soft.Stream) == 0 {
-		t.Fatal("KeepStream produced no bitstream")
+		t.Fatal("Run returned no bitstream")
 	}
 	accel, err := EncodeOnly(context.Background(), Job{
 		Workload: w, Options: opt, Segment: seg,

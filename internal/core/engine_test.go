@@ -102,7 +102,7 @@ func requireSameResult(t *testing.T, what string, got, want *Result) {
 // addresses it recorded, over freshly re-decoded frames.
 func TestEvictedLayerRebuildsBitIdentical(t *testing.T) {
 	eng := NewEngine(DefaultCacheBudget)
-	job := Job{Workload: Workload{Video: "cricket", Frames: 6, Scale: 16, Seed: 0xE71C7}, Options: codec.Defaults(), Config: uarch.Baseline(), KeepStream: true}
+	job := Job{Workload: Workload{Video: "cricket", Frames: 6, Scale: 16, Seed: 0xE71C7}, Options: codec.Defaults(), Config: uarch.Baseline()}
 	first, err := eng.Run(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)

@@ -56,9 +56,3 @@ func (f *Frame) SetBase(base uint64) {
 func (f *Frame) ByteSize() int {
 	return len(f.Y.Pix) + len(f.Cb.Pix) + len(f.Cr.Pix)
 }
-
-// MBWidth returns the picture width in 16x16 macroblocks.
-func (f *Frame) MBWidth() int { return f.Width / 16 }
-
-// MBHeight returns the picture height in 16x16 macroblocks.
-func (f *Frame) MBHeight() int { return f.Height / 16 }

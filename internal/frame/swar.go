@@ -167,9 +167,6 @@ func LaneSub(x, y uint64) uint64 { return laneSub(x, y) }
 // AbsLanes16 returns the per-lane absolute value of four 16-bit lanes.
 func AbsLanes16(v uint64) uint64 { return absLanes16(v) }
 
-// SumLanes16 adds the four 16-bit lanes (total must stay below 2^16).
-func SumLanes16(v uint64) int { return sumLanes16(v) }
-
 // Hadamard4x4Packed returns the sum of absolute 4x4 Hadamard-transform
 // coefficients of a difference block whose rows are packed 16-bit lanes
 // (see PackDiff4). All intermediate values stay within +-4080, well inside

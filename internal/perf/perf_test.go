@@ -96,27 +96,6 @@ func TestEmptyResultIsSafe(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	base := &Report{Seconds: 2, BranchMPKI: 3, L1IMPKI: 1}
-	base.Topdown.FrontEnd = 8
-	opt := &Report{Seconds: 1.9, BranchMPKI: 2.5, L1IMPKI: 0.4}
-	opt.Topdown.FrontEnd = 3
-	d := Compare(base, opt)
-	if !d.Improved() {
-		t.Fatal("faster run not marked improved")
-	}
-	if d.SpeedupPct < 5.2 || d.SpeedupPct > 5.3 {
-		t.Fatalf("speedup %f", d.SpeedupPct)
-	}
-	if d.BranchMPKI >= 0 || d.L1IMPKI >= 0 || d.FrontEnd >= 0 {
-		t.Fatalf("improvements should be negative deltas: %+v", d)
-	}
-	// Degenerate optimized run.
-	if Compare(base, &Report{}).SpeedupPct != 0 {
-		t.Fatal("zero-time run must not divide")
-	}
-}
-
 func TestDominantBottleneck(t *testing.T) {
 	mk := func(fe, bs, mem, core float64) *Report {
 		r := &Report{}

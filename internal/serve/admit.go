@@ -208,9 +208,6 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) (JobView, error) {
 				part.seq, part.parent = s.seq, job
 				part.id = job.id + "." + strconv.Itoa(len(units)+1)
 				part.task.Name = part.id
-				// Parts keep their bitstreams so the parent can be stitched
-				// into a downloadable rendition (GET /jobs/{id}/rendition).
-				part.wantStream = true
 				units = append(units, part)
 			}
 		}

@@ -54,7 +54,7 @@ func (s *Server) run(ctx context.Context) {
 			var err error
 			if ticket, err = s.q.Dequeue(ctx); err != nil {
 				if errors.Is(err, queue.ErrClosed) && s.waitDrain(ctx) {
-					// A lease expired during drain and put its job back:
+					// A lease was superseded during drain and put its job back:
 					// the closed queue has work again, keep dispatching.
 					continue
 				}
@@ -325,7 +325,7 @@ func (s *Server) launch(ctx context.Context, tk *queue.Ticket[*record], sl slot,
 func (s *Server) finish(tk *queue.Ticket[*record], out outcome) {
 	rec := tk.Payload()
 	if out.requeue {
-		// The attempt died without a result (lease expired, worker lost):
+		// The attempt died without a result (worker silent or restarted):
 		// back in line at the original rank, then wake the drain waiter —
 		// in this order, so drain never observes empty-and-idle in between.
 		s.requeue(tk)
@@ -382,12 +382,12 @@ func (s *Server) requeue(tk *queue.Ticket[*record]) {
 	s.wake()
 }
 
-// lateSettle handles a result that arrives after its lease expired: the
-// job was requeued (and possibly re-dispatched), but the work is done and
-// exactly-once settlement wants it. If the requeued ticket is still
-// queued, it is withdrawn; if a second attempt is already running, the
-// first settle wins at the record and the loser is a no-op. Reports
-// whether the result was used.
+// lateSettle handles a result that arrives after its lease was
+// superseded: the job was requeued (and possibly re-dispatched), but the
+// work is done and exactly-once settlement wants it. If the requeued
+// ticket is still queued, it is withdrawn; if a second attempt is already
+// running, the first settle wins at the record and the loser is a no-op.
+// Reports whether the result was used.
 func (s *Server) lateSettle(tk *queue.Ticket[*record], out outcome) bool {
 	rec := tk.Payload()
 	if rec.terminal() {
@@ -407,8 +407,8 @@ func (s *Server) lateSettle(tk *queue.Ticket[*record], out outcome) bool {
 // settlement is the full terminal description of a record: state and
 // simulated seconds as before, plus the economics (dollar cost of the
 // settling attempt, backend kind that ran it, deadline verdict) and the
-// bitstream when one was requested. Parents aggregate cost and misses
-// from their parts before flowing through themselves.
+// attempt's bitstream, which only a part keeps. Parents aggregate cost and
+// misses from their parts before flowing through themselves.
 type settlement struct {
 	state   JobState
 	seconds float64
@@ -416,7 +416,7 @@ type settlement struct {
 	miss    bool    // parent-only override: any part missed its deadline
 	backend string  // backend kind that executed ("software" / "accel")
 	class   string  // capability class label (per-backend job counter key)
-	stream  []byte  // encoded bitstream when the record wanted one
+	stream  []byte  // encoded bitstream, if the attempt returned one
 	err     error
 }
 
@@ -438,7 +438,9 @@ func (s *Server) settle(rec *record, st settlement) {
 	rec.seconds = st.seconds
 	rec.costCents = st.cost
 	rec.backendName = st.backend
-	if st.stream != nil && rec.wantStream {
+	if rec.parent != nil {
+		// A part keeps its bitstream so the parent can be stitched into a
+		// downloadable rendition (GET /jobs/{id}/rendition).
 		rec.stream = st.stream
 	}
 	miss := st.miss

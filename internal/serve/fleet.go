@@ -20,34 +20,24 @@ import (
 // orchestrator half of the pull-based worker protocol (wire.go). Workers
 // are upserted on every message (registration IS the heartbeat), idle
 // workers park a long poll, and each delivered job is wrapped in a lease
-// that heartbeats renew. A lease that outlives its TTL — the worker
-// crashed, hung, or lost its network — is expired by the monitor and the
-// job requeued at its original rank; a result that arrives after its lease
-// expired is reconciled by the dispatcher's lateSettle, so every job
-// settles exactly once no matter how the race falls.
+// that lives exactly as long as its worker. A worker silent for longer
+// than the TTL — crashed, hung, or cut off — is marked gone by the
+// monitor, which supersedes its lease and requeues the job at its
+// original rank; a result that arrives after that is reconciled by the
+// dispatcher's lateSettle, so every job settles exactly once no matter how
+// the race falls.
 
 // FleetOptions tunes the worker-fleet transport.
 type FleetOptions struct {
-	// LeaseTTL is how long a leased job survives without a heartbeat
-	// renewing it before it is requeued. Zero (or negative) selects the
-	// adaptive policy: the TTL starts at 10s and tracks 3× the p99 of
-	// observed job wall durations, clamped to [1s, 60s] — long jobs get
-	// room to finish, short-job fleets reclaim crashed capacity fast. A
-	// positive value pins the TTL (operator override).
+	// LeaseTTL is how long a worker may stay silent before it is declared
+	// gone and the job it leases is requeued (0: 3s, three of a default
+	// worker's 1s heartbeats). A job may run for any length of time: every
+	// message from its worker keeps the lease alive.
 	LeaseTTL time.Duration
 	// PollWait bounds how long an idle worker's poll parks server-side
 	// before returning 204 (0: 10s).
 	PollWait time.Duration
 }
-
-// Adaptive lease-TTL policy constants (see FleetOptions.LeaseTTL).
-const (
-	adaptiveTTLStart  = 10 * time.Second
-	adaptiveTTLMin    = time.Second
-	adaptiveTTLMax    = 60 * time.Second
-	adaptiveTTLFactor = 3
-	leaseDurWindow    = 128 // completed-lease durations the p99 is taken over
-)
 
 // lease tracks one delivered job from assignment to settlement.
 type lease struct {
@@ -56,16 +46,14 @@ type lease struct {
 	cfgName string
 	// spec is the leasing worker's capability at assignment time; it prices
 	// the job when this lease's result settles it.
-	spec    backend.ServerSpec
-	tk      *queue.Ticket[*record]
-	finish  func(outcome)
-	created time.Time // assignment time, feeding the adaptive-TTL histogram
-	expires time.Time
+	spec   backend.ServerSpec
+	tk     *queue.Ticket[*record]
+	finish func(outcome)
 
-	done bool // finish consumed (by result or expiry); never reset
-	// superseded marks a lease that expired or was disclaimed before its
-	// result arrived: the job was requeued, and the lease is kept around so
-	// a late result can still be reconciled.
+	done bool // finish consumed (by result or supersession); never reset
+	// superseded marks a lease whose worker went silent or disclaimed it
+	// before its result arrived: the job was requeued, and the lease is kept
+	// around so a late result can still be reconciled.
 	superseded bool
 }
 
@@ -75,7 +63,9 @@ type fleetWorker struct {
 	last time.Time          // last message of any kind
 	util float64
 	jobs int64
-	gone bool // missed its heartbeat window; revived by any message
+	// gone: silent for longer than the TTL, which also superseded its
+	// lease; revived by any message.
+	gone bool
 	// park is non-nil while an idle long-poll waits: delivery sends one
 	// Assignment, withdrawal/supersession closes the channel. All
 	// transitions happen under fleetTransport.mu, so a channel no longer
@@ -95,13 +85,13 @@ type fleetMetrics struct {
 	reassigned *obs.Counter
 	hbMiss     *obs.Counter
 	late       *obs.Counter
-	ttlMs      *obs.Gauge
 	busyW      func(id string) *obs.Gauge
 	utilW      func(id string) *obs.Gauge
 }
 
 type fleetTransport struct {
 	s    *Server
+	ttl  time.Duration // a worker silent for longer is gone
 	wait time.Duration
 	met  fleetMetrics
 
@@ -110,20 +100,14 @@ type fleetTransport struct {
 	leases  map[string]*lease
 	seq     uint64
 	closed  bool
-	// ttl is the current lease TTL; mutated under mu when adaptive.
-	ttl      time.Duration
-	adaptive bool
-	durs     [leaseDurWindow]time.Duration // ring of completed-lease durations
-	durN     int                           // total durations observed
 
 	stopc       chan struct{}
 	monitorDone chan struct{}
 }
 
 func newFleetTransport(s *Server, opts FleetOptions, reg *obs.Registry) *fleetTransport {
-	adaptive := opts.LeaseTTL <= 0
-	if adaptive {
-		opts.LeaseTTL = adaptiveTTLStart
+	if opts.LeaseTTL <= 0 {
+		opts.LeaseTTL = 3 * time.Second
 	}
 	if opts.PollWait <= 0 {
 		opts.PollWait = 10 * time.Second
@@ -131,7 +115,6 @@ func newFleetTransport(s *Server, opts FleetOptions, reg *obs.Registry) *fleetTr
 	f := &fleetTransport{
 		s:           s,
 		ttl:         opts.LeaseTTL,
-		adaptive:    adaptive,
 		wait:        opts.PollWait,
 		workers:     make(map[string]*fleetWorker),
 		leases:      make(map[string]*lease),
@@ -142,39 +125,12 @@ func newFleetTransport(s *Server, opts FleetOptions, reg *obs.Registry) *fleetTr
 			reassigned: reg.Counter("fleet_lease_reassigned"),
 			hbMiss:     reg.Counter("fleet_heartbeat_miss"),
 			late:       reg.Counter("fleet_results_late"),
-			ttlMs:      reg.Gauge("fleet_lease_ttl_ms"),
 			busyW:      func(id string) *obs.Gauge { return reg.Gauge("fleet_worker_busy", "worker", id) },
 			utilW:      func(id string) *obs.Gauge { return reg.Gauge("fleet_worker_util_pct", "worker", id) },
 		},
 	}
-	f.met.ttlMs.Set(f.ttl.Milliseconds())
+	reg.Gauge("fleet_lease_ttl_ms").Set(f.ttl.Milliseconds())
 	return f
-}
-
-// observeLeaseLocked folds one completed lease's wall duration into the
-// adaptive TTL: TTL = clamp(3 × p99 of the last leaseDurWindow durations).
-// Caller holds f.mu.
-func (f *fleetTransport) observeLeaseLocked(d time.Duration) {
-	if !f.adaptive || d < 0 {
-		return
-	}
-	f.durs[f.durN%leaseDurWindow] = d
-	f.durN++
-	n := f.durN
-	if n > leaseDurWindow {
-		n = leaseDurWindow
-	}
-	sorted := append([]time.Duration(nil), f.durs[:n]...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	ttl := adaptiveTTLFactor * sorted[n*99/100]
-	if ttl < adaptiveTTLMin {
-		ttl = adaptiveTTLMin
-	}
-	if ttl > adaptiveTTLMax {
-		ttl = adaptiveTTLMax
-	}
-	f.ttl = ttl
-	f.met.ttlMs.Set(ttl.Milliseconds())
 }
 
 // --- transport interface --------------------------------------------------------
@@ -239,7 +195,6 @@ func (f *fleetTransport) start(_ context.Context, sl slot, tk *queue.Ticket[*rec
 		return fmt.Errorf("serve: worker %q is not free", sl.id)
 	}
 	f.seq++
-	now := time.Now()
 	l := &lease{
 		id:      "lease-" + strconv.FormatUint(f.seq, 10),
 		worker:  w.id,
@@ -247,8 +202,6 @@ func (f *fleetTransport) start(_ context.Context, sl slot, tk *queue.Ticket[*rec
 		spec:    w.spec,
 		tk:      tk,
 		finish:  finish,
-		created: now,
-		expires: now.Add(f.ttl),
 	}
 	f.leases[l.id] = l
 	w.lease = l
@@ -263,7 +216,7 @@ func (f *fleetTransport) start(_ context.Context, sl slot, tk *queue.Ticket[*rec
 		Preset: string(rec.task.Preset),
 		Frames: f.s.cfg.Proto.Frames, Scale: f.s.cfg.Proto.Scale, Seed: f.s.cfg.Proto.Seed,
 		SegStart: rec.seg.Start, SegEnd: rec.seg.End, Rung: rec.rung,
-		WantStream: rec.wantStream,
+		WantStream: rec.parent != nil,
 		LeaseTTLMs: f.ttl.Milliseconds(),
 	}
 	return nil
@@ -287,15 +240,11 @@ func (f *fleetTransport) close() {
 
 // --- lease monitor --------------------------------------------------------------
 
-// monitor periodically expires stale leases and declares silent workers
-// gone. It exits on close() or ctx cancellation.
+// monitor periodically declares silent workers gone, requeueing the jobs
+// they lease. It exits on close() or ctx cancellation.
 func (f *fleetTransport) monitor(ctx context.Context) {
 	defer close(f.monitorDone)
-	// The cadence is set once from the initial TTL; adaptive TTL growth only
-	// makes the sweep relatively more frequent, never too slow to expire.
-	f.mu.Lock()
 	tick := f.ttl / 4
-	f.mu.Unlock()
 	if tick > time.Second {
 		tick = time.Second
 	}
@@ -316,45 +265,51 @@ func (f *fleetTransport) monitor(ctx context.Context) {
 	}
 }
 
-// sweep is one monitor pass: expire leases past their TTL (requeue their
-// jobs), mark workers silent for a full TTL as gone, and garbage-collect
-// settled leases.
+// sweep is one monitor pass: mark workers silent for longer than the TTL
+// as gone, superseding the lease each holds (its job requeues), and
+// garbage-collect settled leases.
 func (f *fleetTransport) sweep(now time.Time) {
-	var expired []*lease
+	var orphaned []*lease
 	f.mu.Lock()
 	for _, w := range f.workers {
-		if !w.gone && now.Sub(w.last) > f.ttl {
-			w.gone = true
-			f.met.hbMiss.Inc()
+		if w.gone || now.Sub(w.last) <= f.ttl {
+			continue
+		}
+		w.gone = true
+		f.met.hbMiss.Inc()
+		if l := f.supersedeLocked(w); l != nil {
+			orphaned = append(orphaned, l)
 		}
 	}
 	for id, l := range f.leases {
-		if l.done {
-			if !l.superseded || l.tk.Payload().terminal() {
-				// Settled normally, or its late result has been reconciled
-				// (or a second attempt finished the job): nothing left to
-				// race with.
-				delete(f.leases, id)
-			}
-			continue
-		}
-		if now.After(l.expires) {
-			l.done, l.superseded = true, true
-			if w := f.workers[l.worker]; w != nil && w.lease == l {
-				w.lease = nil
-				f.met.busyW(w.id).Set(0)
-			}
-			f.met.reassigned.Inc()
-			expired = append(expired, l)
+		if l.done && (!l.superseded || l.tk.Payload().terminal()) {
+			// Settled normally, or its late result has been reconciled (or a
+			// second attempt finished the job): nothing left to race with.
+			delete(f.leases, id)
 		}
 	}
 	f.met.workersG.Set(int64(f.liveLocked()))
 	f.mu.Unlock()
 	// Requeue outside the lock: finish re-enters the dispatcher (queue,
 	// record and flow locks).
-	for _, l := range expired {
+	for _, l := range orphaned {
 		l.finish(outcome{requeue: true})
 	}
+}
+
+// supersedeLocked takes w's lease, if it holds one, away from it. The caller
+// requeues the returned lease's job by calling its finish once f.mu is
+// released.
+func (f *fleetTransport) supersedeLocked(w *fleetWorker) *lease {
+	l := w.lease
+	if l == nil {
+		return nil
+	}
+	l.done, l.superseded = true, true
+	w.lease = nil
+	f.met.busyW(w.id).Set(0)
+	f.met.reassigned.Inc()
+	return l
 }
 
 // upsertLocked registers-or-refreshes a worker; every protocol message
@@ -426,11 +381,7 @@ func (f *fleetTransport) handleHeartbeat(w http.ResponseWriter, r *http.Request)
 	leaseValid := true
 	if hb.LeaseID != "" {
 		l := f.leases[hb.LeaseID]
-		if l != nil && !l.done && l.worker == hb.WorkerID {
-			l.expires = now.Add(f.ttl)
-		} else {
-			leaseValid = false
-		}
+		leaseValid = l != nil && !l.done && l.worker == hb.WorkerID
 	}
 	f.mu.Unlock()
 	if revived {
@@ -456,16 +407,10 @@ func (f *fleetTransport) handlePoll(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fw, _ := f.upsertLocked(req.WorkerID, spec, now)
-	var disclaimed *lease
-	if l := fw.lease; l != nil && !l.done {
-		// The lease holder itself says it is idle (it crashed and restarted,
-		// or abandoned the job): release the orphan immediately instead of
-		// waiting out the TTL.
-		l.done, l.superseded = true, true
-		fw.lease = nil
-		f.met.reassigned.Inc()
-		disclaimed = l
-	}
+	// A lease holder that polls says it is idle (it crashed and restarted,
+	// or abandoned the job): release the orphan now; the worker is alive,
+	// so the monitor would never reclaim it.
+	disclaimed := f.supersedeLocked(fw)
 	if fw.park != nil {
 		// A previous poll for this id is still parked (duplicate poller or
 		// a client that gave up unnoticed): supersede it.
@@ -497,9 +442,9 @@ func (f *fleetTransport) handlePoll(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolvePoll ends a poll that stopped waiting (window lapsed or client
-// went away): if an assignment raced in it is still delivered — the lease
-// TTL covers the case where the client is truly gone — otherwise the park
-// is withdrawn and the poll returns empty.
+// went away): if an assignment raced in it is still delivered — if the
+// client is truly gone, its silence supersedes the lease — otherwise the
+// park is withdrawn and the poll returns empty.
 func (f *fleetTransport) resolvePoll(fw *fleetWorker, ch chan Assignment, w http.ResponseWriter) {
 	f.mu.Lock()
 	if fw.park == ch {
@@ -543,7 +488,7 @@ func (f *fleetTransport) handleResult(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusOK, ResultReply{Accepted: true, Reason: "duplicate"})
 			return
 		}
-		// The lease expired before this result arrived; the job was
+		// The lease was superseded before this result arrived; the job was
 		// requeued and may even be running elsewhere. Reconcile: a late
 		// success settles the job if nothing else has, a late failure is
 		// discarded (the requeued retry is the better path), and anything
@@ -568,7 +513,6 @@ func (f *fleetTransport) handleResult(w http.ResponseWriter, r *http.Request) {
 		fw.jobs++
 		f.met.busyW(fw.id).Set(0)
 	}
-	f.observeLeaseLocked(time.Since(l.created))
 	f.mu.Unlock()
 	l.finish(f.outcomeOf(l, res))
 	writeJSON(w, http.StatusOK, ResultReply{Accepted: true})

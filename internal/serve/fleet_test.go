@@ -300,6 +300,95 @@ func TestFleetLateResultLosesToRetry(t *testing.T) {
 	}
 }
 
+// TestLeaseLivesWhileItsWorkerBeats: a lease lives exactly as long as its
+// worker. A job that runs many TTLs keeps its lease while the holder
+// heartbeats, and its result settles normally; once the holder falls
+// silent, the monitor declares it gone and requeues the job.
+func TestLeaseLivesWhileItsWorkerBeats(t *testing.T) {
+	const ttl = 150 * time.Millisecond
+	h := newFleetHarness(t, ttl)
+	w1 := &protoWorker{t: t, base: h.ts.URL, id: "w1", cfg: "baseline"}
+	ctx := context.Background()
+
+	view, err := h.s.Submit(ctx, JobRequest{Video: "bbb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, ok := w1.poll()
+	if !ok {
+		t.Fatal("poll returned no assignment")
+	}
+	for end := time.Now().Add(time.Second); time.Now().Before(end); time.Sleep(ttl / 3) {
+		if reply := w1.beat(a.LeaseID); !reply.LeaseValid {
+			t.Fatal("heartbeat from the live holder found its lease invalid")
+		}
+		if got := h.counter("fleet_lease_reassigned"); got != 0 {
+			t.Fatalf("fleet_lease_reassigned %d while the holder beats, want 0", got)
+		}
+	}
+	if reply := w1.result(a, 1.5, ""); !reply.Accepted || reply.Reason != "" {
+		t.Fatalf("result reply %+v, want accepted on time", reply)
+	}
+	if final, err := h.s.WaitJob(ctx, view.ID); err != nil || final.State != StateDone || final.Attempts != 1 {
+		t.Fatalf("final %+v (%v), want done after 1 attempt", final, err)
+	}
+
+	// The holder of a second job beats a little, then falls silent.
+	view, err = h.s.Submit(ctx, JobRequest{Video: "bbb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, ok = w1.poll(); !ok {
+		t.Fatal("second poll returned no assignment")
+	}
+	w1.beat(a.LeaseID)
+	misses := h.counter("fleet_heartbeat_miss")
+	waitUntil(t, time.Second, "silent holder's job reassigned", func() bool {
+		return h.counter("fleet_lease_reassigned") == 1
+	})
+	if got := h.counter("fleet_heartbeat_miss"); got <= misses {
+		t.Fatalf("fleet_heartbeat_miss %d, want the silent worker counted (was %d)", got, misses)
+	}
+	if got, _ := h.s.Job(view.ID); got.State != StateQueued {
+		t.Fatalf("after the holder fell silent job state %s, want %s", got.State, StateQueued)
+	}
+}
+
+// TestDefaultLeaseTTLKeepsHeartbeatMargin: with no -lease-ttl the TTL is
+// three default heartbeats, however short the jobs the fleet has run.
+func TestDefaultLeaseTTLKeepsHeartbeatMargin(t *testing.T) {
+	h := newFleetHarness(t, 0)
+	w1 := &protoWorker{t: t, base: h.ts.URL, id: "w1", cfg: "baseline"}
+	ctx := context.Background()
+
+	view, err := h.s.Submit(ctx, JobRequest{Video: "bbb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, ok := w1.poll()
+	if !ok {
+		t.Fatal("no assignment")
+	}
+	w1.result(a, 0.5, "")
+	if _, err := h.s.WaitJob(ctx, view.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := h.s.Submit(ctx, JobRequest{Video: "bbb"}); err != nil {
+		t.Fatal(err)
+	}
+	if a, ok = w1.poll(); !ok {
+		t.Fatal("no second assignment")
+	}
+	if a.LeaseTTLMs < 3000 {
+		t.Fatalf("assignment TTL %dms after a short job, want >= 3000", a.LeaseTTLMs)
+	}
+	if got := h.reg.Snapshot().Gauges["fleet_lease_ttl_ms"]; got < 3000 {
+		t.Fatalf("fleet_lease_ttl_ms %d after a short job, want >= 3000", got)
+	}
+	w1.result(a, 0.5, "")
+}
+
 // TestFleetRejoinReclaimsOrphanedJob is the crash-and-rejoin path: a
 // worker takes a job, "crashes", and a fresh process under the same id
 // polls again. The orchestrator must treat the poll as a disclaimer of the
@@ -483,6 +572,68 @@ func TestCapabilityWireBytes(t *testing.T) {
 			t.Errorf("%T marshals to\n%s\nwant\n%s", c.msg, got, c.want)
 		}
 	}
+}
+
+// FuzzFleetMessages feeds arbitrary bodies to the three worker-protocol
+// endpoints of a fleet server that has no job. A body within the size cap
+// is answered 200, 204 or 400, never a panic, and no message settles,
+// bills or reassigns anything.
+func FuzzFleetMessages(f *testing.F) {
+	for _, seed := range []string{
+		`{"worker_id":"w1","config":"baseline","backend":"accel","price_cents_hour":12.5,"spot":true,"busy":true,"lease_id":"lease-3","utilization_pct":40,"jobs_done":7}`,
+		`{"worker_id":"w2","config":"fe_op","busy":false,"utilization_pct":0,"jobs_done":0}`,
+		`{"worker_id":"w1","config":"baseline","backend":"accel","price_cents_hour":12.5,"spot":true}`,
+		`{"worker_id":"w2","config":"fe_op"}`,
+		`{"worker_id":"w1","lease_id":"lease-1","job_id":"job-1","seconds":2.5}`,
+		`{"worker_id":"w1","config":"nosuchconfig"}`,
+		`{not json`,
+		``,
+	} {
+		f.Add([]byte(seed))
+	}
+	reg := obs.NewRegistry()
+	s, err := New(Config{
+		Proto: tinyProto, Seed: 1, Metrics: reg,
+		Fleet: &FleetOptions{PollWait: 5 * time.Millisecond},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	s.Start(ctx)
+	f.Cleanup(func() {
+		cancel()
+		s.Stop()
+	})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, ep := range []struct {
+			path  string
+			limit int
+		}{
+			{"/fleet/heartbeat", maxRequestBody},
+			{"/fleet/poll", maxRequestBody},
+			{"/fleet/result", maxResultBody},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep.path, bytes.NewReader(body)))
+			switch rec.Code {
+			case http.StatusOK, http.StatusNoContent, http.StatusBadRequest:
+			case http.StatusRequestEntityTooLarge:
+				if len(body) <= ep.limit {
+					t.Fatalf("POST %s %q: 413 under the %d-byte cap", ep.path, body, ep.limit)
+				}
+			default:
+				t.Fatalf("POST %s %q: status %d: %s", ep.path, body, rec.Code, rec.Body)
+			}
+		}
+		if tot := s.Totals(); tot != (Totals{}) {
+			t.Fatalf("totals %+v after fleet messages with no job, want zero", tot)
+		}
+		if got := reg.Snapshot().CounterTotal("fleet_lease_reassigned"); got != 0 {
+			t.Fatalf("fleet_lease_reassigned %d with no job, want 0", got)
+		}
+	})
 }
 
 // TestUnplaceableRowWaitsForACompatibleSlot: a job no free slot can run

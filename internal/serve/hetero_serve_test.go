@@ -345,56 +345,6 @@ func TestRenditionStitchesByteIdentical(t *testing.T) {
 	}
 }
 
-// TestAdaptiveLeaseTTL covers the self-tuning lease window: with no
-// operator override the TTL starts at 10s, and after observing fast jobs
-// it contracts toward 3×p99 (clamped at 1s), which new assignments and
-// the published gauge both reflect.
-func TestAdaptiveLeaseTTL(t *testing.T) {
-	h := newFleetHarness(t, 0) // 0 = adaptive
-	w1 := &protoWorker{t: t, base: h.ts.URL, id: "w1", cfg: "baseline"}
-
-	gauge := func() int64 {
-		return h.reg.Snapshot().Gauges["fleet_lease_ttl_ms"]
-	}
-	if got := gauge(); got != 10_000 {
-		t.Fatalf("initial adaptive TTL %dms, want 10000", got)
-	}
-
-	view, err := h.s.Submit(context.Background(), JobRequest{Video: "bbb"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a1, ok := w1.poll()
-	if !ok {
-		t.Fatal("no assignment")
-	}
-	if a1.LeaseTTLMs != 10_000 {
-		t.Fatalf("first assignment TTL %dms, want the 10000 start", a1.LeaseTTLMs)
-	}
-	w1.result(a1, 0.5, "")
-	waitUntil(t, 2*time.Second, "job settles", func() bool {
-		v, ok := h.s.Job(view.ID)
-		return ok && v.State == StateDone
-	})
-
-	// One sub-millisecond completion: 3×p99 is far below the floor, so the
-	// TTL clamps to 1s and the next lease is cut under the new window.
-	if got := gauge(); got != 1000 {
-		t.Fatalf("adapted TTL %dms, want the 1000 floor", got)
-	}
-	if _, err := h.s.Submit(context.Background(), JobRequest{Video: "bbb"}); err != nil {
-		t.Fatal(err)
-	}
-	a2, ok := w1.poll()
-	if !ok {
-		t.Fatal("no second assignment")
-	}
-	if a2.LeaseTTLMs != 1000 {
-		t.Fatalf("second assignment TTL %dms, want adapted 1000", a2.LeaseTTLMs)
-	}
-	w1.result(a2, 0.5, "")
-}
-
 // BenchmarkDispatchHeterogeneous measures one economic placement decision:
 // a four-job warm batch against a ten-slot mixed fleet under the cost
 // objective — the matrix build plus the masked Hungarian solve.

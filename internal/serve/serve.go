@@ -185,7 +185,6 @@ type record struct {
 	deadlineSeconds float64
 	qualityFloor    int
 	pw, ph, pframes int
-	wantStream      bool // keep the encoded bitstream for stitching
 
 	// parent links a part to the record its outcome settles into; nil for
 	// plain jobs and for parents themselves. ticket is the part's admission
@@ -416,7 +415,7 @@ func (s *Server) Start(ctx context.Context) {
 }
 
 // Stop gracefully shuts the server down: admissions close immediately,
-// already-queued jobs are dispatched and executed (fleet leases that expire
+// already-queued jobs are dispatched and executed (fleet leases superseded
 // during drain are reassigned, not dropped), then the dispatcher and the
 // transport exit. Safe to call once after Start.
 func (s *Server) Stop() {

@@ -49,7 +49,7 @@ type outcome struct {
 	// spec prices the job (cost = seconds × price), which is what makes
 	// cost accounting exactly-once — requeued attempts carry no outcome.
 	spec    backend.ServerSpec
-	stream  []byte // encoded bitstream when the record wanted one
+	stream  []byte // encoded bitstream, if the attempt returned one
 	err     error
 	requeue bool // the attempt died without a result: re-admit, don't fail
 }
@@ -97,7 +97,7 @@ func distinctClasses(specs []backend.ServerSpec) []backend.ServerSpec {
 // bits, no profile — and takes its wall clock from the closed-form
 // backend.DefaultAccel model over the unit's frames; options outside its
 // surface are an error, since placement never sends them there. The
-// result's Stream is set only when job.KeepStream is.
+// result carries the unit's bitstream; the caller keeps it or drops it.
 func Execute(ctx context.Context, spec backend.ServerSpec, job core.Job) (float64, *core.Result, error) {
 	job.Config = spec.Config
 	if spec.Backend != backend.Accel {
@@ -121,9 +121,6 @@ func Execute(ctx context.Context, spec backend.ServerSpec, job core.Job) (float6
 	res, err := core.EncodeOnly(ctx, job)
 	if err != nil {
 		return 0, nil, err
-	}
-	if !job.KeepStream {
-		res.Stream = nil
 	}
 	return accel.Seconds(frames, pw, ph), res, nil
 }
@@ -197,9 +194,7 @@ func (l *loopback) start(ctx context.Context, sl slot, tk *queue.Ticket[*record]
 	if err := l.stream.Submit(ctx, func(jctx context.Context) error {
 		w := l.proto
 		w.Video = rec.task.Video
-		seconds, res, err := Execute(jctx, spec, core.Job{
-			Workload: w, Options: rec.opts, Segment: rec.seg, KeepStream: rec.wantStream,
-		})
+		seconds, res, err := Execute(jctx, spec, core.Job{Workload: w, Options: rec.opts, Segment: rec.seg})
 		// Release before finishing: a closed-loop client that saw the job
 		// settle must find the fleet capacity already restored.
 		l.release(i)

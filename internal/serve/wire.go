@@ -37,17 +37,18 @@ type Capability struct {
 type Heartbeat struct {
 	Capability
 	Busy bool `json:"busy"`
-	// LeaseID names the lease the worker believes it holds; carrying it
-	// renews the lease's expiry.
+	// LeaseID names the lease the worker believes it holds; the reply says
+	// whether it still does. The lease itself lives as long as the worker
+	// keeps sending messages.
 	LeaseID        string  `json:"lease_id,omitempty"`
 	UtilizationPct float64 `json:"utilization_pct"`
 	JobsDone       int64   `json:"jobs_done"`
 }
 
 // HeartbeatReply acknowledges a heartbeat. LeaseValid echoes whether the
-// reported lease is still the worker's own: false means it expired and was
-// reassigned, so the worker should abandon the job (a late result would be
-// reconciled server-side, but the cycles are wasted).
+// reported lease is still the worker's own: false means it was superseded
+// and the job reassigned, so the worker should abandon the job (a late
+// result would be reconciled server-side, but the cycles are wasted).
 type HeartbeatReply struct {
 	OK         bool `json:"ok"`
 	LeaseValid bool `json:"lease_valid"`
@@ -57,9 +58,9 @@ type HeartbeatReply struct {
 // until work is assigned or the poll window lapses. Polling also upserts
 // the worker, and — because a worker only polls when idle — implicitly
 // disclaims any lease the orchestrator still holds for it, releasing the
-// orphaned job back to the queue immediately instead of waiting out the
-// lease TTL. It carries the heartbeat's Capability, so a poll-first worker
-// is registered with its full spec.
+// orphaned job back to the queue immediately (the worker is alive, so its
+// silence never would). It carries the heartbeat's Capability, so a
+// poll-first worker is registered with its full spec.
 type PollRequest struct {
 	Capability
 }
@@ -90,9 +91,10 @@ type Assignment struct {
 	// WantStream asks the worker to return the encoded bitstream in its
 	// ResultReport (segment parts of a stitchable rendition).
 	WantStream bool `json:"want_stream,omitempty"`
-	// LeaseTTLMs is how long the lease survives without a heartbeat
-	// renewing it; the worker must heartbeat well inside this window. With
-	// adaptive leases the value reflects the TTL at assignment time.
+	// LeaseTTLMs is how long the worker may stay silent before it is
+	// declared gone and this lease superseded; the worker must heartbeat
+	// well inside this window. The TTL is fixed for the orchestrator's
+	// lifetime (-lease-ttl, default 3s).
 	LeaseTTLMs int64 `json:"lease_ttl_ms"`
 }
 

@@ -7,7 +7,8 @@
 // idempotent — every heartbeat and poll upserts the worker — so a worker
 // that crashes can simply restart under the same id and rejoin; any job it
 // was holding is released by the orchestrator's lease machinery (instantly
-// on the first rejoin poll, or at lease TTL if it never comes back).
+// on the first rejoin poll, or one lease TTL after it fell silent if it
+// never comes back).
 package worker
 
 import (
@@ -52,7 +53,8 @@ type Options struct {
 	// Spot marks this worker as preemptible capacity.
 	Spot bool
 	// Heartbeat is the liveness/telemetry period (0: 1s). Must be well
-	// inside the orchestrator's lease TTL or running jobs lose their lease.
+	// inside the orchestrator's lease TTL (default 3s, three of these
+	// beats) or the worker is declared gone and its running job requeued.
 	Heartbeat time.Duration
 	// MinJobTime pads every job to at least this duration (0: none) — a
 	// fault-injection knob so tests and the smoke script can hold a job
@@ -205,15 +207,17 @@ func (w *Worker) execute(ctx context.Context, a serve.Assignment) {
 		rep.Error = err.Error()
 	} else {
 		seconds, res, err := serve.Execute(jctx, w.spec, core.Job{
-			Workload:   core.Workload{Video: a.Video, Frames: a.Frames, Scale: a.Scale, Seed: a.Seed},
-			Options:    opts,
-			Segment:    codec.Segment{Start: a.SegStart, End: a.SegEnd},
-			KeepStream: a.WantStream,
+			Workload: core.Workload{Video: a.Video, Frames: a.Frames, Scale: a.Scale, Seed: a.Seed},
+			Options:  opts,
+			Segment:  codec.Segment{Start: a.SegStart, End: a.SegEnd},
 		})
 		if err != nil {
 			rep.Error = err.Error()
 		} else {
-			rep.Seconds, rep.Stream = seconds, res.Stream
+			rep.Seconds = seconds
+			if a.WantStream {
+				rep.Stream = res.Stream
+			}
 			if res.Report != nil {
 				rep.Topdown = &res.Report.Topdown
 			}

@@ -55,6 +55,11 @@ if grep -nE 'parts(Term|Done|Failed|Canceled|Seconds|Cost|Missed)|part[E]rr|firs
 # Fig. 9's task x config grid is one core.Sweep plan; its private cell pool
 # and the two metrics nothing read were deleted.
 if grep -rn 'sched_[c]ell' --include='*.go' .; then exit 1; fi
+# A fleet lease lives as long as its worker, under one fixed TTL: the
+# per-lease expiry, its renewal and the TTL fitted to job durations were
+# deleted. Stream retention is decided where the result lands (a part keeps
+# its bitstream), not by a Job flag.
+if grep -rnE 'adaptive[T]TL|leaseDur[W]indow|observe[L]ease|Keep[S]tream' --include='*.go' .; then exit 1; fi
 # DESIGN.md describes the design it has; a change's measurements live in
 # its CHANGES.md entry, not in per-PR logs beside the design.
 if grep -n '^\*\*PR [0-9]*, measured' DESIGN.md; then exit 1; fi
@@ -93,6 +98,9 @@ go test -run '^$' -fuzz FuzzCacheMatchesReference -fuzztime 20s ./internal/uarch
 # The job API's decoder on arbitrary bodies: an admission status, never a
 # panic, and every 202 names a job that GET /jobs/{id} finds.
 go test -run '^$' -fuzz 'FuzzSubmitRequest$' -fuzztime 20s ./internal/serve
+# The worker protocol's decoders on arbitrary bodies: 200, 204 or 400,
+# never a panic, and a fleet with no job settles and reassigns nothing.
+go test -run '^$' -fuzz 'FuzzFleetMessages$' -fuzztime 20s ./internal/serve
 # The fused kernels on both sides of the trace.Sink against the paths they
 # replaced: the one-pass block walk against per-row Load/Store (line above)
 # and the sub-pel cost against scalar interpolation + the staged metric.

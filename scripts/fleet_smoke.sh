@@ -74,7 +74,7 @@ if ! curl -sf "http://$ADDR/healthz" | grep -q '"pool_size": *2'; then
 	exit 1
 fi
 
-/tmp/repro-loadgen -target "http://$ADDR" -n "$N" -rate "$RATE" -seed 1 -timeout 120s &
+/tmp/repro-loadgen -addr "http://$ADDR" -n "$N" -rate "$RATE" -seed 1 -timeout 120s &
 LOAD_PID=$!
 
 # Wait until w2 is actually holding a lease, then kill -9 it mid-job.

@@ -77,7 +77,7 @@ if ! curl -sf "http://$ADDR/healthz" | grep -q '"pool_size": *2'; then
 	exit 1
 fi
 
-/tmp/repro-loadgen -target "http://$ADDR" -n "$N" -rate "$RATE" -seed 1 \
+/tmp/repro-loadgen -addr "http://$ADDR" -n "$N" -rate "$RATE" -seed 1 \
 	-segments "$SEGMENTS" -ladder "$LADDER" -timeout 180s >"$LOADOUT" &
 LOAD_PID=$!
 

@@ -95,7 +95,7 @@ if ! grep -q '"backend": *"accel"' "$HEALTH" || ! grep -q '"spot": *true' "$HEAL
 fi
 rm -f "$HEALTH"
 
-/tmp/repro-loadgen -target "http://$ADDR" -n "$N" -rate "$RATE" -seed 1 \
+/tmp/repro-loadgen -addr "http://$ADDR" -n "$N" -rate "$RATE" -seed 1 \
 	-segments "$SEGMENTS" -ladder "$LADDER" -deadline "$DEADLINE" \
 	-budget "$BUDGET" -timeout 180s >"$LOADOUT" &
 LOAD_PID=$!
