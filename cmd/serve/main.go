@@ -47,7 +47,7 @@ var (
 	flagSeed      = flag.Uint64("seed", 1, "seed for deterministic random placement")
 	flagWarm      = flag.String("warm", "", "videos to pre-profile into the cost model (comma list, or 'all' for the catalog)")
 	flagFleet     = flag.Bool("fleet", false, "run as a fleet orchestrator: execution comes from cmd/worker processes instead of the in-process pool")
-	flagLease     = flag.Duration("lease-ttl", 0, "fleet lease TTL; a worker silent for longer is declared gone and its leased job requeued (0: 3s)")
+	flagLease     = flag.Duration("lease-ttl", 0, "fleet lease TTL; a worker silent for longer is forgotten and its leased job requeued (0: 3s)")
 	flagPoll      = flag.Duration("poll-wait", 10*time.Second, "fleet long-poll window for idle workers")
 )
 

@@ -352,8 +352,8 @@ func (s Snapshot) CounterTotal(name string) int64 {
 }
 
 // GaugeTotal sums every gauge whose key equals name or carries name with
-// any label set — e.g. fleet_worker_busy{worker=...} rolled up to a
-// fleet-wide busy count.
+// any label set — e.g. queue_depth{queue=...} rolled up to the depth of
+// every queue.
 func (s Snapshot) GaugeTotal(name string) int64 {
 	var sum int64
 	for k, v := range s.Gauges {

@@ -20,18 +20,19 @@ import (
 // orchestrator half of the pull-based worker protocol (wire.go). Workers
 // are upserted on every message (registration IS the heartbeat), idle
 // workers park a long poll, and each delivered job is wrapped in a lease
-// that lives exactly as long as its worker. A worker silent for longer
-// than the TTL — crashed, hung, or cut off — is marked gone by the
-// monitor, which supersedes its lease and requeues the job at its
-// original rank; a result that arrives after that is reconciled by the
-// dispatcher's lateSettle, so every job settles exactly once no matter how
-// the race falls.
+// that lives exactly as long as its worker. The registry is the live
+// fleet: a worker silent for longer than the TTL — crashed, hung, or cut
+// off — is forgotten by the monitor, which supersedes its lease (the job
+// requeues at its original rank) and answers its parked poll 204; its next
+// message registers it afresh. A result that arrives after that is
+// reconciled by the dispatcher's lateSettle, so every job settles exactly
+// once no matter how the race falls.
 
 // FleetOptions tunes the worker-fleet transport.
 type FleetOptions struct {
-	// LeaseTTL is how long a worker may stay silent before it is declared
-	// gone and the job it leases is requeued (0: 3s, three of a default
-	// worker's 1s heartbeats). A job may run for any length of time: every
+	// LeaseTTL is how long a worker may stay silent before it is forgotten
+	// and the job it leases is requeued (0: 3s, three of a default worker's
+	// 1s heartbeats). A job may run for any length of time: every
 	// message from its worker keeps the lease alive.
 	LeaseTTL time.Duration
 	// PollWait bounds how long an idle worker's poll parks server-side
@@ -41,9 +42,8 @@ type FleetOptions struct {
 
 // lease tracks one delivered job from assignment to settlement.
 type lease struct {
-	id      string
-	worker  string
-	cfgName string
+	id     string
+	worker string
 	// spec is the leasing worker's capability at assignment time; it prices
 	// the job when this lease's result settles it.
 	spec   backend.ServerSpec
@@ -62,10 +62,7 @@ type fleetWorker struct {
 	spec backend.ServerSpec // full economic capability from the last message
 	last time.Time          // last message of any kind
 	util float64
-	jobs int64
-	// gone: silent for longer than the TTL, which also superseded its
-	// lease; revived by any message.
-	gone bool
+	jobs int64 // as the worker's last heartbeat counted them
 	// park is non-nil while an idle long-poll waits: delivery sends one
 	// Assignment, withdrawal/supersession closes the channel. All
 	// transitions happen under fleetTransport.mu, so a channel no longer
@@ -74,24 +71,23 @@ type fleetWorker struct {
 	lease *lease
 }
 
-// idle reports whether the worker can take a job now: live, unleased, and
-// with a poll parked to deliver into. Caller holds fleetTransport.mu.
+// idle reports whether the worker can take a job now: unleased, and with a
+// poll parked to deliver into. Caller holds fleetTransport.mu.
 func (w *fleetWorker) idle() bool {
-	return !w.gone && w.lease == nil && w.park != nil
+	return w.lease == nil && w.park != nil
 }
 
 type fleetMetrics struct {
 	workersG   *obs.Gauge
+	busyG      *obs.Gauge // workers holding a lease
 	reassigned *obs.Counter
 	hbMiss     *obs.Counter
 	late       *obs.Counter
-	busyW      func(id string) *obs.Gauge
-	utilW      func(id string) *obs.Gauge
 }
 
 type fleetTransport struct {
 	s    *Server
-	ttl  time.Duration // a worker silent for longer is gone
+	ttl  time.Duration // a worker silent for longer is forgotten
 	wait time.Duration
 	met  fleetMetrics
 
@@ -122,11 +118,10 @@ func newFleetTransport(s *Server, opts FleetOptions, reg *obs.Registry) *fleetTr
 		monitorDone: make(chan struct{}),
 		met: fleetMetrics{
 			workersG:   reg.Gauge("fleet_workers"),
+			busyG:      reg.Gauge("fleet_worker_busy"),
 			reassigned: reg.Counter("fleet_lease_reassigned"),
 			hbMiss:     reg.Counter("fleet_heartbeat_miss"),
 			late:       reg.Counter("fleet_results_late"),
-			busyW:      func(id string) *obs.Gauge { return reg.Gauge("fleet_worker_busy", "worker", id) },
-			utilW:      func(id string) *obs.Gauge { return reg.Gauge("fleet_worker_util_pct", "worker", id) },
 		},
 	}
 	reg.Gauge("fleet_lease_ttl_ms").Set(f.ttl.Milliseconds())
@@ -139,27 +134,15 @@ func (f *fleetTransport) open(ctx context.Context) {
 	go f.monitor(ctx)
 }
 
-// specs lists the capability of every live worker.
+// specs lists the capability of every registered worker.
 func (f *fleetTransport) specs() []backend.ServerSpec {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var out []backend.ServerSpec
+	out := make([]backend.ServerSpec, 0, len(f.workers))
 	for _, w := range f.workers {
-		if !w.gone {
-			out = append(out, w.spec)
-		}
+		out = append(out, w.spec)
 	}
 	return out
-}
-
-func (f *fleetTransport) liveLocked() int {
-	n := 0
-	for _, w := range f.workers {
-		if !w.gone {
-			n++
-		}
-	}
-	return n
 }
 
 // freeSlots lists idle parked workers in id order (deterministic so the
@@ -196,18 +179,17 @@ func (f *fleetTransport) start(_ context.Context, sl slot, tk *queue.Ticket[*rec
 	}
 	f.seq++
 	l := &lease{
-		id:      "lease-" + strconv.FormatUint(f.seq, 10),
-		worker:  w.id,
-		cfgName: w.spec.Label(),
-		spec:    w.spec,
-		tk:      tk,
-		finish:  finish,
+		id:     "lease-" + strconv.FormatUint(f.seq, 10),
+		worker: w.id,
+		spec:   w.spec,
+		tk:     tk,
+		finish: finish,
 	}
 	f.leases[l.id] = l
 	w.lease = l
+	f.met.busyG.Add(1)
 	ch := w.park
 	w.park = nil
-	f.met.busyW(w.id).Set(1)
 	// Buffered channel, sole sender, park consumed under the lock: the send
 	// can never block.
 	ch <- Assignment{
@@ -240,8 +222,8 @@ func (f *fleetTransport) close() {
 
 // --- lease monitor --------------------------------------------------------------
 
-// monitor periodically declares silent workers gone, requeueing the jobs
-// they lease. It exits on close() or ctx cancellation.
+// monitor periodically forgets silent workers, requeueing the jobs they
+// lease. It exits on close() or ctx cancellation.
 func (f *fleetTransport) monitor(ctx context.Context) {
 	defer close(f.monitorDone)
 	tick := f.ttl / 4
@@ -265,20 +247,24 @@ func (f *fleetTransport) monitor(ctx context.Context) {
 	}
 }
 
-// sweep is one monitor pass: mark workers silent for longer than the TTL
-// as gone, superseding the lease each holds (its job requeues), and
-// garbage-collect settled leases.
+// sweep is one monitor pass: forget workers silent for longer than the
+// TTL, superseding the lease each holds (its job requeues) and answering
+// its parked poll 204, and garbage-collect settled leases.
 func (f *fleetTransport) sweep(now time.Time) {
 	var orphaned []*lease
 	f.mu.Lock()
-	for _, w := range f.workers {
-		if w.gone || now.Sub(w.last) <= f.ttl {
+	for id, w := range f.workers {
+		if now.Sub(w.last) <= f.ttl {
 			continue
 		}
-		w.gone = true
+		delete(f.workers, id)
 		f.met.hbMiss.Inc()
 		if l := f.supersedeLocked(w); l != nil {
 			orphaned = append(orphaned, l)
+		}
+		if w.park != nil {
+			close(w.park)
+			w.park = nil
 		}
 	}
 	for id, l := range f.leases {
@@ -288,7 +274,7 @@ func (f *fleetTransport) sweep(now time.Time) {
 			delete(f.leases, id)
 		}
 	}
-	f.met.workersG.Set(int64(f.liveLocked()))
+	f.met.workersG.Set(int64(len(f.workers)))
 	f.mu.Unlock()
 	// Requeue outside the lock: finish re-enters the dispatcher (queue,
 	// record and flow locks).
@@ -307,27 +293,25 @@ func (f *fleetTransport) supersedeLocked(w *fleetWorker) *lease {
 	}
 	l.done, l.superseded = true, true
 	w.lease = nil
-	f.met.busyW(w.id).Set(0)
+	f.met.busyG.Add(-1)
 	f.met.reassigned.Inc()
 	return l
 }
 
 // upsertLocked registers-or-refreshes a worker; every protocol message
 // funnels through here, which is what makes re-registration idempotent and
-// crash-rejoin under the same id seamless. revived reports a worker that
-// was gone: if it is still parked, it is a free slot again.
-func (f *fleetTransport) upsertLocked(id string, spec backend.ServerSpec, now time.Time) (w *fleetWorker, revived bool) {
-	w = f.workers[id]
+// crash-rejoin under the same id (or a forgotten worker's return)
+// seamless.
+func (f *fleetTransport) upsertLocked(id string, spec backend.ServerSpec, now time.Time) *fleetWorker {
+	w := f.workers[id]
 	if w == nil {
 		w = &fleetWorker{id: id}
 		f.workers[id] = w
+		f.met.workersG.Set(int64(len(f.workers)))
 	}
-	revived = w.gone
 	w.spec = spec
 	w.last = now
-	w.gone = false
-	f.met.workersG.Set(int64(f.liveLocked()))
-	return w, revived
+	return w
 }
 
 // --- HTTP handlers --------------------------------------------------------------
@@ -374,20 +358,16 @@ func (f *fleetTransport) handleHeartbeat(w http.ResponseWriter, r *http.Request)
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "shutting down", Reason: "closed"})
 		return
 	}
-	fw, revived := f.upsertLocked(hb.WorkerID, spec, now)
+	fw := f.upsertLocked(hb.WorkerID, spec, now)
 	fw.util = hb.UtilizationPct
 	fw.jobs = hb.JobsDone
-	f.met.utilW(fw.id).Set(int64(hb.UtilizationPct))
 	leaseValid := true
 	if hb.LeaseID != "" {
 		l := f.leases[hb.LeaseID]
 		leaseValid = l != nil && !l.done && l.worker == hb.WorkerID
 	}
 	f.mu.Unlock()
-	if revived {
-		f.s.wake()
-	}
-	writeJSON(w, http.StatusOK, HeartbeatReply{OK: true, LeaseValid: leaseValid})
+	writeJSON(w, http.StatusOK, HeartbeatReply{LeaseValid: leaseValid})
 }
 
 func (f *fleetTransport) handlePoll(w http.ResponseWriter, r *http.Request) {
@@ -406,7 +386,7 @@ func (f *fleetTransport) handlePoll(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "shutting down", Reason: "closed"})
 		return
 	}
-	fw, _ := f.upsertLocked(req.WorkerID, spec, now)
+	fw := f.upsertLocked(req.WorkerID, spec, now)
 	// A lease holder that polls says it is idle (it crashed and restarted,
 	// or abandoned the job): release the orphan now; the worker is alive,
 	// so the monitor would never reclaim it.
@@ -418,7 +398,6 @@ func (f *fleetTransport) handlePoll(w http.ResponseWriter, r *http.Request) {
 	}
 	ch := make(chan Assignment, 1)
 	fw.park = ch
-	f.met.busyW(fw.id).Set(0)
 	f.mu.Unlock()
 	if disclaimed != nil {
 		disclaimed.finish(outcome{requeue: true})
@@ -510,8 +489,7 @@ func (f *fleetTransport) handleResult(w http.ResponseWriter, r *http.Request) {
 	l.done = true
 	if fw := f.workers[l.worker]; fw != nil && fw.lease == l {
 		fw.lease = nil
-		fw.jobs++
-		f.met.busyW(fw.id).Set(0)
+		f.met.busyG.Add(-1)
 	}
 	f.mu.Unlock()
 	l.finish(f.outcomeOf(l, res))
@@ -522,9 +500,9 @@ func (f *fleetTransport) handleResult(w http.ResponseWriter, r *http.Request) {
 func (f *fleetTransport) outcomeOf(l *lease, res ResultReport) outcome {
 	out := outcome{
 		seconds: res.Seconds,
-		config:  l.cfgName,
+		config:  l.spec.Label(),
 		spec:    l.spec,
-		report:  topdownReport(l.cfgName, res.Seconds, res.Topdown),
+		report:  topdownReport(l.spec.Label(), res.Seconds, res.Topdown),
 		stream:  res.Stream,
 	}
 	if res.Error != "" {
@@ -550,7 +528,7 @@ func (f *fleetTransport) workerViews() []WorkerView {
 			ID: id, Config: w.spec.Config.Name, Busy: w.lease != nil,
 			Backend: string(w.spec.Backend), PriceCentsHour: w.spec.PriceCentsHour,
 			Spot:   w.spec.Spot,
-			Parked: w.park != nil, Gone: w.gone, JobsDone: w.jobs,
+			Parked: w.park != nil, JobsDone: w.jobs,
 			UtilizationPct: w.util, LastBeatMs: now.Sub(w.last).Milliseconds(),
 		}
 		if w.lease != nil {

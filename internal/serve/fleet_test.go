@@ -113,7 +113,7 @@ func (w *protoWorker) poll() (Assignment, bool) {
 func (w *protoWorker) beat(lease string) HeartbeatReply {
 	w.t.Helper()
 	var reply HeartbeatReply
-	hb := Heartbeat{Capability: w.capability(), LeaseID: lease, Busy: lease != ""}
+	hb := Heartbeat{Capability: w.capability(), LeaseID: lease}
 	if code := w.post("/fleet/heartbeat", hb, &reply); code != http.StatusOK {
 		w.t.Fatalf("heartbeat: unexpected status %d", code)
 	}
@@ -556,10 +556,10 @@ func TestCapabilityWireBytes(t *testing.T) {
 		msg  any
 		want string
 	}{
-		{Heartbeat{Capability: full, Busy: true, LeaseID: "lease-3", UtilizationPct: 40, JobsDone: 7},
-			`{"worker_id":"w1","config":"baseline","backend":"accel","price_cents_hour":12.5,"spot":true,"busy":true,"lease_id":"lease-3","utilization_pct":40,"jobs_done":7}`},
+		{Heartbeat{Capability: full, LeaseID: "lease-3", UtilizationPct: 40, JobsDone: 7},
+			`{"worker_id":"w1","config":"baseline","backend":"accel","price_cents_hour":12.5,"spot":true,"lease_id":"lease-3","utilization_pct":40,"jobs_done":7}`},
 		{Heartbeat{Capability: bare},
-			`{"worker_id":"w2","config":"fe_op","busy":false,"utilization_pct":0,"jobs_done":0}`},
+			`{"worker_id":"w2","config":"fe_op","utilization_pct":0,"jobs_done":0}`},
 		{PollRequest{Capability: full},
 			`{"worker_id":"w1","config":"baseline","backend":"accel","price_cents_hour":12.5,"spot":true}`},
 		{PollRequest{Capability: bare}, `{"worker_id":"w2","config":"fe_op"}`},
@@ -577,11 +577,16 @@ func TestCapabilityWireBytes(t *testing.T) {
 // FuzzFleetMessages feeds arbitrary bodies to the three worker-protocol
 // endpoints of a fleet server that has no job. A body within the size cap
 // is answered 200, 204 or 400, never a panic, and no message settles,
-// bills or reassigns anything.
+// bills or reassigns anything. Whatever ids the messages named, a monitor
+// pass past every TTL leaves no worker behind: none in /healthz's view or
+// the fleet_workers gauge, and no gauge labeled by worker.
+//
+// The fleet is built once for all inputs, so the check covers what earlier
+// inputs left too.
 func FuzzFleetMessages(f *testing.F) {
 	for _, seed := range []string{
-		`{"worker_id":"w1","config":"baseline","backend":"accel","price_cents_hour":12.5,"spot":true,"busy":true,"lease_id":"lease-3","utilization_pct":40,"jobs_done":7}`,
-		`{"worker_id":"w2","config":"fe_op","busy":false,"utilization_pct":0,"jobs_done":0}`,
+		`{"worker_id":"w1","config":"baseline","backend":"accel","price_cents_hour":12.5,"spot":true,"lease_id":"lease-3","utilization_pct":40,"jobs_done":7}`,
+		`{"worker_id":"w2","config":"fe_op","utilization_pct":0,"jobs_done":0}`,
 		`{"worker_id":"w1","config":"baseline","backend":"accel","price_cents_hour":12.5,"spot":true}`,
 		`{"worker_id":"w2","config":"fe_op"}`,
 		`{"worker_id":"w1","lease_id":"lease-1","job_id":"job-1","seconds":2.5}`,
@@ -606,6 +611,7 @@ func FuzzFleetMessages(f *testing.F) {
 		s.Stop()
 	})
 	h := s.Handler()
+	ft := s.transport.(*fleetTransport)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, ep := range []struct {
 			path  string
@@ -632,6 +638,19 @@ func FuzzFleetMessages(f *testing.F) {
 		}
 		if got := reg.Snapshot().CounterTotal("fleet_lease_reassigned"); got != 0 {
 			t.Fatalf("fleet_lease_reassigned %d with no job, want 0", got)
+		}
+		ft.sweep(time.Now().Add(time.Hour))
+		if views := ft.workerViews(); len(views) != 0 {
+			t.Fatalf("%d workers registered after a sweep past every TTL, want 0: %+v", len(views), views)
+		}
+		snap := reg.Snapshot()
+		if got := snap.Gauges["fleet_workers"]; got != 0 {
+			t.Fatalf("fleet_workers %d after a sweep past every TTL, want 0", got)
+		}
+		for key := range snap.Gauges {
+			if strings.Contains(key, "worker=") {
+				t.Fatalf("gauge %s outlives its worker", key)
+			}
 		}
 	})
 }
@@ -724,31 +743,37 @@ func TestUnplaceableRowWaitsForACompatibleSlot(t *testing.T) {
 	})
 }
 
-// TestRevivedWorkerTakesWaitingJob: a parked worker the monitor declared
-// gone is a free slot again as soon as a heartbeat revives it, so the job
-// waiting for a slot goes to it then, not when its poll window lapses.
-func TestRevivedWorkerTakesWaitingJob(t *testing.T) {
+// TestForgottenWorkerRejoinsOnNextPoll: the monitor forgets a parked worker
+// silent past its TTL and answers its poll 204 at once, not when the poll
+// window lapses; the worker's next poll registers it afresh and takes the
+// job that waited for a slot meanwhile.
+func TestForgottenWorkerRejoinsOnNextPoll(t *testing.T) {
 	h := newFleetHarness(t, 10*time.Second)
 	w1 := &protoWorker{t: t, base: h.ts.URL, id: "w1", cfg: "baseline"}
 	polled := w1.park(h)
 	h.s.transport.(*fleetTransport).sweep(time.Now().Add(time.Minute)) // silent past its TTL
+	select {
+	case p := <-polled:
+		if p.err != nil || p.code != http.StatusNoContent {
+			t.Fatalf("forgotten worker's poll ended with %+v, want 204", p)
+		}
+	case <-time.After(time.Second): // inside the harness's 2 s poll window
+		t.Fatal("forgotten worker's poll stayed parked")
+	}
+	if views := h.s.transport.(*fleetTransport).workerViews(); len(views) != 0 {
+		t.Fatalf("workers %+v after the sweep, want none", views)
+	}
 	view, err := h.s.Submit(context.Background(), JobRequest{Video: "bbb"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case p := <-polled:
-		t.Fatalf("gone worker's poll ended with %+v", p)
-	case <-time.After(50 * time.Millisecond):
+	start := time.Now()
+	a, ok := w1.poll()
+	if !ok || a.JobID != view.ID {
+		t.Fatalf("rejoined worker's poll got %+v (ok %v), want an assignment of %s", a, ok, view.ID)
 	}
-	w1.beat("")
-	select {
-	case p := <-polled:
-		if p.err != nil || p.code != http.StatusOK || p.a.JobID != view.ID {
-			t.Fatalf("revived worker's poll ended with %+v, want an assignment of %s", p, view.ID)
-		}
-	case <-time.After(time.Second): // inside the harness's 2 s poll window
-		t.Fatal("revived worker never got the waiting job")
+	if d := time.Since(start); d > time.Second { // inside the harness's 2 s poll window
+		t.Fatalf("rejoined worker took the waiting job after %v, want within 1s", d)
 	}
 }
 

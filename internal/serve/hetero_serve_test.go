@@ -164,6 +164,16 @@ func TestSpotPreemptionMidLadder(t *testing.T) {
 	if !aSpot.WantStream {
 		t.Fatal("segment part assigned without want_stream")
 	}
+	// The spot worker's capability made it to the registry before it died.
+	var sawSpot bool
+	for _, wv := range h.s.transport.(*fleetTransport).workerViews() {
+		if wv.ID == "w-spot" {
+			sawSpot = wv.Spot && wv.Backend == string(backend.Accel) && wv.PriceCentsHour > 0
+		}
+	}
+	if !sawSpot {
+		t.Fatal("spot worker's economic capability not registered")
+	}
 	// The on-demand worker takes the sibling and finishes it properly.
 	a1, ok := onDemand.poll()
 	if !ok {
@@ -176,8 +186,9 @@ func TestSpotPreemptionMidLadder(t *testing.T) {
 
 	// Silence from the spot worker: its lease expires and the preempted
 	// part is requeued; the on-demand worker picks it up and finishes. The
-	// tiny TTL can also declare the parked on-demand worker gone between
-	// polls, so keep polling — the next request revives it.
+	// tiny TTL can also forget the parked on-demand worker between polls,
+	// which answers its poll 204, so keep polling — the next request
+	// registers it again.
 	var a2 Assignment
 	waitUntil(t, 10*time.Second, "preempted part reassigned", func() bool {
 		a, ok := onDemand.poll()
@@ -240,17 +251,6 @@ func TestSpotPreemptionMidLadder(t *testing.T) {
 	}
 	if preempted.Backend != string(backend.Software) {
 		t.Fatalf("preempted part settled on %q, want software", preempted.Backend)
-	}
-
-	// The spot worker's capability made it to the registry before it died.
-	var sawSpot bool
-	for _, wv := range h.s.transport.(*fleetTransport).workerViews() {
-		if wv.ID == "w-spot" {
-			sawSpot = wv.Spot && wv.Backend == string(backend.Accel) && wv.PriceCentsHour > 0
-		}
-	}
-	if !sawSpot {
-		t.Fatal("spot worker's economic capability not registered")
 	}
 }
 

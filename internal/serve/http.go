@@ -122,8 +122,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // healthBody is the GET /healthz response. PoolSize is the live transport
-// size: configured servers for loopback, registered live workers in fleet
-// mode (where the per-worker detail rides in Workers).
+// size: configured servers for loopback, registered workers in fleet mode
+// (where the per-worker detail rides in Workers).
 type healthBody struct {
 	Status      string       `json:"status"`
 	Policy      Policy       `json:"policy"`

@@ -42,6 +42,47 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// TestLoopbackRunsAtMostWorkersJobs: Config.Workers caps the loopback's
+// concurrent executions below its server count. Three jobs on three idle
+// servers with one worker run one at a time, counted by the exec pool each
+// job runs on (started is read before completed, so a job finishing
+// between the reads can only lower the difference).
+func TestLoopbackRunsAtMostWorkersJobs(t *testing.T) {
+	reg := obs.NewRegistry()
+	s := newTestServer(t, Config{
+		Servers: sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 3),
+		Workers: 1, Metrics: reg,
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	defer s.Stop()
+
+	started, completed := reg.Counter("exec_jobs_started"), reg.Counter("exec_jobs_completed")
+	var ids []string
+	for _, video := range []string{"bbb", "cricket", "desktop"} {
+		view, err := s.Submit(ctx, JobRequest{Video: video})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, view.ID)
+	}
+	for deadline := time.Now().Add(time.Minute); completed.Load() < int64(len(ids)); {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs completed after a minute", completed.Load(), len(ids))
+		}
+		if running := started.Load() - completed.Load(); running > 1 {
+			t.Fatalf("%d jobs running at once with Workers 1", running)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	for _, id := range ids {
+		if final, err := s.WaitJob(ctx, id); err != nil || final.State != StateDone {
+			t.Fatalf("job %s ended %+v (%v), want done", id, final, err)
+		}
+	}
+}
+
 // TestSmartBeatsRandomDeterministic is the acceptance criterion of the
 // serving layer: on a heterogeneous pool, the characterization-driven
 // dispatcher completes the same job sequence in strictly fewer

@@ -128,18 +128,19 @@ func Execute(ctx context.Context, spec backend.ServerSpec, job core.Job) (float6
 // --- loopback -------------------------------------------------------------------
 
 // loopback is the in-process transport: the fleet is simulated by running
-// every placed job through Execute on the shared exec stream, one busy
-// flag per configured server. It is the transport behind RunComparison and
-// any serve instance without Fleet options.
+// every placed job through Execute on its own goroutine, one busy flag per
+// configured server and at most Config.Workers jobs at once. It is the
+// transport behind RunComparison and any serve instance without Fleet
+// options.
 type loopback struct {
 	fleet   sched.Fleet // per-server specs
-	workers int
 	proto   core.Workload
 	metrics *obs.Registry
 	busySrv *obs.Gauge
+	wake    func() // Server.wake, called when a server is released
 
-	stream *exec.Stream
-	wake   func() // Server.wake, called when a server is released
+	tokens  chan struct{} // one per running job; capacity Config.Workers
+	running sync.WaitGroup
 
 	mu   sync.Mutex
 	busy []bool
@@ -148,18 +149,16 @@ type loopback struct {
 func newLoopback(cfg Config, reg *obs.Registry, wake func()) *loopback {
 	return &loopback{
 		fleet:   cfg.Servers,
-		workers: cfg.Workers,
 		proto:   cfg.Proto,
 		metrics: reg,
 		busySrv: reg.Gauge("serve_busy_servers"),
 		wake:    wake,
+		tokens:  make(chan struct{}, cfg.Workers),
 		busy:    make([]bool, len(cfg.Servers)),
 	}
 }
 
-func (l *loopback) open(ctx context.Context) {
-	l.stream = exec.Pool{Workers: l.workers, Metrics: l.metrics}.Stream(ctx)
-}
+func (l *loopback) open(context.Context) {}
 
 func (l *loopback) specs() []backend.ServerSpec { return l.fleet }
 
@@ -189,25 +188,38 @@ func (l *loopback) start(ctx context.Context, sl slot, tk *queue.Ticket[*record]
 	l.busySrv.Add(1)
 	l.mu.Unlock()
 
+	// With every worker busy the dispatcher waits here, holding the server
+	// it placed onto.
+	select {
+	case l.tokens <- struct{}{}:
+	case <-ctx.Done():
+		l.release(i)
+		return fmt.Errorf("serve: dispatch: %w", ctx.Err())
+	}
 	rec := tk.Payload()
 	spec := l.fleet[i]
-	if err := l.stream.Submit(ctx, func(jctx context.Context) error {
-		w := l.proto
-		w.Video = rec.task.Video
-		seconds, res, err := Execute(jctx, spec, core.Job{Workload: w, Options: rec.opts, Segment: rec.seg})
-		// Release before finishing: a closed-loop client that saw the job
-		// settle must find the fleet capacity already restored.
-		l.release(i)
-		if err != nil {
-			finish(outcome{config: spec.Label(), spec: spec, err: err})
-			return err
-		}
-		finish(outcome{seconds: seconds, report: res.Report, config: spec.Label(), spec: spec, stream: res.Stream})
-		return nil
-	}); err != nil {
-		l.release(i)
-		return fmt.Errorf("serve: dispatch: %w", err)
-	}
+	l.running.Add(1)
+	go func() {
+		defer l.running.Done()
+		// The pool runs the job even once ctx is canceled, so finish is
+		// called exactly once: Execute sees ctx and reports its error. The
+		// job reports its outcome through finish; Map's errors repeat it.
+		_, _ = exec.Pool{Workers: 1, Metrics: l.metrics}.Map(context.WithoutCancel(ctx), 1, func(context.Context, int) error {
+			w := l.proto
+			w.Video = rec.task.Video
+			seconds, res, err := Execute(ctx, spec, core.Job{Workload: w, Options: rec.opts, Segment: rec.seg})
+			// Release before finishing: a closed-loop client that saw the
+			// job settle must find the fleet capacity already restored.
+			<-l.tokens
+			l.release(i)
+			if err != nil {
+				finish(outcome{config: spec.Label(), spec: spec, err: err})
+				return err
+			}
+			finish(outcome{seconds: seconds, report: res.Report, config: spec.Label(), spec: spec, stream: res.Stream})
+			return nil
+		})
+	}()
 	return nil
 }
 
@@ -220,11 +232,7 @@ func (l *loopback) release(i int) {
 	l.wake()
 }
 
-func (l *loopback) close() {
-	if l.stream != nil {
-		l.stream.Close()
-	}
-}
+func (l *loopback) close() { l.running.Wait() }
 
 // index resolves a loopback slot id back to its fleet index.
 func (l *loopback) index(id string) (int, error) {

@@ -32,30 +32,30 @@ type Capability struct {
 
 // Heartbeat is the worker's periodic liveness + telemetry message. Every
 // heartbeat doubles as (re-)registration — a worker that crashed and
-// restarted under the same id is simply upserted, so rejoining needs no
-// dedicated handshake.
+// restarted under the same id, or one the orchestrator forgot after a
+// silence, is simply upserted, so rejoining needs no dedicated handshake.
 type Heartbeat struct {
 	Capability
-	Busy bool `json:"busy"`
-	// LeaseID names the lease the worker believes it holds; the reply says
-	// whether it still does. The lease itself lives as long as the worker
-	// keeps sending messages.
+	// LeaseID names the lease the worker believes it holds ("" when idle);
+	// the reply says whether it still does. The lease itself lives as long
+	// as the worker keeps sending messages.
 	LeaseID        string  `json:"lease_id,omitempty"`
 	UtilizationPct float64 `json:"utilization_pct"`
 	JobsDone       int64   `json:"jobs_done"`
 }
 
-// HeartbeatReply acknowledges a heartbeat. LeaseValid echoes whether the
-// reported lease is still the worker's own: false means it was superseded
-// and the job reassigned, so the worker should abandon the job (a late
-// result would be reconciled server-side, but the cycles are wasted).
+// HeartbeatReply answers a heartbeat (a 200 is the acknowledgement).
+// LeaseValid echoes whether the reported lease is still the worker's own:
+// false means it was superseded and the job reassigned, so the worker
+// should abandon the job (a late result would be reconciled server-side,
+// but the cycles are wasted).
 type HeartbeatReply struct {
-	OK         bool `json:"ok"`
 	LeaseValid bool `json:"lease_valid"`
 }
 
 // PollRequest asks for one job; the request parks server-side (long poll)
-// until work is assigned or the poll window lapses. Polling also upserts
+// until work is assigned, the poll window lapses, or the worker falls
+// silent past the TTL and is forgotten (the last two answer 204). Polling also upserts
 // the worker, and — because a worker only polls when idle — implicitly
 // disclaims any lease the orchestrator still holds for it, releasing the
 // orphaned job back to the queue immediately (the worker is alive, so its
@@ -92,7 +92,7 @@ type Assignment struct {
 	// ResultReport (segment parts of a stitchable rendition).
 	WantStream bool `json:"want_stream,omitempty"`
 	// LeaseTTLMs is how long the worker may stay silent before it is
-	// declared gone and this lease superseded; the worker must heartbeat
+	// forgotten and this lease superseded; the worker must heartbeat
 	// well inside this window. The TTL is fixed for the orchestrator's
 	// lifetime (-lease-ttl, default 3s).
 	LeaseTTLMs int64 `json:"lease_ttl_ms"`
@@ -124,7 +124,9 @@ type ResultReply struct {
 	Reason   string `json:"reason,omitempty"`
 }
 
-// WorkerView is the per-worker slice of GET /healthz in fleet mode.
+// WorkerView is the per-worker slice of GET /healthz in fleet mode, one per
+// registered worker. It is the one place per-worker facts are reported:
+// /metrics carries only fleet totals.
 type WorkerView struct {
 	ID             string  `json:"id"`
 	Config         string  `json:"config"`
@@ -133,7 +135,6 @@ type WorkerView struct {
 	Spot           bool    `json:"spot,omitempty"`
 	Busy           bool    `json:"busy"`
 	Parked         bool    `json:"parked"` // an idle long-poll is waiting for work
-	Gone           bool    `json:"gone,omitempty"`
 	JobsDone       int64   `json:"jobs_done"`
 	UtilizationPct float64 `json:"utilization_pct"`
 	LastBeatMs     int64   `json:"last_heartbeat_ms"` // age of the last message

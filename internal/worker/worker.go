@@ -54,7 +54,7 @@ type Options struct {
 	Spot bool
 	// Heartbeat is the liveness/telemetry period (0: 1s). Must be well
 	// inside the orchestrator's lease TTL (default 3s, three of these
-	// beats) or the worker is declared gone and its running job requeued.
+	// beats) or the worker is forgotten and its running job requeued.
 	Heartbeat time.Duration
 	// MinJobTime pads every job to at least this duration (0: none) — a
 	// fault-injection knob so tests and the smoke script can hold a job
@@ -62,9 +62,6 @@ type Options struct {
 	MinJobTime time.Duration
 	// Metrics selects the registry; nil means obs.Default().
 	Metrics *obs.Registry
-	// Client overrides the HTTP client (tests); nil uses a fresh client
-	// with no global timeout, since polls park server-side.
-	Client *http.Client
 }
 
 type workerMetrics struct {
@@ -116,10 +113,6 @@ func New(opts Options) (*Worker, error) {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
 	spec := backend.ServerSpec{
 		Backend: opts.Backend, Config: opts.Config,
 		PriceCentsHour: opts.PriceCentsHour, Spot: opts.Spot,
@@ -131,8 +124,9 @@ func New(opts Options) (*Worker, error) {
 			WorkerID: opts.ID, Config: opts.Config.Name, Backend: string(spec.Backend),
 			PriceCentsHour: spec.PriceCentsHour, Spot: spec.Spot,
 		},
-		base:   opts.Orchestrator,
-		client: client,
+		base: opts.Orchestrator,
+		// No global timeout: polls park server-side.
+		client: &http.Client{},
 		met: workerMetrics{
 			jobsDone:    reg.Counter("worker_jobs_done"),
 			busyNs:      reg.Counter("worker_busy_ns"),
@@ -169,7 +163,8 @@ func (w *Worker) Run(ctx context.Context) error {
 			return ctx.Err()
 		}
 		// The poll parks server-side until a job is leased to this worker
-		// (200) or the window lapses (204: park again).
+		// (200), or the window lapses or the orchestrator forgets a worker
+		// it found silent (204: park again, which also re-registers).
 		var a serve.Assignment
 		ok, err := w.post(ctx, "/fleet/poll", serve.PollRequest{Capability: w.capability}, &a)
 		if err != nil {
@@ -282,7 +277,7 @@ func (w *Worker) beat(ctx context.Context) {
 	w.mu.Lock()
 	lease := w.leaseID
 	hb := serve.Heartbeat{
-		Capability: w.capability, Busy: lease != "", LeaseID: lease,
+		Capability: w.capability, LeaseID: lease,
 		UtilizationPct: w.utilLocked(time.Now()), JobsDone: w.jobsDone,
 	}
 	w.mu.Unlock()

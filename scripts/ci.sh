@@ -60,6 +60,11 @@ if grep -rn 'sched_[c]ell' --include='*.go' .; then exit 1; fi
 # deleted. Stream retention is decided where the result lands (a part keeps
 # its bitstream), not by a Job flag.
 if grep -rnE 'adaptive[T]TL|leaseDur[W]indow|observe[L]ease|Keep[S]tream' --include='*.go' .; then exit 1; fi
+# The fleet registry is the live fleet: a silent worker is forgotten, not
+# kept as gone and revived, and per-worker facts are reported once, in
+# /healthz, not as per-worker gauges. The loopback bounds its executions on
+# Pool.Map; the second pool beside it was deleted.
+if grep -rnE '\bw\.g[o]ne\b|\brev[i]ved\b|fleet_worker_[u]til_pct|exec\.Str[e]am\b|ErrStream[C]losed' --include='*.go' .; then exit 1; fi
 # DESIGN.md describes the design it has; a change's measurements live in
 # its CHANGES.md entry, not in per-PR logs beside the design.
 if grep -n '^\*\*PR [0-9]*, measured' DESIGN.md; then exit 1; fi

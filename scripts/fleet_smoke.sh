@@ -80,7 +80,7 @@ LOAD_PID=$!
 # Wait until w2 is actually holding a lease, then kill -9 it mid-job.
 BUSY=0
 for _ in $(seq 1 200); do
-	if curl -sf "http://$ADDR/metrics" | grep -q '"fleet_worker_busy{worker=w2}": *1'; then
+	if curl -sf "http://$ADDR/healthz" | tr -d ' \n' | grep -q '"id":"w2"[^}]*"busy":true'; then
 		BUSY=1
 		break
 	fi
