@@ -329,7 +329,7 @@ func checkServerMetrics(client *http.Client, base string, multi bool) error {
 // graph settled without loss: every part done, and every requeue confined
 // to individual parts — siblings of a reassigned part keep attempts == 1,
 // which is the per-segment (not whole-job) recovery contract
-// scripts/ladder_smoke.sh pins after killing a worker mid-segment.
+// `scripts/smoke.sh ladder` pins after killing a worker mid-segment.
 func verifyParts(client *http.Client, base string, parents []serve.JobView) error {
 	var total, reassigned, untouched int
 	for _, p := range parents {

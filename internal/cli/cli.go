@@ -144,9 +144,6 @@ func SummaryLine(name string, s obs.Snapshot) string {
 			fmt.Fprintf(&b, ", %d evicted", evicted)
 		}
 	}
-	if util, ok := s.Gauges["exec_utilization_pct"]; ok {
-		fmt.Fprintf(&b, ", workers %d%% busy", util)
-	}
 	// Per-encode-stage latency split (populated when stage metrics are on).
 	var stages []string
 	for st := codec.EncodeStage(0); st < codec.NumEncodeStages; st++ {

@@ -54,11 +54,10 @@ func TestSummaryLine(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		r.Histogram("core_sweep_point_ns").Observe(int64(50+i) * 1e6)
 	}
-	r.Gauge("exec_utilization_pct").Set(93)
 	line := SummaryLine("sweep", r.Snapshot())
 	for _, want := range []string{
 		"sweep:", "16 points", "(2 failed)", "p50", "p95", "p99",
-		"12 hits / 4 misses", "3.0 MiB resident", "5 evicted", "93% busy",
+		"12 hits / 4 misses", "3.0 MiB resident", "5 evicted",
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("summary line missing %q: %s", want, line)

@@ -16,7 +16,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -57,7 +56,7 @@ type Pool struct {
 	// its own.
 	OnProgress func(done, total int)
 	// Metrics selects the registry the pool records its telemetry into
-	// (job counts, queue wait, worker utilization); nil means obs.Default.
+	// (job counts, queue wait, busy time); nil means obs.Default.
 	Metrics *obs.Registry
 }
 
@@ -71,7 +70,6 @@ type poolMetrics struct {
 	queueWait *obs.Histogram
 	jobTime   *obs.Histogram
 	busyNs    *obs.Counter
-	util      *obs.Gauge
 }
 
 func (p Pool) metrics() poolMetrics {
@@ -87,7 +85,6 @@ func (p Pool) metrics() poolMetrics {
 		queueWait: r.Histogram("exec_queue_wait_ns"),
 		jobTime:   r.Histogram("exec_job_ns"),
 		busyNs:    r.Counter("exec_busy_ns"),
-		util:      r.Gauge("exec_utilization_pct"),
 	}
 }
 
@@ -152,7 +149,6 @@ func (p Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i int
 	}
 
 	m := p.metrics()
-	mapStart := time.Now()
 
 	// The feeder stamps each index when it starts offering it; the channel
 	// is unbuffered, so receive-time minus stamp is exactly how long the
@@ -173,7 +169,6 @@ func (p Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i int
 		}
 	}()
 
-	var busyNs atomic.Int64 // busy time of this Map call only (the counter spans calls)
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -194,7 +189,6 @@ func (p Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i int
 				d := time.Since(jobStart)
 				m.jobTime.Observe(int64(d))
 				m.busyNs.Add(int64(d))
-				busyNs.Add(int64(d))
 				m.completed.Inc()
 				if panicked {
 					m.panicked.Inc()
@@ -211,12 +205,6 @@ func (p Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i int
 		}()
 	}
 	wg.Wait()
-
-	// Utilization of this Map call: busy worker-time over the worker-time
-	// available while the pool ran. A fully fed pool reads ~100.
-	if wall := time.Since(mapStart); wall > 0 {
-		m.util.Set(busyNs.Load() * 100 / int64(wall) / int64(workers))
-	}
 
 	// Mark the jobs that never ran. The caller's cancellation wins over a
 	// concurrent FailFast trip: those jobs were abandoned either way, but
@@ -255,10 +243,4 @@ func runJob(ctx context.Context, i int, fn func(ctx context.Context, i int) erro
 		}
 	}()
 	return fn(ctx, i), false
-}
-
-// Map runs fn over [0, n) on a default pool (GOMAXPROCS workers, Collect
-// policy) — the common case for callers that track errors per job.
-func Map(ctx context.Context, n int, fn func(ctx context.Context, i int) error) ([]error, error) {
-	return Pool{}.Map(ctx, n, fn)
 }

@@ -16,7 +16,7 @@ import (
 func TestMapRunsAll(t *testing.T) {
 	const n = 100
 	var ran [n]int32
-	errs, err := Map(context.Background(), n, func(ctx context.Context, i int) error {
+	errs, err := Pool{}.Map(context.Background(), n, func(ctx context.Context, i int) error {
 		atomic.AddInt32(&ran[i], 1)
 		return nil
 	})
@@ -37,7 +37,7 @@ func TestMapRunsAll(t *testing.T) {
 }
 
 func TestMapZeroJobs(t *testing.T) {
-	errs, err := Map(context.Background(), 0, func(ctx context.Context, i int) error {
+	errs, err := Pool{}.Map(context.Background(), 0, func(ctx context.Context, i int) error {
 		t.Error("job ran")
 		return nil
 	})
@@ -48,7 +48,7 @@ func TestMapZeroJobs(t *testing.T) {
 
 func TestMapErrorsPerIndex(t *testing.T) {
 	boom := errors.New("boom")
-	errs, err := Map(context.Background(), 10, func(ctx context.Context, i int) error {
+	errs, err := Pool{}.Map(context.Background(), 10, func(ctx context.Context, i int) error {
 		if i%3 == 0 {
 			return fmt.Errorf("job %d: %w", i, boom)
 		}
@@ -132,7 +132,7 @@ func TestMapCancel(t *testing.T) {
 // TestMapPanicIsolation checks that a panic in one job fails only that
 // job's slot.
 func TestMapPanicIsolation(t *testing.T) {
-	errs, err := Map(context.Background(), 8, func(ctx context.Context, i int) error {
+	errs, err := Pool{}.Map(context.Background(), 8, func(ctx context.Context, i int) error {
 		if i == 3 {
 			panic("kaboom")
 		}
@@ -229,7 +229,7 @@ func TestMapWorkerBound(t *testing.T) {
 func TestMapPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	errs, err := Map(ctx, 5, func(ctx context.Context, i int) error {
+	errs, err := Pool{}.Map(ctx, 5, func(ctx context.Context, i int) error {
 		t.Error("job ran under pre-canceled context")
 		return nil
 	})
@@ -244,7 +244,7 @@ func TestMapPreCanceled(t *testing.T) {
 }
 
 // TestMapMetrics pins the pool's telemetry contract: per-job counters,
-// queue-wait and job-duration histograms, and the utilization gauge all
+// queue-wait and job-duration histograms, and the busy-time counter all
 // land in the pool's registry.
 func TestMapMetrics(t *testing.T) {
 	r := obs.NewRegistry()
@@ -279,11 +279,9 @@ func TestMapMetrics(t *testing.T) {
 	if h, ok := s.HistogramByName("exec_queue_wait_ns"); !ok || h.Count != 6 {
 		t.Errorf("exec_queue_wait_ns count = %+v, want 6 observations", h)
 	}
-	if s.Counters["exec_busy_ns"] <= 0 {
-		t.Error("exec_busy_ns not accumulated")
-	}
-	util, ok := s.Gauges["exec_utilization_pct"]
-	if !ok || util < 0 || util > 100 {
-		t.Errorf("exec_utilization_pct = %d (present=%v), want 0..100", util, ok)
+	// Busy time is conserved: the counter and the histogram record the
+	// same duration per job.
+	if h, _ := s.HistogramByName("exec_job_ns"); s.Counters["exec_busy_ns"] != h.Sum || h.Sum <= 0 {
+		t.Errorf("exec_busy_ns = %d, want the exec_job_ns sum %d > 0", s.Counters["exec_busy_ns"], h.Sum)
 	}
 }

@@ -117,17 +117,6 @@ func satdScalar(a *Plane, ax, ay int, b *Plane, bx, by, w, h int) int {
 	return int(total / 2)
 }
 
-// PlanePSNR returns the peak signal-to-noise ratio in dB between two planes
-// of identical dimensions. Identical planes yield +Inf.
-func PlanePSNR(a, b *Plane) float64 {
-	ssd := SSD(a, 0, 0, b, 0, 0, a.W, a.H)
-	if ssd == 0 {
-		return math.Inf(1)
-	}
-	mse := float64(ssd) / float64(a.W*a.H)
-	return 10 * math.Log10(255*255/mse)
-}
-
 // PSNR returns the global PSNR of two frames combined across Y, Cb and Cr
 // with the conventional 4:1:1 weighting (luma dominates, as in x264's
 // reported global PSNR).

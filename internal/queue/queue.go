@@ -90,17 +90,11 @@ const (
 	stateCanceled
 )
 
-// ID returns the queue-assigned sequence number (also the FIFO tiebreak).
-func (t *Ticket[T]) ID() uint64 { return t.id }
-
 // Class returns the fairness class the ticket was submitted under.
 func (t *Ticket[T]) Class() string { return t.opts.Class }
 
 // Payload returns the submitted value.
 func (t *Ticket[T]) Payload() T { return t.payload }
-
-// Deadline returns the submission deadline (zero when none was set).
-func (t *Ticket[T]) Deadline() time.Time { return t.opts.Deadline }
 
 // Cancel removes a still-queued ticket. It reports true when this call won
 // the race — the ticket will never be dequeued (again) — and false when

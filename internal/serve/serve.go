@@ -464,6 +464,3 @@ func (s *Server) Totals() Totals {
 
 // QueueDepth exposes the admission queue depth (the healthz signal).
 func (s *Server) QueueDepth() int { return s.q.Depth() }
-
-// Pressure exposes the admission queue backpressure fraction.
-func (s *Server) Pressure() float64 { return s.q.Pressure() }

@@ -30,12 +30,6 @@ type Predictor interface {
 	SizeBytes() int
 }
 
-// Stats tracks aggregate accuracy.
-type Stats struct {
-	Branches   uint64
-	Mispredict uint64
-}
-
 // --- two-bit counter helpers -------------------------------------------------
 
 func ctrTaken(c uint8) bool { return c >= 2 }

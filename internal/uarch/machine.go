@@ -164,9 +164,6 @@ func NewMachine(cfg Config, img *trace.Image) *Machine {
 	return m
 }
 
-// Config returns the machine's configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // Clone returns an independent deep copy of the machine: counters, fetch
 // cursors, cache and TLB contents, and trained predictor state. The code
 // image is shared (it is immutable after construction). m is only read.

@@ -18,6 +18,16 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+# Every script parses, and the smoke harness rejects an unknown scenario
+# with its usage line before it builds or starts anything.
+for f in scripts/*.sh; do bash -n "$f"; done
+usage="$(./scripts/smoke.sh nosuch 2>&1)" && exit 1
+case "$usage" in usage:*) ;; *) exit 1 ;; esac
+# The four serving gates are scenarios of scripts/smoke.sh, not copies of
+# one drill; the pool's per-Map utilization gauge was deleted (busy time is
+# exec_busy_ns, and only a caller knows the wall window to divide it by).
+if compgen -G 'scripts/*_smoke.sh'; then exit 1; fi
+if grep -rn --include='*.go' --exclude='*_test.go' 'exec_[u]tilization_pct' .; then exit 1; fi
 # The No*Cache escape hatches and the legacy-placement predicate were
 # deleted (one replay path, one placement matrix); keep them from drifting
 # back in. ([P] keeps this line from matching itself; `! grep` would not
