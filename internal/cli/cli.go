@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -29,17 +30,50 @@ import (
 var flagDebugAddr = flag.String("debug-addr", "",
 	"serve /metrics, expvar and pprof debug endpoints on this address (e.g. localhost:6060)")
 
+// flagCPUProfile is shared the same way: when set, the whole run is
+// CPU-profiled (runtime/pprof) into the named file, which is complete on
+// every exit path, a failed or canceled run included.
+var flagCPUProfile = flag.String("cpuprofile", "",
+	"write a CPU profile of the run to this file (go tool pprof)")
+
 // Main parses flags, installs SIGINT/SIGTERM cancellation on the root
-// context, optionally starts the -debug-addr endpoint, runs the command
-// body, and exits: 0 on success, 130 when the run was canceled (the shell
-// convention for death-by-interrupt), 1 on any other error.
+// context, optionally starts the -debug-addr endpoint and the -cpuprofile
+// profile, runs the command body, and exits: 0 on success, 130 when the
+// run was canceled (the shell convention for death-by-interrupt), 1 on any
+// other error.
 func Main(name string, run func(ctx context.Context) error) {
 	flag.Parse()
+	if code := runMain(name, run); code != 0 {
+		os.Exit(code)
+	}
+}
+
+// runMain is Main after flag parsing, returning the exit code, so that the
+// profile is stopped and flushed before the process exits.
+func runMain(name string, run func(ctx context.Context) error) int {
+	if *flagCPUProfile != "" {
+		f, err := os.Create(*flagCPUProfile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: cpuprofile: %v\n", name, err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintf(os.Stderr, "%s: cpuprofile: %v\n", name, err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: cpuprofile: %v\n", name, err)
+			}
+		}()
+	}
 	if *flagDebugAddr != "" {
 		addr, err := obs.Serve(*flagDebugAddr, obs.Default())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Fprintf(os.Stderr, "%s: debug endpoint on http://%s/debug/vars\n", name, addr)
 	}
@@ -47,13 +81,13 @@ func Main(name string, run func(ctx context.Context) error) {
 	err := run(ctx)
 	stop()
 	if err == nil {
-		return
+		return 0
 	}
 	fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		os.Exit(130)
+		return 130
 	}
-	os.Exit(1)
+	return 1
 }
 
 // Ints parses a comma-separated integer list flag value ("1,6,11").

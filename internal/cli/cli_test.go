@@ -1,6 +1,10 @@
 package cli
 
 import (
+	"context"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -143,5 +147,49 @@ func TestSummaryLineEmpty(t *testing.T) {
 	// A run that swept nothing still renders a valid (terse) line.
 	if got := SummaryLine("vprof", obs.NewRegistry().Snapshot()); got != "vprof:" {
 		t.Fatalf("empty summary = %q", got)
+	}
+}
+
+// TestCPUProfileWritten: with -cpuprofile set, a run leaves a complete
+// profile behind (a gzip stream, as runtime/pprof writes it) whether it
+// succeeds, fails or is canceled.
+func TestCPUProfileWritten(t *testing.T) {
+	defer func(old string) { *flagCPUProfile = old }(*flagCPUProfile)
+	busy := func(context.Context) error {
+		x := 0
+		for i := 0; i < 1e7; i++ {
+			x += i * i
+		}
+		if x == 0 {
+			return errors.New("unreachable")
+		}
+		return nil
+	}
+	for _, c := range []struct {
+		name string
+		run  func(context.Context) error
+		code int
+	}{
+		{"ok", busy, 0},
+		{"failed", func(ctx context.Context) error { busy(ctx); return errors.New("boom") }, 1},
+		{"canceled", func(ctx context.Context) error { busy(ctx); return context.Canceled }, 130},
+	} {
+		*flagCPUProfile = filepath.Join(t.TempDir(), c.name+".pprof")
+		if code := runMain("test", c.run); code != c.code {
+			t.Errorf("%s: exit code %d, want %d", c.name, code, c.code)
+		}
+		b, err := os.ReadFile(*flagCPUProfile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b {
+			t.Errorf("%s: profile is %d B, not a gzip stream", c.name, len(b))
+		}
+	}
+	// A profile that cannot be created fails the run before it starts.
+	*flagCPUProfile = filepath.Join(t.TempDir(), "missing", "x.pprof")
+	ran := false
+	if code := runMain("test", func(context.Context) error { ran = true; return nil }); code != 1 || ran {
+		t.Errorf("uncreatable profile: exit code %d, body ran %v; want 1, false", code, ran)
 	}
 }

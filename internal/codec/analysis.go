@@ -131,7 +131,9 @@ func Analyze(frames []*frame.Frame, fps int, opt Options) (*Analysis, error) {
 		mbw:    e.w / 16,
 		mbh:    e.h / 16,
 	}
-	a.events = rec.Bytes()
+	// The artifact outlives the recorder: keep the events, not the
+	// capacity append grew them to.
+	a.events = append(make([]byte, 0, len(rec.Bytes())), rec.Bytes()...)
 	if a.Params.Variance {
 		a.variance = make([]float64, len(frames)*a.mbw*a.mbh)
 		for i, f := range frames {

@@ -35,32 +35,30 @@ type analysisKey struct {
 // scoped to a segment of it (zero segment: the whole clip). Every rung of
 // an ABR ladder encoding the same segment shares one artifact — params fold
 // in the segment's base and length, so distinct segments get distinct
-// entries. The cached frames are shared read-only state: decoded frames
-// always carry decoder-assigned virtual bases, so Analyze never mutates
-// them, and the recorded addresses match what any job encoding the same
-// frames emits.
+// entries. The build analyzes its own frames materialized from the cached
+// pictures; they carry the decoder-assigned virtual bases, so the recorded
+// addresses match what any job encoding the same frames emits.
 func (e *Engine) sharedAnalysis(ctx context.Context, w Workload, dopt codec.DecoderOptions, opt codec.Options, seg codec.Segment) (*codec.Analysis, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
-	frames, _, err := e.DecodedMezzanine(ctx, w, dopt)
+	dec, err := e.decoded(ctx, w, dopt)
 	if err != nil {
 		return nil, err
 	}
-	if !seg.IsZero() {
-		if err := seg.Validate(len(frames)); err != nil {
-			return nil, err
-		}
-		frames = frames[seg.Start:seg.End]
+	pictures, err := segmentOf(dec.pictures, seg)
+	if err != nil {
+		return nil, err
 	}
 	info, err := vbench.ByName(w.Video)
 	if err != nil {
 		return nil, err
 	}
-	p := codec.AnalysisParamsFor(opt, frames[0].Width, frames[0].Height, frames[0].PTS, len(frames))
+	first := pictures[0]
+	p := codec.AnalysisParamsFor(opt, first.Width, first.Height, first.PTS, len(pictures))
 	return e.ana.get(ctx, analysisKey{w: w, dopt: dopt, p: p}, func() (*codec.Analysis, error) {
-		a, err := codec.Analyze(frames, info.FPS, opt)
+		a, err := codec.Analyze(materialize(pictures), info.FPS, opt)
 		if err != nil {
 			return nil, fmt.Errorf("core: analysis of %s: %w", w.Video, err)
 		}

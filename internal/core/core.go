@@ -127,9 +127,9 @@ type Result struct {
 // bytes: a snapshot is charged every cache level it holds, including the
 // levels it shares with its siblings, so the heap behind a full budget is
 // smaller. Chosen from measurement (traced core.cache_mb, seeds 1–3, in
-// the CHANGES.md entry that made frozen levels tag streams): the largest
-// set any bench workload reuses is charged 26.3 MB (serve_ladder);
-// serve_fleet's is charged 11.1 MB and sweep_warm's 2.2 MB. A crf-refs
+// the CHANGES.md entry that made the decoded layer keep pictures): the
+// largest set any bench workload reuses is charged 23.5 MB (serve_ladder);
+// serve_fleet's is charged 8.9 MB and sweep_warm's 1.8 MB. A crf-refs
 // grid on one CLI-size title (16 frames of about 256 lines) fits with
 // nothing evicted. A set bigger than this still runs, to the same bits; it
 // rebuilds what was evicted, as the videos scan does.
@@ -149,7 +149,8 @@ type Engine struct {
 	// start of every transcode job, mirroring how a streaming service stores
 	// one pristine copy and transcodes it many times.
 	mezz flightCache[Workload, []byte]
-	// dec holds the reconstructed frames and recorded decoder event stream.
+	// dec holds each decode's visible pictures and recorded decoder event
+	// stream; jobs materialize padded frames from the pictures.
 	dec flightCache[decodeKey, *decodedMezz]
 	// parsed holds the validated view of each recorded decode trace, keyed
 	// like the raw buffer (no uarch config): all five Table IV snapshots of
@@ -259,19 +260,21 @@ func (e *Engine) Mezzanine(ctx context.Context, w Workload) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: mezzanine encode of %s: %w", w.Video, err)
 		}
-		return stream, nil
+		return clip(stream), nil
 	})
 }
 
 // --- decoded-mezzanine cache ----------------------------------------------------
 
-// decodedMezz is one decode cache entry: the reconstructed frames plus the
-// recorded decoder event stream. Both are shared across every job that hits
-// the entry — frames are cloned before handing them to an encoder, and the
-// event buffer is only ever read (by trace.Replay).
+// decodedMezz is one decode cache entry: the visible pixels of each
+// reconstructed frame plus the recorded decoder event stream, both only
+// ever read. The decoder edge-extends every frame it outputs, so a
+// picture rebuilds its frame exactly, padding included, and the entry
+// keeps none of the padding (two thirds of a frame at the bench's sizes):
+// each caller materializes its own padded frames (materialize).
 type decodedMezz struct {
-	frames []*frame.Frame
-	events []byte
+	pictures []*frame.Picture
+	events   []byte
 }
 
 // decodeKey identifies one decode of one mezzanine: decoder options change
@@ -284,8 +287,8 @@ type decodeKey struct {
 
 func (d *decodedMezz) bytes() int64 {
 	n := int64(len(d.events))
-	for _, f := range d.frames {
-		n += int64(f.ByteSize())
+	for _, p := range d.pictures {
+		n += int64(p.ByteSize())
 	}
 	return n
 }
@@ -296,16 +299,28 @@ func decoderOptions(o codec.Options) codec.DecoderOptions {
 	return codec.DecoderOptions{TraceSampleLog2: o.TraceSampleLog2, Tune: o.Tune}
 }
 
-// DecodedMezzanine returns (building and caching on first use) the decoded
-// frames and recorded decode trace of a workload's mezzanine. The returned
-// slices are shared cache state: callers must treat the frames and buffer
-// as read-only (Run clones the frames before encoding into a job).
+// DecodedMezzanine returns the decoded frames and recorded decode trace of
+// a workload's mezzanine, building and caching the decode on first use.
+// The frames are the caller's own: padded, edge-extended copies
+// materialized from the cached pictures on every call, bit for bit what
+// the decoder output. The event buffer is shared cache state: callers must
+// treat it as read-only.
 func (e *Engine) DecodedMezzanine(ctx context.Context, w Workload, opt codec.DecoderOptions) ([]*frame.Frame, []byte, error) {
-	w, err := w.normalized()
+	ent, err := e.decoded(ctx, w, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	ent, err := e.dec.get(ctx, decodeKey{w: w, opt: opt}, func() (*decodedMezz, error) {
+	return materialize(ent.pictures), ent.events, nil
+}
+
+// decoded returns the decode cache entry of a workload's mezzanine,
+// building it on first use.
+func (e *Engine) decoded(ctx context.Context, w Workload, opt codec.DecoderOptions) (*decodedMezz, error) {
+	w, err := w.normalized()
+	if err != nil {
+		return nil, err
+	}
+	return e.dec.get(ctx, decodeKey{w: w, opt: opt}, func() (*decodedMezz, error) {
 		// Detached build: the nested cache lookup must not inherit the
 		// waiter's cancellation, or an abandoned build could cache ctx.Err().
 		stream, err := e.Mezzanine(context.Background(), w)
@@ -316,12 +331,19 @@ func (e *Engine) DecodedMezzanine(ctx context.Context, w Workload, opt codec.Dec
 		if err != nil {
 			return nil, fmt.Errorf("core: mezzanine decode of %s: %w", w.Video, err)
 		}
-		return &decodedMezz{frames: frames, events: events}, nil
+		pictures := make([]*frame.Picture, len(frames))
+		for i, f := range frames {
+			pictures[i] = f.Picture()
+		}
+		return &decodedMezz{pictures: pictures, events: clip(events)}, nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return ent.frames, ent.events, nil
+}
+
+// clip returns a copy of b whose capacity is its length. A buffer a cache
+// or a record keeps past the call that built it is clipped, so the heap
+// behind it is what the budget charges (len), not what append grew it to.
+func clip(b []byte) []byte {
+	return append(make([]byte, 0, len(b)), b...)
 }
 
 // --- parsed-trace cache ---------------------------------------------------------
@@ -335,11 +357,11 @@ func (e *Engine) ParsedDecodeTrace(ctx context.Context, w Workload, opt codec.De
 		return nil, err
 	}
 	return e.parsed.get(ctx, decodeKey{w: w, opt: opt}, func() (*trace.EventBuf, error) {
-		_, events, err := e.DecodedMezzanine(context.Background(), w, opt)
+		ent, err := e.decoded(context.Background(), w, opt)
 		if err != nil {
 			return nil, err
 		}
-		b, err := trace.Parse(events)
+		b, err := trace.Parse(ent.events)
 		if err != nil {
 			return nil, fmt.Errorf("core: parse of %s decode trace: %w", w.Video, err)
 		}
@@ -384,30 +406,40 @@ func (e *Engine) decodedMachine(ctx context.Context, w Workload, dopt codec.Deco
 	})
 }
 
-// cloneFrames deep-copies a cached frame slice so a job's encoder works on
-// private pixels (virtual bases are preserved, keeping traced addresses
-// identical to a live decode).
-func cloneFrames(src []*frame.Frame) []*frame.Frame {
-	out := make([]*frame.Frame, len(src))
-	for i, f := range src {
-		out[i] = f.Clone()
+// materialize returns private padded, edge-extended frames rebuilt from
+// cached pictures: absolute PTS and decoder-assigned virtual bases
+// included, so traced addresses are identical to a live decode's.
+func materialize(pictures []*frame.Picture) []*frame.Frame {
+	frames := make([]*frame.Frame, len(pictures))
+	for i, p := range pictures {
+		frames[i] = p.Frame()
 	}
-	return out
+	return frames
+}
+
+// segmentOf returns the pictures of a segment of the clip (zero segment:
+// the whole clip), rejecting a range the clip does not have.
+func segmentOf(pictures []*frame.Picture, seg codec.Segment) ([]*frame.Picture, error) {
+	if seg.IsZero() {
+		return pictures, nil
+	}
+	if err := seg.Validate(len(pictures)); err != nil {
+		return nil, err
+	}
+	return pictures[seg.Start:seg.End], nil
 }
 
 // jobInput is a job's private copy of the frames it encodes: the whole
-// cached clip, or a segment job's slice of it. Frames keep their absolute
-// PTS and decoder-assigned bases, so a segment's encode is exactly what
-// codec.EncodeSegment produces for its range, and only that range is
-// copied.
-func jobInput(frames []*frame.Frame, seg codec.Segment) ([]*frame.Frame, error) {
-	if !seg.IsZero() {
-		if err := seg.Validate(len(frames)); err != nil {
-			return nil, err
-		}
-		frames = frames[seg.Start:seg.End]
+// clip, or a segment job's slice of it, materialized from the cached
+// pictures. Frames keep their absolute PTS and decoder-assigned bases, so
+// a segment's encode is exactly what codec.EncodeSegment produces for its
+// range, and only that range is materialized.
+func jobInput(pictures []*frame.Picture, seg codec.Segment) ([]*frame.Frame, error) {
+	pictures, err := segmentOf(pictures, seg)
+	if err != nil {
+		return nil, err
 	}
-	return cloneFrames(frames), nil
+	return materialize(pictures), nil
 }
 
 // Run simulates one transcoding job end to end: decode the mezzanine,
@@ -441,7 +473,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
 	var machine *uarch.Machine
 	var analysis *codec.Analysis
 	dopt := decoderOptions(job.Options)
-	frames, _, err := e.DecodedMezzanine(ctx, job.Workload, dopt)
+	dec, err := e.decoded(ctx, job.Workload, dopt)
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +512,7 @@ func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
 		}
 		machine.ReplayEvents(parsed)
 	}
-	input, err := jobInput(frames, job.Segment)
+	input, err := jobInput(dec.pictures, job.Segment)
 	if err != nil {
 		return nil, err
 	}
@@ -528,11 +560,11 @@ func (e *Engine) EncodeOnly(ctx context.Context, job Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	frames, _, err := e.DecodedMezzanine(ctx, job.Workload, decoderOptions(job.Options))
+	dec, err := e.decoded(ctx, job.Workload, decoderOptions(job.Options))
 	if err != nil {
 		return nil, err
 	}
-	input, err := jobInput(frames, job.Segment)
+	input, err := jobInput(dec.pictures, job.Segment)
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"repro/internal/codec"
 	"repro/internal/trace"
 	"repro/internal/uarch"
+	"repro/internal/vbench"
 )
 
 // footprintWorkload is the title the retained-bytes figures in DESIGN.md
@@ -32,6 +34,70 @@ func TestEveryCacheLayerReportsBytes(t *testing.T) {
 			t.Errorf("core_cache_bytes{cache=%s} did not grow: %d -> %d", l.name, before[l.name], after[l.name])
 		}
 		t.Logf("%-12s retains %8d B", l.name, after[l.name]-before[l.name])
+	}
+}
+
+// TestDecodedPicturesRebuildFrames: the decode layer keeps pictures, not
+// frames, which is exact only because the decoder edge-extends every frame
+// it outputs. On every catalog video, each frame a live decode outputs
+// equals its Picture().Frame() byte for byte, padding included, and so
+// does the frame DecodedMezzanine hands out for it.
+func TestDecodedPicturesRebuildFrames(t *testing.T) {
+	ctx, eng := context.Background(), NewEngine(DefaultCacheBudget)
+	for _, name := range vbench.Names() {
+		w := Workload{Video: name, Frames: 3, Scale: 16}
+		stream, err := eng.Mezzanine(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, _, err := codec.NewDecoder(codec.DecoderOptions{}, nil).Decode(stream)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, _, err := eng.DecodedMezzanine(ctx, w, codec.DecoderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cached) != len(live) {
+			t.Fatalf("%s: %d cached frames, %d decoded", name, len(cached), len(live))
+		}
+		for i, f := range live {
+			if !reflect.DeepEqual(f.Picture().Frame(), f) {
+				t.Fatalf("%s frame %d: Picture().Frame() differs from the decoded frame", name, i)
+			}
+			if !reflect.DeepEqual(cached[i], f) {
+				t.Fatalf("%s frame %d: DecodedMezzanine's frame differs from the decoded frame", name, i)
+			}
+		}
+	}
+}
+
+// TestRetainedBuffersAreClipped: the byte buffers the cache keeps past the
+// call that built them — a mezzanine stream, a decode's and an analysis'
+// recorded events — hold no capacity beyond their length, which is what
+// the budget charges.
+func TestRetainedBuffersAreClipped(t *testing.T) {
+	ctx, w, dopt := context.Background(), footprintWorkload(), codec.DecoderOptions{}
+	eng := NewEngine(DefaultCacheBudget)
+	stream, err := eng.Mezzanine(ctx, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := eng.decoded(ctx, w, dopt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := eng.sharedAnalysis(ctx, w, dopt, codec.Defaults(), codec.Segment{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []struct {
+		name string
+		buf  []byte
+	}{{"mezzanine stream", stream}, {"decode events", dec.events}, {"analysis events", a.Events()}} {
+		if len(b.buf) == 0 || cap(b.buf) != len(b.buf) {
+			t.Errorf("%s: len %d, cap %d", b.name, len(b.buf), cap(b.buf))
+		}
 	}
 }
 

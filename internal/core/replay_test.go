@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/frame"
 	"repro/internal/perf"
 	"repro/internal/trace"
 	"repro/internal/uarch"
@@ -67,10 +68,6 @@ func TestReplayMachineEquivalence(t *testing.T) {
 func TestResultLevelConservation(t *testing.T) {
 	ctx, w, dopt := context.Background(), Workload{Video: "cricket", Frames: 4, Scale: 16}, codec.DecoderOptions{}
 	eng := NewEngine(DefaultCacheBudget)
-	frames, _, err := eng.DecodedMezzanine(ctx, w, dopt)
-	if err != nil {
-		t.Fatal(err)
-	}
 	_, info, err := sourceFrames(w)
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +97,10 @@ func TestResultLevelConservation(t *testing.T) {
 		}
 		m := snap.Machine()
 		check(cfg.Name+" after decode", cfg, m.Result())
-		input := cloneFrames(frames)
+		input, _, err := eng.DecodedMezzanine(ctx, w, dopt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		enc, err := codec.NewEncoder(input[0].Width, input[0].Height, info.FPS, codec.Defaults(), m)
 		if err != nil {
 			t.Fatal(err)
@@ -239,30 +239,69 @@ func TestParsedRunEquivalence(t *testing.T) {
 	requireReference(t, Job{Workload: cold, Options: opt, Config: uarch.Baseline()})
 }
 
-// TestDecodedMezzanineCached verifies hits share one entry and that the
-// cached frames are not handed to encoders directly (Run clones them).
+// TestDecodedMezzanineCached verifies hits share one build (one event
+// buffer) and that every call hands out frames of its own: equal to every
+// other call's — pixels, padding, bases, PTS — but distinct, so writing
+// into one call's frames changes neither a later call's nor a Run's report.
 func TestDecodedMezzanineCached(t *testing.T) {
-	w := tinyWorkload("cat")
-	fa, ea, err := DecodedMezzanine(context.Background(), w, codec.DecoderOptions{})
+	ctx, w := context.Background(), tinyWorkload("cat")
+	eng := NewEngine(DefaultCacheBudget)
+	fa, ea, err := eng.DecodedMezzanine(ctx, w, codec.DecoderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, eb, err := DecodedMezzanine(context.Background(), w, codec.DecoderOptions{})
+	fb, eb, err := eng.DecodedMezzanine(ctx, w, codec.DecoderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(fa) == 0 || len(ea) == 0 {
 		t.Fatal("empty decode cache entry")
 	}
-	if fa[0] != fb[0] || &ea[0] != &eb[0] {
+	if &ea[0] != &eb[0] {
 		t.Fatal("decoded mezzanine not cached")
 	}
-	// A different decoder configuration is a different entry.
-	fc, _, err := DecodedMezzanine(context.Background(), w, codec.DecoderOptions{TraceSampleLog2: 1})
+	if !reflect.DeepEqual(fa, fb) {
+		t.Fatal("two calls' frames differ")
+	}
+	for i := range fa {
+		if fa[i] == fb[i] || &fa[i].Y.Pix[0] == &fb[i].Y.Pix[0] || &fa[i].Cb.Pix[0] == &fb[i].Cb.Pix[0] || &fa[i].Cr.Pix[0] == &fb[i].Cr.Pix[0] {
+			t.Fatalf("frame %d: two calls share storage", i)
+		}
+	}
+
+	job := Job{Workload: w, Options: codec.Defaults(), Config: uarch.Baseline()}
+	want, err := NewEngine(DefaultCacheBudget).Run(ctx, job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fc[0] == fa[0] {
+	for _, f := range fa {
+		for _, p := range []*frame.Plane{&f.Y, &f.Cb, &f.Cr} {
+			for i := range p.Pix {
+				p.Pix[i] = ^p.Pix[i]
+			}
+			p.Base++
+		}
+		f.PTS += len(fa)
+	}
+	fc, _, err := eng.DecodedMezzanine(ctx, w, codec.DecoderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fc, fb) {
+		t.Fatal("writing into one call's frames changed a later call's")
+	}
+	got, err := eng.Run(ctx, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "Run after writing into a call's frames", got, want)
+
+	// A different decoder configuration is a different entry.
+	_, ed, err := eng.DecodedMezzanine(ctx, w, codec.DecoderOptions{TraceSampleLog2: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &ed[0] == &ea[0] {
 		t.Fatal("distinct decoder options share a cache entry")
 	}
 }

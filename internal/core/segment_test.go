@@ -78,7 +78,7 @@ func TestSegmentStatsStitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, want, err := codec.EncodeSegments(cloneFrames(frames), 30, opt, nil, len(segs))
+	_, want, err := codec.EncodeSegments(frames, 30, opt, nil, len(segs))
 	if err != nil {
 		t.Fatal(err)
 	}

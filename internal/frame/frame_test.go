@@ -42,23 +42,20 @@ func TestPlaneAtSetRoundtrip(t *testing.T) {
 	}
 }
 
+// TestExtendEdgesReplicatesBorders pins every padding byte to its
+// definition: the visible pixel nearest to it, coordinates clamped into
+// the plane (so corners replicate the corner pixel).
 func TestExtendEdgesReplicatesBorders(t *testing.T) {
-	p := NewPlane(32, 16)
-	fillPattern(&p, 0)
-	for d := 1; d <= Pad; d++ {
-		if p.At(-d, 0) != p.At(0, 0) {
-			t.Fatalf("left padding at distance %d not replicated", d)
+	for _, dims := range [][2]int{{8, 8}, {32, 16}, {80, 48}} {
+		p := NewPlane(dims[0], dims[1])
+		fillPattern(&p, dims[0])
+		for y := -Pad; y < p.H+Pad; y++ {
+			for x := -Pad; x < p.W+Pad; x++ {
+				if got, want := p.At(x, y), p.At(max(0, min(x, p.W-1)), max(0, min(y, p.H-1))); got != want {
+					t.Fatalf("%dx%d: padding at (%d,%d) = %d, want %d", p.W, p.H, x, y, got, want)
+				}
+			}
 		}
-		if p.At(p.W-1+d, p.H-1) != p.At(p.W-1, p.H-1) {
-			t.Fatalf("bottom-right padding at distance %d not replicated", d)
-		}
-		if p.At(3, -d) != p.At(3, 0) {
-			t.Fatalf("top padding at distance %d not replicated", d)
-		}
-	}
-	// Corners replicate the corner pixel.
-	if p.At(-Pad, -Pad) != p.At(0, 0) {
-		t.Fatal("corner padding not replicated")
 	}
 }
 

@@ -7,6 +7,8 @@
 // same trick production encoders use.
 package frame
 
+import "encoding/binary"
+
 // Pad is the number of padding pixels kept on every side of a plane. Motion
 // search ranges and interpolation taps must stay within this margin.
 const Pad = 32
@@ -65,21 +67,36 @@ func (p *Plane) Addr(x, y int) uint64 {
 // ExtendEdges replicates the border pixels of the visible area into the
 // padding margin. Call after the visible area has been (re)written.
 func (p *Plane) ExtendEdges() {
-	// Left and right margins.
 	for y := 0; y < p.H; y++ {
-		row := p.Pix[(y+Pad)*p.Stride:]
-		l, r := row[Pad], row[Pad+p.W-1]
-		for x := 0; x < Pad; x++ {
-			row[x] = l
-			row[Pad+p.W+x] = r
-		}
+		p.extendSides(y)
 	}
-	// Top and bottom margins (full padded width).
-	top := p.Pix[Pad*p.Stride : Pad*p.Stride+p.Stride]
-	bottom := p.Pix[(Pad+p.H-1)*p.Stride : (Pad+p.H-1)*p.Stride+p.Stride]
-	for y := 0; y < Pad; y++ {
-		copy(p.Pix[y*p.Stride:(y+1)*p.Stride], top)
-		copy(p.Pix[(Pad+p.H+y)*p.Stride:(Pad+p.H+y+1)*p.Stride], bottom)
+	p.extendTopBottom()
+}
+
+// extendSides fills the left and right margins of visible row y, eight
+// copies of the border pixel per store.
+func (p *Plane) extendSides(y int) {
+	row := p.Pix[(y+Pad)*p.Stride : (y+Pad+1)*p.Stride]
+	l := uint64(row[Pad]) * 0x0101010101010101
+	r := uint64(row[Pad+p.W-1]) * 0x0101010101010101
+	left, right := row[:Pad], row[Pad+p.W:Pad+p.W+Pad]
+	for x := 0; x < Pad; x += 8 {
+		binary.LittleEndian.PutUint64(left[x:], l)
+		binary.LittleEndian.PutUint64(right[x:], r)
+	}
+}
+
+// extendTopBottom replicates the first and last padded rows, side margins
+// included, into the top and bottom margins, doubling the rows each copy
+// moves.
+func (p *Plane) extendTopBottom() {
+	s := p.Stride
+	for n := 1; n <= Pad; n *= 2 {
+		m := min(n, Pad+1-n) // rows to add: n are done, Pad+1 in all
+		top := p.Pix[(Pad+1-n-m)*s : (Pad+1-n+m)*s]
+		copy(top[:m*s], top[m*s:])
+		bottom := p.Pix[(Pad+p.H-1)*s:]
+		copy(bottom[n*s:(n+m)*s], bottom[:m*s])
 	}
 }
 

@@ -440,8 +440,9 @@ func (s *Server) settle(rec *record, st settlement) {
 	rec.backendName = st.backend
 	if rec.parent != nil {
 		// A part keeps its bitstream so the parent can be stitched into a
-		// downloadable rendition (GET /jobs/{id}/rendition).
-		rec.stream = st.stream
+		// downloadable rendition (GET /jobs/{id}/rendition): the bytes,
+		// not the capacity the encoder's writer grew them to.
+		rec.stream = append(make([]byte, 0, len(st.stream)), st.stream...)
 	}
 	miss := st.miss
 	if st.state == StateDone && len(rec.parts) == 0 &&

@@ -282,6 +282,15 @@ func TestRenditionStitchesByteIdentical(t *testing.T) {
 	if final.State != StateDone {
 		t.Fatalf("job ended %s: %s", final.State, final.Error)
 	}
+	// A settled part keeps its bitstream and nothing past it.
+	for _, p := range s.record(view.ID).parts {
+		p.mu.Lock()
+		n, c := len(p.stream), cap(p.stream)
+		p.mu.Unlock()
+		if n == 0 || c != n {
+			t.Fatalf("part %s retains its stream with len %d, cap %d", p.id, n, c)
+		}
+	}
 
 	// Reference: encode the same segments independently, stitch locally.
 	task := sched.Task{Video: "bbb", CRF: 23, Refs: 3, Preset: codec.PresetMedium}

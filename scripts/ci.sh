@@ -75,6 +75,10 @@ if grep -rnE 'adaptive[T]TL|leaseDur[W]indow|observe[L]ease|Keep[S]tream' --incl
 # /healthz, not as per-worker gauges. The loopback bounds its executions on
 # Pool.Map; the second pool beside it was deleted.
 if grep -rnE '\bw\.g[o]ne\b|\brev[i]ved\b|fleet_worker_[u]til_pct|exec\.Str[e]am\b|ErrStream[C]losed' --include='*.go' .; then exit 1; fi
+# A cached decode keeps each frame's visible pixels, not the padded frame:
+# every caller materializes frames of its own from them, so the deep copy
+# of shared cached frames was deleted and does not come back.
+if grep -rn 'clone[F]rames' --include='*.go' .; then exit 1; fi
 # DESIGN.md describes the design it has; a change's measurements live in
 # its CHANGES.md entry, not in per-PR logs beside the design.
 if grep -n '^\*\*PR [0-9]*, measured' DESIGN.md; then exit 1; fi

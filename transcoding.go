@@ -204,9 +204,10 @@ func SweepCRFRefsWith(ctx context.Context, w Workload, base Options, cfg Config,
 	return core.SweepCRFRefsWith(ctx, w, base, cfg, crfs, refs, opts)
 }
 
-// DecodedMezzanine returns the cached decoded frames and recorded decode
-// event trace of a workload's mezzanine (built on first use). Both return
-// values are shared cache state and must be treated as read-only. A
+// DecodedMezzanine returns the decoded frames and recorded decode event
+// trace of a workload's mezzanine (the decode is built and cached on first
+// use). The frames are the caller's own copy, materialized on every call;
+// the event trace is shared cache state and must be treated as read-only. A
 // canceled ctx detaches the caller without poisoning the cache: the build
 // completes in the background for the next caller.
 func DecodedMezzanine(ctx context.Context, w Workload, opt DecoderOptions) ([]*Frame, []byte, error) {
