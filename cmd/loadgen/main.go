@@ -44,7 +44,7 @@ var (
 	flagRate     = flag.Float64("rate", 25, "mean arrival rate, jobs/second")
 	flagSeed     = flag.Uint64("seed", 1, "seed for tasks and interarrival gaps")
 	flagClasses  = flag.String("classes", "live,batch", "fairness classes cycled across jobs")
-	flagTimeout  = flag.Duration("timeout", 120*time.Second, "deadline for all jobs to reach a terminal state")
+	flagTimeout  = flag.Duration("timeout", 120*time.Second, "deadline for each admitted job to reach a terminal state, counted from its admission")
 	flagCompare  = flag.Bool("compare", false, "run the in-process smart-vs-random comparison instead of driving a server")
 	flagSegs     = flag.Int("segments", 1, "segments per job: every submission fans out into this many independently placed segment parts")
 	flagLadder   = flag.String("ladder", "", "comma-separated rung CRFs (e.g. 23,33,43): every submission becomes an ABR ladder job")
@@ -87,9 +87,98 @@ func gap(seed uint64, i int, rate float64) time.Duration {
 	return time.Duration(d * float64(time.Second))
 }
 
+// submitted is an accepted job and the time by which it must be terminal
+// (-timeout after its admission).
 type submitted struct {
-	id    string
-	class string
+	id       string
+	deadline time.Time
+}
+
+// collection is what the collector read of the accepted jobs: outcome
+// counts, the cost they report and, for multi-part jobs, their parts.
+type collection struct {
+	done, failed, canceled, lost, missed int
+	costCents                            float64
+	// parts counts the parts of done parents; reassigned, those run more
+	// than once; untouched, their siblings that ran once.
+	parts, reassigned, untouched int
+	err                          error
+}
+
+// collect polls the accepted jobs until each is terminal or past its
+// deadline (lost). Every round reads every pending job once, so a job is
+// read within one round of settling however the jobs ahead of it fare
+// (a round lasts 20 ms, or 5 ms per pending job), and a done parent's
+// parts are read right after the parent.
+func collect(ctx context.Context, client *http.Client, base string, accepted <-chan submitted,
+	multi bool, sojourn *obs.Histogram) (c collection) {
+	var pending []submitted
+	for open := true; open || len(pending) > 0; {
+		// Take the jobs accepted since the last round; wait for one when
+		// none is pending.
+	take:
+		for open {
+			var sub submitted
+			if len(pending) == 0 {
+				sub, open = <-accepted
+			} else {
+				select {
+				case sub, open = <-accepted:
+				default:
+					break take
+				}
+			}
+			if open {
+				pending = append(pending, sub)
+			}
+		}
+		still := pending[:0]
+		for _, sub := range pending {
+			final, err := getJob(client, base, sub.id)
+			if err != nil {
+				c.err = fmt.Errorf("poll %s: %w", sub.id, err)
+				return c
+			}
+			switch final.State {
+			case serve.StateDone:
+				c.done++
+				if final.DeadlineMiss {
+					c.missed++
+				}
+				sojourn.Observe(int64(final.Finished.Sub(final.Submitted)))
+				if multi {
+					if c.err = c.collectParts(client, base, final); c.err != nil {
+						return c
+					}
+				}
+			case serve.StateFailed:
+				c.failed++
+			case serve.StateCanceled:
+				c.canceled++
+			default:
+				if time.Now().Before(sub.deadline) {
+					still = append(still, sub)
+					continue
+				}
+				c.lost++
+				fmt.Fprintf(os.Stderr, "loadgen: job %s still %s at deadline\n", sub.id, final.State)
+			}
+			c.costCents += final.CostCents
+		}
+		pending = still
+		if len(pending) == 0 {
+			continue
+		}
+		// At most 200 reads a second, so polling a deep backlog does not
+		// crowd out the server being measured.
+		select {
+		case <-time.After(max(20*time.Millisecond, time.Duration(len(pending))*5*time.Millisecond)):
+		case <-ctx.Done():
+			c.err = ctx.Err()
+			return c
+		}
+	}
+	return c
 }
 
 // ladderRungs parses -ladder into rung specs: one rung per CRF, named
@@ -109,6 +198,51 @@ func ladderRungs() ([]serve.Rung, error) {
 	return rungs, nil
 }
 
+// submitAll submits the tasks on their seeded arrival schedule and sends
+// each accepted job to accepted. Jobs the server turns away at admission
+// (429 queue full, 422 deadline-infeasible) are counted, not lost.
+func submitAll(ctx context.Context, client *http.Client, base string, tasks []sched.Task,
+	classes []string, rungs []serve.Rung, accepted chan<- submitted) (rejected, infeasible int, err error) {
+	n := 0
+	for i, task := range tasks {
+		select {
+		case <-time.After(gap(*flagSeed, i, *flagRate)):
+		case <-ctx.Done():
+			return rejected, infeasible, ctx.Err()
+		}
+		req := serve.JobRequest{
+			Video: task.Video, CRF: task.CRF, Refs: task.Refs,
+			Preset: string(task.Preset), Class: classes[i%len(classes)],
+			Ladder: rungs, DeadlineSeconds: *flagDeadline,
+		}
+		if *flagSegs > 1 {
+			req.Segments = *flagSegs
+		}
+		body, _ := json.Marshal(req)
+		resp, err := client.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return rejected, infeasible, fmt.Errorf("submit %d: %w", i, err)
+		}
+		var view serve.JobView
+		err = json.NewDecoder(resp.Body).Decode(&view)
+		resp.Body.Close()
+		switch {
+		case resp.StatusCode == http.StatusAccepted && err == nil:
+			n++
+			accepted <- submitted{id: view.ID, deadline: time.Now().Add(*flagTimeout)}
+		case resp.StatusCode == http.StatusTooManyRequests:
+			rejected++ // admission control doing its job, not a lost job
+		case resp.StatusCode == http.StatusUnprocessableEntity:
+			infeasible++ // deadline-infeasible at admission: rejected, not lost
+		default:
+			return rejected, infeasible, fmt.Errorf("submit %d: status %d (%v)", i, resp.StatusCode, err)
+		}
+	}
+	fmt.Fprintf(os.Stderr, "loadgen: %d submitted, %d accepted, %d rejected, %d deadline-infeasible\n",
+		len(tasks), n, rejected, infeasible)
+	return rejected, infeasible, nil
+}
+
 func runLoad(ctx context.Context) error {
 	tasks := sched.GenerateTasks(*flagN, *flagSeed)
 	classes := cli.Strings(*flagClasses)
@@ -125,107 +259,57 @@ func runLoad(ctx context.Context) error {
 	reg := obs.NewRegistry()
 	sojourn := reg.Histogram("loadgen_sojourn_ns")
 
-	var accepted []submitted
-	var rejected, infeasible int
-	for i, task := range tasks {
-		select {
-		case <-time.After(gap(*flagSeed, i, *flagRate)):
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-		req := serve.JobRequest{
-			Video: task.Video, CRF: task.CRF, Refs: task.Refs,
-			Preset: string(task.Preset), Class: classes[i%len(classes)],
-			Ladder: rungs, DeadlineSeconds: *flagDeadline,
-		}
-		if *flagSegs > 1 {
-			req.Segments = *flagSegs
-		}
-		body, _ := json.Marshal(req)
-		resp, err := client.Post(base+"/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("submit %d: %w", i, err)
-		}
-		var view serve.JobView
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusAccepted && err == nil:
-			accepted = append(accepted, submitted{id: view.ID, class: view.Class})
-		case resp.StatusCode == http.StatusTooManyRequests:
-			rejected++ // admission control doing its job, not a lost job
-		case resp.StatusCode == http.StatusUnprocessableEntity:
-			infeasible++ // deadline-infeasible at admission: rejected, not lost
-		default:
-			return fmt.Errorf("submit %d: status %d (%v)", i, resp.StatusCode, err)
-		}
+	// The collector reads accepted jobs while later ones are still being
+	// submitted, so each result is read soon after it settles, before the
+	// server's retention window forgets it. accepted holds every
+	// submission, so submitting never waits on the collector.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	accepted := make(chan submitted, len(tasks))
+	collected := make(chan collection, 1)
+	go func() { collected <- collect(ctx, client, base, accepted, multi, sojourn) }()
+	rejected, infeasible, err := submitAll(ctx, client, base, tasks, classes, rungs, accepted)
+	close(accepted)
+	if err != nil {
+		cancel()
+		<-collected
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "loadgen: %d submitted, %d accepted, %d rejected, %d deadline-infeasible\n",
-		len(tasks), len(accepted), rejected, infeasible)
-
-	// Poll every accepted job to a terminal state within the deadline.
-	deadline := time.Now().Add(*flagTimeout)
-	var done, failed, canceled, lost, missed int
-	var costCents float64
-	var parents []serve.JobView
-	for _, sub := range accepted {
-		final, err := pollJob(ctx, client, base, sub.id, deadline)
-		if err != nil {
-			return err
-		}
-		costCents += final.CostCents
-		switch final.State {
-		case serve.StateDone:
-			done++
-			if final.DeadlineMiss {
-				missed++
-			}
-			sojourn.Observe(int64(final.Finished.Sub(final.Submitted)))
-			if multi {
-				parents = append(parents, final)
-			}
-		case serve.StateFailed:
-			failed++
-		case serve.StateCanceled:
-			canceled++
-		default:
-			lost++
-			fmt.Fprintf(os.Stderr, "loadgen: job %s still %s at deadline\n", sub.id, final.State)
-		}
+	c := <-collected
+	if c.err != nil {
+		return c.err
 	}
-
 	if h, ok := reg.Snapshot().HistogramByName("loadgen_sojourn_ns"); ok && h.Count > 0 {
 		fmt.Printf("loadgen: %d jobs done, sojourn p50 %s p95 %s p99 %s (max %s)\n",
-			done, obs.FmtDuration(h.P50), obs.FmtDuration(h.P95), obs.FmtDuration(h.P99),
+			c.done, obs.FmtDuration(h.P50), obs.FmtDuration(h.P95), obs.FmtDuration(h.P99),
 			obs.FmtDuration(h.Max))
 	}
 	fmt.Printf("loadgen: outcomes: %d done, %d failed, %d canceled, %d rejected, %d infeasible, %d lost\n",
-		done, failed, canceled, rejected, infeasible, lost)
-	if done > 0 {
-		missRate := float64(missed) / float64(done)
+		c.done, c.failed, c.canceled, rejected, infeasible, c.lost)
+	if c.done > 0 {
+		missRate := float64(c.missed) / float64(c.done)
 		fmt.Printf("loadgen: economics: %.6f¢ total, %.6f¢/job, %d deadline misses (%.1f%% of completed)\n",
-			costCents, costCents/float64(done), missed, 100*missRate)
+			c.costCents, c.costCents/float64(c.done), c.missed, 100*missRate)
 	}
 
 	if err := checkServerMetrics(client, base, multi); err != nil {
 		return err
 	}
-	if err := checkCostLedger(client, base, costCents); err != nil {
+	if err := checkCostLedger(client, base, c.costCents); err != nil {
 		return err
 	}
 	if multi {
-		if err := verifyParts(client, base, parents); err != nil {
-			return err
-		}
+		fmt.Printf("loadgen: parts: %d done, %d reassigned, %d untouched siblings of reassigned parents\n",
+			c.parts, c.reassigned, c.untouched)
 	}
-	if lost > 0 {
-		return fmt.Errorf("%d jobs lost (admitted but not terminal within %s)", lost, *flagTimeout)
+	if c.lost > 0 {
+		return fmt.Errorf("%d jobs lost (admitted but not terminal within %s)", c.lost, *flagTimeout)
 	}
-	if failed > 0 {
-		return fmt.Errorf("%d jobs failed", failed)
+	if c.failed > 0 {
+		return fmt.Errorf("%d jobs failed", c.failed)
 	}
-	if *flagBudget > 0 && done > 0 && costCents/float64(done) > *flagBudget {
-		return fmt.Errorf("mean cost %.6f¢/job exceeds the %.6f¢ budget", costCents/float64(done), *flagBudget)
+	if *flagBudget > 0 && c.done > 0 && c.costCents/float64(c.done) > *flagBudget {
+		return fmt.Errorf("mean cost %.6f¢/job exceeds the %.6f¢ budget", c.costCents/float64(c.done), *flagBudget)
 	}
 	return nil
 }
@@ -256,31 +340,26 @@ func checkCostLedger(client *http.Client, base string, clientCents float64) erro
 	return nil
 }
 
-func pollJob(ctx context.Context, client *http.Client, base, id string, deadline time.Time) (serve.JobView, error) {
+// getJob fetches GET /jobs/{id}. Any answer but 200 is an error naming
+// the status, and the reason for an id the server does not hold: unknown
+// (404, never issued) or gone (410, forgotten past its retention window).
+func getJob(client *http.Client, base, id string) (serve.JobView, error) {
 	var view serve.JobView
-	for {
-		resp, err := client.Get(base + "/jobs/" + id)
-		if err != nil {
-			return view, fmt.Errorf("poll %s: %w", id, err)
-		}
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
-			return view, fmt.Errorf("poll %s: %w", id, err)
-		}
-		switch view.State {
-		case serve.StateDone, serve.StateFailed, serve.StateCanceled:
-			return view, nil
-		}
-		if time.Now().After(deadline) {
-			return view, nil // caller counts it lost
-		}
-		select {
-		case <-time.After(20 * time.Millisecond):
-		case <-ctx.Done():
-			return view, ctx.Err()
-		}
+	resp, err := client.Get(base + "/jobs/" + id)
+	if err != nil {
+		return view, err
 	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		var eb struct {
+			Error  string `json:"error"`
+			Reason string `json:"reason"`
+		}
+		json.NewDecoder(resp.Body).Decode(&eb)
+		return view, fmt.Errorf("status %d, %s: %s", resp.StatusCode, eb.Reason, eb.Error)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&view)
+	return view, err
 }
 
 // checkServerMetrics asserts the serving instance publishes the queue and
@@ -325,44 +404,33 @@ func checkServerMetrics(client *http.Client, base string, multi bool) error {
 	return nil
 }
 
-// verifyParts walks every completed parent's part jobs and asserts the job
-// graph settled without loss: every part done, and every requeue confined
-// to individual parts — siblings of a reassigned part keep attempts == 1,
+// collectParts reads a done parent's part jobs and asserts the job graph
+// settled without loss: every part done, and every requeue confined to
+// individual parts — siblings of a reassigned part keep attempts == 1,
 // which is the per-segment (not whole-job) recovery contract
 // `scripts/smoke.sh ladder` pins after killing a worker mid-segment.
-func verifyParts(client *http.Client, base string, parents []serve.JobView) error {
-	var total, reassigned, untouched int
-	for _, p := range parents {
-		if p.PartsTotal == 0 || p.PartsDone != p.PartsTotal {
-			return fmt.Errorf("parts: job %s done with %d/%d parts", p.ID, p.PartsDone, p.PartsTotal)
+func (c *collection) collectParts(client *http.Client, base string, p serve.JobView) error {
+	if p.PartsTotal == 0 || p.PartsDone != p.PartsTotal {
+		return fmt.Errorf("parts: job %s done with %d/%d parts", p.ID, p.PartsDone, p.PartsTotal)
+	}
+	re := 0
+	for _, id := range p.Parts {
+		pv, err := getJob(client, base, id)
+		if err != nil {
+			return fmt.Errorf("parts: %s: %w", id, err)
 		}
-		re := 0
-		for _, id := range p.Parts {
-			resp, err := client.Get(base + "/jobs/" + id)
-			if err != nil {
-				return fmt.Errorf("parts: %s: %w", id, err)
-			}
-			var pv serve.JobView
-			err = json.NewDecoder(resp.Body).Decode(&pv)
-			resp.Body.Close()
-			if err != nil {
-				return fmt.Errorf("parts: %s: %w", id, err)
-			}
-			if pv.State != serve.StateDone {
-				return fmt.Errorf("parts: %s is %s under a done parent", id, pv.State)
-			}
-			total++
-			if pv.Attempts > 1 {
-				re++
-			}
+		if pv.State != serve.StateDone {
+			return fmt.Errorf("parts: %s is %s under a done parent", id, pv.State)
 		}
-		reassigned += re
-		if re > 0 {
-			untouched += p.PartsTotal - re
+		c.parts++
+		if pv.Attempts > 1 {
+			re++
 		}
 	}
-	fmt.Printf("loadgen: parts: %d done, %d reassigned, %d untouched siblings of reassigned parents\n",
-		total, reassigned, untouched)
+	c.reassigned += re
+	if re > 0 {
+		c.untouched += p.PartsTotal - re
+	}
 	return nil
 }
 

@@ -213,6 +213,9 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) (JobView, error) {
 		}
 		job.parts = units
 	}
+	// Registered before the first unit is queued: a unit may settle, and
+	// its job leave the retention window, before Submit returns.
+	s.registerLocked(job)
 	s.jobsMu.Unlock()
 
 	var deadline time.Time
@@ -227,12 +230,15 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) (JobView, error) {
 			Class: req.Class, Priority: req.Priority, Deadline: deadline,
 		})
 		if err != nil {
-			// All-or-nothing: withdraw the units already admitted. None is
-			// externally visible yet (records register below), so no
+			// All-or-nothing: withdraw the units already admitted and drop
+			// the records. The client never learned the id, so no
 			// settlement is owed.
 			for _, prev := range tickets[:i] {
 				prev.Cancel()
 			}
+			s.jobsMu.Lock()
+			s.unregisterLocked(job)
+			s.jobsMu.Unlock()
 			return s.reject(err)
 		}
 		tickets[i] = tk
@@ -241,20 +247,24 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) (JobView, error) {
 		}
 	}
 
-	s.jobsMu.Lock()
-	s.jobs[job.id] = job
-	for _, part := range job.parts {
-		s.jobs[part.id] = part
-	}
-	s.jobsMu.Unlock()
 	if ctx.Done() != nil {
-		context.AfterFunc(ctx, func() {
+		// The watcher holds the job's records; settle stops it, so a
+		// long-lived ctx keeps no finished job reachable.
+		stop := context.AfterFunc(ctx, func() {
 			for i, u := range units {
 				if tickets[i].Cancel() {
 					s.settleCanceled(u)
 				}
 			}
 		})
+		job.mu.Lock()
+		if job.state.terminal() {
+			job.mu.Unlock()
+			stop()
+		} else {
+			job.unwatch = stop
+			job.mu.Unlock()
+		}
 	}
 	s.met.submitted.Inc()
 	if multi {

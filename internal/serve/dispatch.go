@@ -457,7 +457,12 @@ func (s *Server) settle(rec *record, st settlement) {
 		rec.errMsg = st.err.Error()
 	}
 	enq := rec.enq
+	unwatch := rec.unwatch
+	rec.unwatch = nil
 	rec.mu.Unlock()
+	if unwatch != nil {
+		unwatch()
+	}
 
 	if st.state == StateDone && st.class != "" {
 		// Execution units only (parts and plain jobs): parents never carry a
@@ -497,6 +502,7 @@ func (s *Server) settle(rec *record, st settlement) {
 	}
 	s.totMu.Unlock()
 	close(rec.done)
+	s.retain(rec)
 }
 
 // partLaunched folds one part dispatch into its parent: the first part to

@@ -283,7 +283,11 @@ func TestRenditionStitchesByteIdentical(t *testing.T) {
 		t.Fatalf("job ended %s: %s", final.State, final.Error)
 	}
 	// A settled part keeps its bitstream and nothing past it.
-	for _, p := range s.record(view.ID).parts {
+	rec, err := s.record(view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range rec.parts {
 		p.mu.Lock()
 		n, c := len(p.stream), cap(p.stream)
 		p.mu.Unlock()

@@ -113,12 +113,22 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	view, ok := s.Job(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown job"})
+	view, err := s.Lookup(r.PathValue("id"))
+	if err != nil {
+		status, eb := lookupError(err)
+		writeJSON(w, status, eb)
 		return
 	}
 	writeJSON(w, http.StatusOK, view)
+}
+
+// lookupError is the answer to an id the server does not hold: 410 for a
+// job forgotten past the retention window, 404 for an id it never issued.
+func lookupError(err error) (int, errorBody) {
+	if errors.Is(err, ErrGone) {
+		return http.StatusGone, errorBody{Error: err.Error(), Reason: "gone"}
+	}
+	return http.StatusNotFound, errorBody{Error: err.Error(), Reason: "unknown"}
 }
 
 // healthBody is the GET /healthz response. PoolSize is the live transport

@@ -25,9 +25,10 @@ func (s *Server) handleRendition(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) rendition(id, rung string) ([]byte, int, errorBody) {
-	rec := s.record(id)
-	if rec == nil {
-		return nil, http.StatusNotFound, errorBody{Error: "unknown job"}
+	rec, err := s.record(id)
+	if err != nil {
+		status, eb := lookupError(err)
+		return nil, status, eb
 	}
 	rec.mu.Lock()
 	state := rec.state

@@ -97,8 +97,10 @@ go test ./...
 go test -race ./internal/exec/... ./internal/obs/... ./internal/queue/...
 go test -race -count=2 ./internal/serve/... ./internal/worker/...
 # A parent settles as the fold of its parts in part order, whatever order
-# the parts finish in.
-go test -race -count=5 -run 'TestParentSettlesInPartOrder' ./internal/serve
+# the parts finish in. The retention window forgets in settle order, a
+# parent with its parts, within its budget; a blocked WaitJob outlives the
+# eviction, and a job that settles before Submit returns is retained.
+go test -race -count=5 -run 'TestParentSettlesInPartOrder|TestRetentionForgetsInSettleOrder|TestGoneVersusUnknown|TestWaitJobOutlivesEviction|TestSettledBeforeSubmitReturnsIsRetained' ./internal/serve
 go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSnapshotFootprint|TestSnapshotLayersShareLevels|TestEveryCacheLayerReportsBytes|TestEvictedLayerRebuildsBitIdentical|TestEngineSoakHoldsBudget|TestSweepOverBudgetBuildsEachTitleOnce' ./internal/core/...
 # Eviction under concurrency is a matter of interleavings — a waiter whose
 # entry is evicted before it wakes, a key rebuilt while its old value is

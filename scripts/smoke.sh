@@ -161,6 +161,9 @@ cat "$TMP/loadgen.out"
 expect loadgen.out "${LOAD_WANT[@]}"
 snap metrics || fail "GET /metrics failed"
 expect metrics "${METRICS_WANT[@]}"
+# Every scenario's jobs fit the default retention window, so the server
+# still holds their records.
+expect metrics '"serve_records": *[1-9]'
 
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
