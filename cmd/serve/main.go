@@ -29,6 +29,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/cli"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/vbench"
@@ -111,10 +112,9 @@ func run(ctx context.Context) error {
 	httpDone := make(chan error, 1)
 	go func() { httpDone <- hs.Serve(ln) }()
 	if *flagFleet {
-		ttl := "adaptive"
-		if *flagLease > 0 {
-			ttl = flagLease.String()
-		}
+		// The TTL in effect, as the server publishes it: -lease-ttl or its
+		// default.
+		ttl := time.Duration(obs.Default().Gauge("fleet_lease_ttl_ms").Load()) * time.Millisecond
 		fmt.Fprintf(os.Stderr, "serve: fleet orchestrator (%s policy, %s objective, lease ttl %s) on http://%s\n",
 			policy, objective, ttl, ln.Addr())
 	} else {

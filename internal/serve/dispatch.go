@@ -294,12 +294,6 @@ func (s *Server) executable(rec *record, spec backend.ServerSpec) bool {
 func (s *Server) launch(ctx context.Context, tk *queue.Ticket[*record], sl slot, mode string) {
 	rec := tk.Payload()
 	rec.mu.Lock()
-	if rec.state.terminal() {
-		// Settled while queued: a late result from a previous lease beat the
-		// requeued ticket through the queue. Nothing to run.
-		rec.mu.Unlock()
-		return
-	}
 	rec.state = StateRunning
 	rec.server = sl.label
 	rec.mode = mode
@@ -360,15 +354,10 @@ func settlementOf(out outcome) settlement {
 }
 
 // requeue re-admits a dispatched-but-unfinished job at its original queue
-// rank. Terminal records (a late result settled the job while its requeue
-// was racing in) are left alone.
+// rank.
 func (s *Server) requeue(tk *queue.Ticket[*record]) {
 	rec := tk.Payload()
 	rec.mu.Lock()
-	if rec.state.terminal() {
-		rec.mu.Unlock()
-		return
-	}
 	rec.state = StateQueued
 	rec.server, rec.mode = "", ""
 	rec.mu.Unlock()
@@ -380,28 +369,6 @@ func (s *Server) requeue(tk *queue.Ticket[*record]) {
 	}
 	s.met.requeues.Inc()
 	s.wake()
-}
-
-// lateSettle handles a result that arrives after its lease was
-// superseded: the job was requeued (and possibly re-dispatched), but the
-// work is done and exactly-once settlement wants it. If the requeued
-// ticket is still queued, it is withdrawn; if a second attempt is already
-// running, the first settle wins at the record and the loser is a no-op.
-// Reports whether the result was used.
-func (s *Server) lateSettle(tk *queue.Ticket[*record], out outcome) bool {
-	rec := tk.Payload()
-	if rec.terminal() {
-		return false
-	}
-	// Withdraw the requeued ticket if it is still waiting; if it was already
-	// re-dispatched this loses the race and the duplicate attempt's own
-	// finish becomes the no-op (settle is terminal-once at the record).
-	tk.Cancel()
-	if out.err == nil && out.report != nil && out.config == "baseline" {
-		s.learn(rec.task.Video, out.report)
-	}
-	s.settle(rec, settlementOf(out))
-	return true
 }
 
 // settlement is the full terminal description of a record: state and

@@ -24,9 +24,9 @@ import (
 // fleet: a worker silent for longer than the TTL — crashed, hung, or cut
 // off — is forgotten by the monitor, which supersedes its lease (the job
 // requeues at its original rank) and answers its parked poll 204; its next
-// message registers it afresh. A result that arrives after that is
-// reconciled by the dispatcher's lateSettle, so every job settles exactly
-// once no matter how the race falls.
+// message registers it afresh. The lease table holds only live leases, so
+// a result naming one that is gone is refused: the requeued attempt is the
+// job's one path to settlement, however the messages are ordered.
 
 // FleetOptions tunes the worker-fleet transport.
 type FleetOptions struct {
@@ -40,21 +40,16 @@ type FleetOptions struct {
 	PollWait time.Duration
 }
 
-// lease tracks one delivered job from assignment to settlement.
+// lease tracks one delivered job while it is live: from assignment until
+// its result settles the job or its worker loses it, when it leaves the
+// table and its finish is called once.
 type lease struct {
 	id     string
 	worker string
 	// spec is the leasing worker's capability at assignment time; it prices
 	// the job when this lease's result settles it.
 	spec   backend.ServerSpec
-	tk     *queue.Ticket[*record]
 	finish func(outcome)
-
-	done bool // finish consumed (by result or supersession); never reset
-	// superseded marks a lease whose worker went silent or disclaimed it
-	// before its result arrived: the job was requeued, and the lease is kept
-	// around so a late result can still be reconciled.
-	superseded bool
 }
 
 type fleetWorker struct {
@@ -82,7 +77,7 @@ type fleetMetrics struct {
 	busyG      *obs.Gauge // workers holding a lease
 	reassigned *obs.Counter
 	hbMiss     *obs.Counter
-	late       *obs.Counter
+	late       *obs.Counter // results naming a lease that is not live
 }
 
 type fleetTransport struct {
@@ -93,7 +88,7 @@ type fleetTransport struct {
 
 	mu      sync.Mutex
 	workers map[string]*fleetWorker
-	leases  map[string]*lease
+	leases  map[string]*lease // live leases only: each is its worker's lease
 	seq     uint64
 	closed  bool
 
@@ -182,7 +177,6 @@ func (f *fleetTransport) start(_ context.Context, sl slot, tk *queue.Ticket[*rec
 		id:     "lease-" + strconv.FormatUint(f.seq, 10),
 		worker: w.id,
 		spec:   w.spec,
-		tk:     tk,
 		finish: finish,
 	}
 	f.leases[l.id] = l
@@ -249,7 +243,7 @@ func (f *fleetTransport) monitor(ctx context.Context) {
 
 // sweep is one monitor pass: forget workers silent for longer than the
 // TTL, superseding the lease each holds (its job requeues) and answering
-// its parked poll 204, and garbage-collect settled leases.
+// its parked poll 204.
 func (f *fleetTransport) sweep(now time.Time) {
 	var orphaned []*lease
 	f.mu.Lock()
@@ -267,13 +261,6 @@ func (f *fleetTransport) sweep(now time.Time) {
 			w.park = nil
 		}
 	}
-	for id, l := range f.leases {
-		if l.done && (!l.superseded || l.tk.Payload().terminal()) {
-			// Settled normally, or its late result has been reconciled (or a
-			// second attempt finished the job): nothing left to race with.
-			delete(f.leases, id)
-		}
-	}
 	f.met.workersG.Set(int64(len(f.workers)))
 	f.mu.Unlock()
 	// Requeue outside the lock: finish re-enters the dispatcher (queue,
@@ -288,14 +275,19 @@ func (f *fleetTransport) sweep(now time.Time) {
 // released.
 func (f *fleetTransport) supersedeLocked(w *fleetWorker) *lease {
 	l := w.lease
-	if l == nil {
-		return nil
+	if l != nil {
+		f.releaseLocked(w)
+		f.met.reassigned.Inc()
 	}
-	l.done, l.superseded = true, true
+	return l
+}
+
+// releaseLocked ends w's lease: it leaves the table, so any later message
+// naming it finds it not live, and w is free again.
+func (f *fleetTransport) releaseLocked(w *fleetWorker) {
+	delete(f.leases, w.lease.id)
 	w.lease = nil
 	f.met.busyG.Add(-1)
-	f.met.reassigned.Inc()
-	return l
 }
 
 // upsertLocked registers-or-refreshes a worker; every protocol message
@@ -364,7 +356,7 @@ func (f *fleetTransport) handleHeartbeat(w http.ResponseWriter, r *http.Request)
 	leaseValid := true
 	if hb.LeaseID != "" {
 		l := f.leases[hb.LeaseID]
-		leaseValid = l != nil && !l.done && l.worker == hb.WorkerID
+		leaseValid = l != nil && l.worker == hb.WorkerID
 	}
 	f.mu.Unlock()
 	writeJSON(w, http.StatusOK, HeartbeatReply{LeaseValid: leaseValid})
@@ -456,41 +448,14 @@ func (f *fleetTransport) handleResult(w http.ResponseWriter, r *http.Request) {
 	f.mu.Lock()
 	l := f.leases[res.LeaseID]
 	if l == nil {
+		// Settled already, or superseded and its job requeued: the live
+		// attempt, not this one, settles the job.
 		f.mu.Unlock()
+		f.met.late.Inc()
 		writeJSON(w, http.StatusOK, ResultReply{Accepted: false, Reason: "unknown_lease"})
 		return
 	}
-	if l.done {
-		if !l.superseded {
-			// Retry of a result that already settled: safe duplicate.
-			f.mu.Unlock()
-			writeJSON(w, http.StatusOK, ResultReply{Accepted: true, Reason: "duplicate"})
-			return
-		}
-		// The lease was superseded before this result arrived; the job was
-		// requeued and may even be running elsewhere. Reconcile: a late
-		// success settles the job if nothing else has, a late failure is
-		// discarded (the requeued retry is the better path), and anything
-		// already settled stays settled.
-		delete(f.leases, res.LeaseID)
-		f.mu.Unlock()
-		f.met.late.Inc()
-		used := false
-		if res.Error == "" {
-			used = f.s.lateSettle(l.tk, f.outcomeOf(l, res))
-		}
-		reason := "late"
-		if !used {
-			reason = "late_discarded"
-		}
-		writeJSON(w, http.StatusOK, ResultReply{Accepted: used, Reason: reason})
-		return
-	}
-	l.done = true
-	if fw := f.workers[l.worker]; fw != nil && fw.lease == l {
-		fw.lease = nil
-		f.met.busyG.Add(-1)
-	}
+	f.releaseLocked(f.workers[l.worker])
 	f.mu.Unlock()
 	l.finish(f.outcomeOf(l, res))
 	writeJSON(w, http.StatusOK, ResultReply{Accepted: true})

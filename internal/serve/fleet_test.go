@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backend"
 	"repro/internal/obs"
+	"repro/internal/uarch"
 )
 
 // The fleet tests drive the worker protocol at the wire level (raw HTTP,
@@ -184,25 +186,37 @@ func waitUntil(t *testing.T, d time.Duration, what string, f func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestFleetLeaseExpiryLateResultSettles covers the requeue path and one
-// side of the result-vs-expiry race: the worker goes silent, its lease
-// expires and the job is requeued; then the presumed-dead worker's result
-// arrives with no second attempt running — the late result must settle the
-// job (exactly once) and withdraw the requeued ticket.
-func TestFleetLeaseExpiryLateResultSettles(t *testing.T) {
+// leases is how many leases the fleet's table holds.
+func (h *fleetHarness) leases() int {
+	ft := h.s.transport.(*fleetTransport)
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	return len(ft.leases)
+}
+
+// unknownLease is the one reply to a result naming a lease that is not live.
+var unknownLease = ResultReply{Accepted: false, Reason: "unknown_lease"}
+
+// TestFleetSupersededLeaseResultIsRefused: the worker goes silent, its lease
+// is superseded and the job requeued; the presumed-dead worker's heartbeat
+// and result then name a lease that is no longer live, and both are
+// refused. The requeued attempt on a second worker is the job's one path
+// to settlement: it settles once, priced at that worker's spec.
+func TestFleetSupersededLeaseResultIsRefused(t *testing.T) {
 	h := newFleetHarness(t, 150*time.Millisecond)
 	w1 := &protoWorker{t: t, base: h.ts.URL, id: "w1", cfg: "baseline"}
+	w2 := &protoWorker{t: t, base: h.ts.URL, id: "w2", cfg: "baseline", price: 90}
 
 	view, err := h.s.Submit(context.Background(), JobRequest{Video: "bbb"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, ok := w1.poll()
+	a1, ok := w1.poll()
 	if !ok {
 		t.Fatal("poll returned no assignment")
 	}
-	if a.JobID != view.ID {
-		t.Fatalf("assignment for %s, want %s", a.JobID, view.ID)
+	if a1.JobID != view.ID {
+		t.Fatalf("assignment for %s, want %s", a1.JobID, view.ID)
 	}
 	// Silence: no heartbeat, no result. The lease must expire and requeue.
 	waitUntil(t, 3*time.Second, "lease reassignment", func() bool {
@@ -218,35 +232,57 @@ func TestFleetLeaseExpiryLateResultSettles(t *testing.T) {
 		t.Fatalf("queue_requeued %d, want 1", got)
 	}
 
-	// A heartbeat naming the dead lease must be told it lost it.
-	if reply := w1.beat(a.LeaseID); reply.LeaseValid {
-		t.Fatal("heartbeat validated an expired lease")
+	// The dead lease's heartbeat and result are both refused, and the
+	// result does not touch the queued job.
+	if reply := w1.beat(a1.LeaseID); reply.LeaseValid {
+		t.Fatal("heartbeat validated a superseded lease")
+	}
+	if reply := w1.result(a1, 2.5, ""); reply != unknownLease {
+		t.Fatalf("superseded lease's result reply %+v, want %+v", reply, unknownLease)
+	}
+	if got := h.leases(); got != 0 {
+		t.Fatalf("%d leases after the supersede, want 0", got)
+	}
+	if got := h.counter("fleet_results_late"); got != 1 {
+		t.Fatalf("fleet_results_late %d, want 1", got)
+	}
+	if got, _ := h.s.Job(view.ID); got.State != StateQueued {
+		t.Fatalf("after the refused result job state %s, want %s", got.State, StateQueued)
 	}
 
-	// The late result lands with no retry running: it settles the job.
-	reply := w1.result(a, 2.5, "")
-	if !reply.Accepted || reply.Reason != "late" {
-		t.Fatalf("late result reply %+v, want accepted/late", reply)
+	a2, ok := w2.poll()
+	if !ok {
+		t.Fatal("w2 got no assignment after requeue")
+	}
+	if a2.JobID != view.ID || a2.LeaseID == a1.LeaseID {
+		t.Fatalf("retry assignment %+v, want same job under a fresh lease (first %+v)", a2, a1)
+	}
+	if reply := w2.result(a2, 4.0, ""); reply != (ResultReply{Accepted: true}) {
+		t.Fatalf("retry result reply %+v, want accepted", reply)
 	}
 	final, err := h.s.WaitJob(context.Background(), view.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if final.State != StateDone || final.SimSeconds != 2.5 {
-		t.Fatalf("final %+v, want done @2.5s", final)
+	if final.State != StateDone || final.SimSeconds != 4.0 || final.Attempts != 2 || final.Server != "w2" {
+		t.Fatalf("final %+v, want done @4.0s after 2 attempts on w2", final)
+	}
+	spec := backend.ServerSpec{Backend: backend.Software, Config: uarch.Baseline(), PriceCentsHour: 90}.FillDefaults()
+	if want := spec.CostCents(4.0); final.CostCents != want {
+		t.Fatalf("cost %.17g cents, want %.17g (w2's spec)", final.CostCents, want)
 	}
 	if tot := h.s.Totals(); tot.Completed != 1 || tot.Failed != 0 || tot.Canceled != 0 {
 		t.Fatalf("totals %+v, want exactly one completion", tot)
 	}
-	if got := h.counter("fleet_results_late"); got != 1 {
-		t.Fatalf("fleet_results_late %d, want 1", got)
+	if got := h.leases(); got != 0 {
+		t.Fatalf("%d leases after the settle, want 0", got)
 	}
 }
 
-// TestFleetLateResultLosesToRetry covers the other side of the race: the
-// lease expires, a second worker re-runs and settles the job, and only
-// then does the first worker's result crawl in — it must be discarded, and
-// the job must settle exactly once with the retry's outcome.
+// TestFleetLateResultLosesToRetry: the lease expires, a second worker
+// re-runs and settles the job, and only then does the first worker's
+// result crawl in. It names a lease that is not live, so it is refused,
+// and the job keeps the retry's outcome.
 func TestFleetLateResultLosesToRetry(t *testing.T) {
 	h := newFleetHarness(t, 150*time.Millisecond)
 	w1 := &protoWorker{t: t, base: h.ts.URL, id: "w1", cfg: "baseline"}
@@ -285,18 +321,17 @@ func TestFleetLateResultLosesToRetry(t *testing.T) {
 		t.Fatalf("final attempts %d on %q, want 2 on w2", final.Attempts, final.Server)
 	}
 
-	// Now the original worker's result arrives: too late, must not
-	// double-settle. Depending on whether the monitor GC'd the superseded
-	// lease yet, the reply is late_discarded or unknown_lease — rejected
-	// either way.
-	if reply := w1.result(a1, 9.9, ""); reply.Accepted {
-		t.Fatalf("stale result accepted: %+v", reply)
+	if reply := w1.result(a1, 9.9, ""); reply != unknownLease {
+		t.Fatalf("stale result reply %+v, want %+v", reply, unknownLease)
 	}
 	if got, _ := h.s.Job(view.ID); got.SimSeconds != 4.0 {
 		t.Fatalf("job overwritten by stale result: %+v", got)
 	}
 	if tot := h.s.Totals(); tot.Completed != 1 {
 		t.Fatalf("totals %+v, want exactly one completion", tot)
+	}
+	if got := h.counter("fleet_results_late"); got != 1 {
+		t.Fatalf("fleet_results_late %d, want 1", got)
 	}
 }
 
@@ -393,7 +428,8 @@ func TestDefaultLeaseTTLKeepsHeartbeatMargin(t *testing.T) {
 // worker takes a job, "crashes", and a fresh process under the same id
 // polls again. The orchestrator must treat the poll as a disclaimer of the
 // old lease — the orphaned job requeues immediately (no TTL wait) and is
-// redelivered.
+// redelivered. The disclaimed lease leaves the table at once, so its
+// result is refused.
 func TestFleetRejoinReclaimsOrphanedJob(t *testing.T) {
 	h := newFleetHarness(t, 10*time.Second) // TTL long: only the rejoin can free the job
 	w1 := &protoWorker{t: t, base: h.ts.URL, id: "w1", cfg: "fe_op"}
@@ -417,8 +453,17 @@ func TestFleetRejoinReclaimsOrphanedJob(t *testing.T) {
 	if got := h.counter("fleet_lease_reassigned"); got != 1 {
 		t.Fatalf("fleet_lease_reassigned %d, want 1", got)
 	}
+	if got := h.leases(); got != 1 {
+		t.Fatalf("%d leases after the disclaim, want only the fresh one", got)
+	}
+	if reply := w1.result(a1, 1.0, ""); reply != unknownLease {
+		t.Fatalf("disclaimed lease's result reply %+v, want %+v", reply, unknownLease)
+	}
 	if reply := w1.result(a2, 1.0, ""); !reply.Accepted {
 		t.Fatalf("result rejected: %+v", reply)
+	}
+	if got := h.leases(); got != 0 {
+		t.Fatalf("%d leases after the settle, want 0", got)
 	}
 	final, err := h.s.WaitJob(context.Background(), view.ID)
 	if err != nil {
@@ -431,6 +476,8 @@ func TestFleetRejoinReclaimsOrphanedJob(t *testing.T) {
 
 // TestFleetDuplicateResultIsIdempotent: a worker retrying its result post
 // (e.g. after a network blip ate the first reply) must not double-settle.
+// The first post settled the job and ended its lease, so the retry names a
+// lease that is not live and is refused.
 func TestFleetDuplicateResultIsIdempotent(t *testing.T) {
 	h := newFleetHarness(t, 10*time.Second)
 	w1 := &protoWorker{t: t, base: h.ts.URL, id: "w1", cfg: "baseline"}
@@ -443,14 +490,11 @@ func TestFleetDuplicateResultIsIdempotent(t *testing.T) {
 	if !ok {
 		t.Fatal("no assignment")
 	}
-	if reply := w1.result(a, 3.0, ""); !reply.Accepted {
-		t.Fatalf("first result rejected: %+v", reply)
+	if reply := w1.result(a, 3.0, ""); reply != (ResultReply{Accepted: true}) {
+		t.Fatalf("first result reply %+v, want accepted", reply)
 	}
-	// The retry is either recognized as a duplicate (lease still cached) or
-	// rejected as unknown (monitor GC'd it); it must never settle again.
-	reply := w1.result(a, 3.0, "")
-	if reply.Accepted && reply.Reason != "duplicate" {
-		t.Fatalf("duplicate reply %+v", reply)
+	if reply := w1.result(a, 3.0, ""); reply != unknownLease {
+		t.Fatalf("duplicate reply %+v, want %+v", reply, unknownLease)
 	}
 	if tot := h.s.Totals(); tot.Completed != 1 {
 		t.Fatalf("totals %+v, want exactly one completion", tot)

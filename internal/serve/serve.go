@@ -255,13 +255,6 @@ func (r *record) frames() int {
 	return r.pframes
 }
 
-// terminal reports whether the record has settled.
-func (r *record) terminal() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state.terminal()
-}
-
 // view snapshots a record for the API.
 func (r *record) view() JobView {
 	r.mu.Lock()

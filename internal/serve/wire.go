@@ -45,10 +45,9 @@ type Heartbeat struct {
 }
 
 // HeartbeatReply answers a heartbeat (a 200 is the acknowledgement).
-// LeaseValid echoes whether the reported lease is still the worker's own:
-// false means it was superseded and the job reassigned, so the worker
-// should abandon the job (a late result would be reconciled server-side,
-// but the cycles are wasted).
+// LeaseValid echoes whether the reported lease is still live and the
+// worker's own: false means it was superseded and the job requeued, so the
+// worker should abandon the job (its result would be refused).
 type HeartbeatReply struct {
 	LeaseValid bool `json:"lease_valid"`
 }
@@ -115,10 +114,11 @@ type ResultReport struct {
 	Stream []byte `json:"stream,omitempty"`
 }
 
-// ResultReply tells the worker whether its result settled the job.
-// Accepted is true for the settling result AND for safe duplicates
-// (retries, superseded-but-reconciled) — any reply that means "stop
-// retrying"; Reason says which.
+// ResultReply tells the worker whether its result settled the job. Only a
+// result naming a live lease is accepted; one naming a lease that was
+// settled or superseded is refused with Reason "unknown_lease" (its job
+// settles through its requeued attempt). Either reply is final: the worker
+// stops retrying.
 type ResultReply struct {
 	Accepted bool   `json:"accepted"`
 	Reason   string `json:"reason,omitempty"`

@@ -84,7 +84,7 @@ type Worker struct {
 	mu       sync.Mutex
 	leaseID  string             // lease of the in-flight job, "" when idle
 	abort    context.CancelFunc // cancels the in-flight job
-	jobsDone int64
+	jobsDone int64              // results the orchestrator accepted
 	busyNs   int64
 	started  time.Time
 }
@@ -241,13 +241,16 @@ func (w *Worker) execute(ctx context.Context, a serve.Assignment) {
 	}
 }
 
-// report posts a result with bounded retries; true means some reply was
-// received (any 2xx reply is final — the orchestrator deduplicates).
+// report posts a result with bounded retries and returns whether the
+// orchestrator accepted it. Any reply is final. A result naming a lease
+// that is no longer live is refused: the lease was superseded and its job
+// requeued, or an earlier post of this result settled it and that reply
+// was lost. Either way the worker does not count it.
 func (w *Worker) report(ctx context.Context, rep serve.ResultReport) bool {
 	for attempt := 0; attempt < 5; attempt++ {
 		var reply serve.ResultReply
 		if _, err := w.post(ctx, "/fleet/result", rep, &reply); err == nil {
-			return true
+			return reply.Accepted
 		}
 		if !sleep(ctx, w.opts.Heartbeat) {
 			return false

@@ -253,3 +253,52 @@ func TestWorkerLeaseAbortStopsWastedWork(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// TestWorkerCountsOnlyAcceptedResults: a worker whose heartbeat is slower
+// than the TTL is forgotten mid-job, so the result it posts names a lease
+// that is no longer live. The orchestrator refuses it, and the worker does
+// not count it as a job done.
+func TestWorkerCountsOnlyAcceptedResults(t *testing.T) {
+	wreg := obs.NewRegistry()
+	reg := obs.NewRegistry()
+	s, ts, cancel := startFleet(t, 100*time.Millisecond, reg)
+	stop, done := startWorker(t, ts.URL, "w-slow", uarch.Baseline(), Options{
+		Heartbeat:  time.Second,
+		MinJobTime: 300 * time.Millisecond,
+		Metrics:    wreg,
+	})
+	defer func() {
+		cancel()
+		s.Stop()
+		stop()
+		<-done
+		ts.Close()
+	}()
+
+	view, err := s.Submit(context.Background(), serve.JobRequest{Video: "bbb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The worker polls again only once it has its first result's reply, and
+	// that poll takes the requeued job: a second attempt means the reply
+	// has been handled.
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if v, ok := s.Job(view.ID); ok && v.Attempts >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job never reached a second attempt")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := reg.Snapshot().CounterTotal("fleet_results_late"); got < 1 {
+		t.Fatalf("fleet_results_late %d, want the forgotten worker's result refused", got)
+	}
+	if got := wreg.Snapshot().CounterTotal("worker_jobs_done"); got != 0 {
+		t.Fatalf("worker_jobs_done %d after a refused result, want 0", got)
+	}
+	if tot := s.Totals(); tot.Completed != 0 {
+		t.Fatalf("totals %+v, want no completion from a refused result", tot)
+	}
+}

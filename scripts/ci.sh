@@ -75,6 +75,10 @@ if grep -rnE 'adaptive[T]TL|leaseDur[W]indow|observe[L]ease|Keep[S]tream' --incl
 # /healthz, not as per-worker gauges. The loopback bounds its executions on
 # Pool.Map; the second pool beside it was deleted.
 if grep -rnE '\bw\.g[o]ne\b|\brev[i]ved\b|fleet_worker_[u]til_pct|exec\.Str[e]am\b|ErrStream[C]losed' --include='*.go' .; then exit 1; fi
+# A fleet result settles its job only through a live lease: the lease table
+# holds live leases alone, and the reconciliation of results for superseded
+# leases (its settle path, its reply reason, its lease flag) was deleted.
+if grep -rnE 'late[S]ettle|late_[d]iscarded|\.[s]uperseded\b|^\s*[s]uperseded\s+bool' --include='*.go' --exclude='*_test.go' .; then exit 1; fi
 # A cached decode keeps each frame's visible pixels, not the padded frame:
 # every caller materializes frames of its own from them, so the deep copy
 # of shared cached frames was deleted and does not come back.
@@ -99,8 +103,13 @@ go test -race -count=2 ./internal/serve/... ./internal/worker/...
 # A parent settles as the fold of its parts in part order, whatever order
 # the parts finish in. The retention window forgets in settle order, a
 # parent with its parts, within its budget; a blocked WaitJob outlives the
-# eviction, and a job that settles before Submit returns is retained.
-go test -race -count=5 -run 'TestParentSettlesInPartOrder|TestRetentionForgetsInSettleOrder|TestGoneVersusUnknown|TestWaitJobOutlivesEviction|TestSettledBeforeSubmitReturnsIsRetained' ./internal/serve
+# eviction, and a job that settles before Submit returns is retained. A
+# fleet result naming a lease that is no longer live (superseded, settled,
+# disclaimed) gets the one reply unknown_lease, whatever the order of
+# messages, and the lease table holds only live leases; a worker counts
+# only the results it was told were accepted.
+go test -race -count=5 -run 'TestParentSettlesInPartOrder|TestRetentionForgetsInSettleOrder|TestGoneVersusUnknown|TestWaitJobOutlivesEviction|TestSettledBeforeSubmitReturnsIsRetained|TestFleetSupersededLeaseResultIsRefused|TestFleetLateResultLosesToRetry|TestFleetDuplicateResultIsIdempotent|TestFleetRejoinReclaimsOrphanedJob' ./internal/serve
+go test -race -count=5 -run 'TestWorkerCountsOnlyAcceptedResults' ./internal/worker
 go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSnapshotFootprint|TestSnapshotLayersShareLevels|TestEveryCacheLayerReportsBytes|TestEvictedLayerRebuildsBitIdentical|TestEngineSoakHoldsBudget|TestSweepOverBudgetBuildsEachTitleOnce' ./internal/core/...
 # Eviction under concurrency is a matter of interleavings — a waiter whose
 # entry is evicted before it wakes, a key rebuilt while its old value is

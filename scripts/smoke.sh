@@ -164,6 +164,9 @@ expect metrics "${METRICS_WANT[@]}"
 # Every scenario's jobs fit the default retention window, so the server
 # still holds their records.
 expect metrics '"serve_records": *[1-9]'
+# Results refused because their lease was no longer live (fleet scenarios;
+# the loopback has no leases): shown, not gated.
+grep -o '"fleet_results_late": *[0-9]*' "$TMP/metrics" >&2 || true
 
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID" || true
