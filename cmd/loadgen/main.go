@@ -443,44 +443,63 @@ func gaugeExists(snap obs.Snapshot, name string) bool {
 	return false
 }
 
-// runCompareCost serves the same tasks under the seconds and cost
-// objectives over a (typically mixed) fleet and prints the bill delta.
-func runCompareCost(ctx context.Context) error {
-	fleet, err := backend.ParseFleet(*flagPool, *flagEach)
-	if err != nil {
-		return err
+// closedLoopAB serves the seeded -n tasks over the -pool fleet twice
+// through serve.RunClosedLoop: under cfg, then under cfg as flip changes
+// it. what names the comparison on stderr.
+func closedLoopAB(ctx context.Context, what string, cfg serve.Config, flip func(*serve.Config)) (a, b serve.Totals, err error) {
+	if cfg.Servers, err = backend.ParseFleet(*flagPool, *flagEach); err != nil {
+		return a, b, err
 	}
 	tasks := sched.GenerateTasks(*flagN, *flagSeed)
-	proto := core.Workload{Frames: *flagFrames, Scale: *flagScale}
-	fmt.Fprintf(os.Stderr, "loadgen: comparing cost vs seconds objectives over %d jobs on %d servers...\n",
-		len(tasks), len(fleet))
-	c, err := serve.RunCostComparison(ctx, fleet, tasks, proto, *flagSeed)
+	cfg.Proto, cfg.Seed = core.Workload{Frames: *flagFrames, Scale: *flagScale}, *flagSeed
+	fmt.Fprintf(os.Stderr, "loadgen: comparing %s over %d jobs on %d servers...\n",
+		what, len(tasks), len(cfg.Servers))
+	if a, err = serve.RunClosedLoop(ctx, cfg, tasks); err != nil {
+		return a, b, err
+	}
+	flip(&cfg)
+	b, err = serve.RunClosedLoop(ctx, cfg, tasks)
+	return a, b, err
+}
+
+// runCompareCost serves the same tasks under the seconds and cost
+// objectives over a (typically mixed) fleet and prints the bill delta: the
+// share of the seconds-objective bill the cost objective avoids.
+func runCompareCost(ctx context.Context) error {
+	secs, cost, err := closedLoopAB(ctx, "cost vs seconds objectives",
+		serve.Config{Objective: sched.ObjectiveSeconds},
+		func(c *serve.Config) { c.Objective = sched.ObjectiveCost })
 	if err != nil {
 		return err
 	}
+	var savings float64
+	if secs.CostCents != 0 {
+		savings = (secs.CostCents - cost.CostCents) / secs.CostCents
+	}
 	fmt.Printf("seconds-objective: %d completed, %.3f fleet-seconds, %.6f¢, %d deadline misses\n",
-		c.Seconds.Completed, c.Seconds.SimSeconds, c.Seconds.CostCents, c.Seconds.DeadlineMisses)
+		secs.Completed, secs.SimSeconds, secs.CostCents, secs.DeadlineMisses)
 	fmt.Printf("cost-objective:    %d completed, %.3f fleet-seconds, %.6f¢, %d deadline misses\n",
-		c.Cost.Completed, c.Cost.SimSeconds, c.Cost.CostCents, c.Cost.DeadlineMisses)
-	fmt.Printf("savings: cost-aware placement avoids %.1f%% of the seconds-objective bill\n", 100*c.Savings())
+		cost.Completed, cost.SimSeconds, cost.CostCents, cost.DeadlineMisses)
+	fmt.Printf("savings: cost-aware placement avoids %.1f%% of the seconds-objective bill\n", 100*savings)
 	return nil
 }
 
+// runCompare serves the same tasks under smart and random placement and
+// prints the delta: the share of random's fleet-seconds smart does not
+// spend.
 func runCompare(ctx context.Context) error {
-	fleet, err := backend.ParseFleet(*flagPool, *flagEach)
+	smart, random, err := closedLoopAB(ctx, "smart vs random",
+		serve.Config{Policy: serve.PolicySmart},
+		func(c *serve.Config) { c.Policy = serve.PolicyRandom })
 	if err != nil {
 		return err
 	}
-	tasks := sched.GenerateTasks(*flagN, *flagSeed)
-	proto := core.Workload{Frames: *flagFrames, Scale: *flagScale}
-	fmt.Fprintf(os.Stderr, "loadgen: comparing smart vs random over %d jobs on %d servers...\n",
-		len(tasks), len(fleet))
-	c, err := serve.RunComparison(ctx, fleet, tasks, proto, *flagSeed)
-	if err != nil {
-		return err
+	var delta float64
+	if random.SimSeconds != 0 {
+		delta = (random.SimSeconds - smart.SimSeconds) / random.SimSeconds
 	}
-	fmt.Printf("smart:  %d completed, %.3f fleet-seconds\n", c.Smart.Completed, c.Smart.SimSeconds)
-	fmt.Printf("random: %d completed, %.3f fleet-seconds\n", c.Random.Completed, c.Random.SimSeconds)
-	fmt.Printf("delta:  smart frees %+.2f%% of the fleet time random spends\n", 100*c.Delta())
+	fmt.Printf("smart:  %d completed, %.3f fleet-seconds\n", smart.Completed, smart.SimSeconds)
+	fmt.Printf("random: %d completed, %.3f fleet-seconds\n", random.Completed, random.SimSeconds)
+	fmt.Printf("delta:  smart frees %+.2f%% of the fleet time random spends\n", 100*delta)
 	return nil
 }

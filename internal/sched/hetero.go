@@ -105,6 +105,29 @@ func Feasible(job HeteroJob, spec backend.ServerSpec, model backend.AccelModel) 
 	return true
 }
 
+// Admits reports whether a job may run on a server: the server is Feasible
+// for it, and either its seconds are unpredictable (a cold software class,
+// the optimistic bet: the fleet has never measured the job), or the job has
+// no deadline, or the predicted seconds meet it. It is the one rule behind
+// placement's masking (AssignHetero), admission (FeasibleAnywhere) and the
+// dispatcher's cold fallback.
+func Admits(job HeteroJob, spec backend.ServerSpec, model backend.AccelModel) bool {
+	_, ok := admit(&job, &spec, model)
+	return ok
+}
+
+// admit is Admits with the predicted seconds it decided on (0 when they are
+// unpredictable), so a placement cell predicts once. It takes the job and
+// spec by pointer because placement calls it once per cell and both are
+// a few hundred bytes.
+func admit(job *HeteroJob, spec *backend.ServerSpec, model backend.AccelModel) (float64, bool) {
+	if !Feasible(*job, *spec, model) {
+		return 0, false
+	}
+	sec, ok := PredictSeconds(job.Report, *spec, model, job.Frames, job.Width, job.Height)
+	return sec, !ok || job.DeadlineSeconds <= 0 || sec <= job.DeadlineSeconds
+}
+
 // maskPenalty marks an infeasible (or deadline-busting) cell. It is finite
 // so HungarianPad stays total, and large enough that a masked cell is only
 // chosen when a row has no feasible column at all — the caller detects
@@ -113,12 +136,12 @@ const maskPenalty = 1e12
 
 // AssignHetero builds the economic placement matrix over warm jobs and
 // free servers and solves it with HungarianPad. Cell (i,j) is the
-// objective value (seconds or cents) of running job i on server j;
-// infeasible cells — accelerator option/quality rejections and cells whose
-// predicted seconds exceed the job's deadline — are masked before the
-// solve, and any assignment that lands on a masked cell is returned as -1
-// (unplaced), as are cold jobs (nil Report), which the caller places by
-// fallback policy among servers that pass Feasible.
+// objective value (seconds or cents) of running job i on server j; cells
+// the server does not Admit — accelerator option/quality rejections and
+// cells whose predicted seconds exceed the job's deadline — are masked
+// before the solve, and any assignment that lands on a masked cell is
+// returned as -1 (unplaced), as are cold jobs (nil Report), which the
+// caller places by fallback policy among servers that Admit them.
 //
 // bias, when non-nil, is a per-server load-spreading term in [0,1]-ish
 // units (typically utilization fractions); it is scaled by the mean
@@ -141,16 +164,17 @@ func AssignHetero(jobs []HeteroJob, free []backend.ServerSpec, model backend.Acc
 	var n int
 	for k, i := range warm {
 		cost[k] = make([]float64, len(free))
-		for j, spec := range free {
-			sec, ok := PredictSeconds(jobs[i].Report, spec, model, jobs[i].Frames, jobs[i].Width, jobs[i].Height)
-			if !ok || !Feasible(jobs[i], spec, model) ||
-				(jobs[i].DeadlineSeconds > 0 && sec > jobs[i].DeadlineSeconds) {
+		for j := range free {
+			// A warm row's seconds are always predictable, so admit's
+			// optimism for unpredictable seconds never unmasks a cell here.
+			sec, ok := admit(&jobs[i], &free[j], model)
+			if !ok {
 				cost[k][j] = maskPenalty
 				continue
 			}
 			v := sec
 			if obj == ObjectiveCost {
-				v = spec.CostCents(sec)
+				v = free[j].CostCents(sec)
 			}
 			cost[k][j] = v
 			sum += v
@@ -182,24 +206,15 @@ func AssignHetero(jobs []HeteroJob, free []backend.ServerSpec, model backend.Acc
 	return out
 }
 
-// FeasibleAnywhere reports whether at least one server class in specs can
-// predictably meet the job's deadline and quality floor. Cold software
-// classes (no profile yet) are treated optimistically — admission should
-// not reject a job the fleet has never measured. It is the admission-time
-// companion to the placement-time masking in AssignHetero.
+// FeasibleAnywhere is admission's form of Admits: true when specs is empty
+// (no live class to judge by yet) or at least one server class in it
+// Admits the job.
 func FeasibleAnywhere(job HeteroJob, specs []backend.ServerSpec, model backend.AccelModel) bool {
 	if len(specs) == 0 {
 		return true
 	}
 	for _, spec := range specs {
-		if !Feasible(job, spec, model) {
-			continue
-		}
-		sec, ok := PredictSeconds(job.Report, spec, model, job.Frames, job.Width, job.Height)
-		if !ok {
-			return true // cold software class: optimistic
-		}
-		if job.DeadlineSeconds <= 0 || sec <= job.DeadlineSeconds {
+		if Admits(job, spec, model) {
 			return true
 		}
 	}

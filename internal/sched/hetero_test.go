@@ -161,6 +161,59 @@ func TestFeasibleAnywhereOptimisticWhenCold(t *testing.T) {
 	}
 }
 
+// TestAdmits pins the one rule of where a job may run, row by row, and that
+// admission (FeasibleAnywhere over one class) and a warm row's placement
+// mask (AssignHetero over one server) both say what it says.
+func TestAdmits(t *testing.T) {
+	model := backend.DefaultAccel()
+	warm := warmReport(0.01, 15)
+	accelSec := model.Seconds(4, 64, 64)
+	job := func(rep *perf.Report, deadline float64, edit func(*HeteroJob)) HeteroJob {
+		j := crfJob(rep)
+		j.DeadlineSeconds = deadline
+		if edit != nil {
+			edit(&j)
+		}
+		return j
+	}
+	refs8 := func(j *HeteroJob) { j.Opts.Refs = 8 }                       // beyond the accel DPB
+	floor28 := func(j *HeteroJob) { j.Opts.CRF, j.QualityFloor = 26, 28 } // accel: 26+4 > 28
+	for _, c := range []struct {
+		name string
+		job  HeteroJob
+		spec backend.ServerSpec
+		want bool
+	}{
+		{"cold software, no deadline", job(nil, 0, nil), softSpec("baseline", 34), true},
+		{"cold software is optimistic", job(nil, 1e-12, nil), softSpec("baseline", 34), true},
+		{"accel outside its option surface", job(warm, 0, refs8), accelSpec(250), false},
+		{"cold row, accel outside its option surface", job(nil, 0, refs8), accelSpec(250), false},
+		{"accel past the quality floor", job(warm, 0, floor28), accelSpec(250), false},
+		{"software ignores the quality floor", job(warm, 0, floor28), softSpec("baseline", 34), true},
+		{"warm software, no deadline", job(warm, 0, nil), softSpec("fe_op", 42), true},
+		{"warm software, deadline met", job(warm, 0.01, nil), softSpec("fe_op", 42), true},
+		{"warm software, deadline missed", job(warm, 1e-9, nil), softSpec("fe_op", 42), false},
+		{"accel, no deadline", job(warm, 0, nil), accelSpec(250), true},
+		{"accel, deadline met", job(warm, 2*accelSec, nil), accelSpec(250), true},
+		{"accel, deadline missed", job(warm, accelSec/2, nil), accelSpec(250), false},
+		{"cold row, accel deadline missed", job(nil, accelSec/2, nil), accelSpec(250), false},
+	} {
+		if got := Admits(c.job, c.spec, model); got != c.want {
+			t.Errorf("%s: Admits = %v, want %v", c.name, got, c.want)
+		}
+		if got := FeasibleAnywhere(c.job, []backend.ServerSpec{c.spec}, model); got != c.want {
+			t.Errorf("%s: FeasibleAnywhere = %v, want %v", c.name, got, c.want)
+		}
+		if c.job.Report == nil {
+			continue // a cold row is placed by the caller's fallback
+		}
+		placed := AssignHetero([]HeteroJob{c.job}, []backend.ServerSpec{c.spec}, model, ObjectiveCost, nil)[0] == 0
+		if placed != c.want {
+			t.Errorf("%s: AssignHetero placed = %v, want %v", c.name, placed, c.want)
+		}
+	}
+}
+
 // TestFleetFromPoolDefaults: every server SoftwareFleet builds is a
 // default-priced software server.
 func TestFleetFromPoolDefaults(t *testing.T) {

@@ -241,9 +241,14 @@ func (s *Server) place(batch []*record, free []slot) []placement {
 		if out[bi].slot >= 0 {
 			continue
 		}
+		// Judged without a profile: the accelerator must still accept the
+		// row (options, quality floor, its exact deadline), while software
+		// slots take it — a cold software placement is the optimistic bet
+		// admission already made.
+		job := s.heteroJob(rec, nil)
 		var remaining []int
 		for j := range free {
-			if !taken[j] && s.executable(rec, free[j].spec) {
+			if !taken[j] && sched.Admits(job, free[j].spec, s.accel) {
 				remaining = append(remaining, j)
 			}
 		}
@@ -267,24 +272,6 @@ func (s *Server) heteroJob(rec *record, rep *perf.Report) sched.HeteroJob {
 		DeadlineSeconds: rec.deadlineSeconds, QualityFloor: rec.qualityFloor,
 		Frames: rec.frames(), Width: rec.pw, Height: rec.ph,
 	}
-}
-
-// executable reports whether the cold/random fallback may hand rec to a
-// slot: the accelerator must accept the job's option surface, quality
-// floor and (being exactly predictable) its deadline; software slots take
-// anything — a cold software placement is the optimistic bet admission
-// already made.
-func (s *Server) executable(rec *record, spec backend.ServerSpec) bool {
-	job := s.heteroJob(rec, nil)
-	if !sched.Feasible(job, spec, s.accel) {
-		return false
-	}
-	if rec.deadlineSeconds > 0 && spec.Backend == backend.Accel {
-		if sec, ok := sched.PredictSeconds(nil, spec, s.accel, job.Frames, job.Width, job.Height); ok && sec > rec.deadlineSeconds {
-			return false
-		}
-	}
-	return true
 }
 
 // launch records the dispatch and hands the job to the transport. A start

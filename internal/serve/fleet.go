@@ -24,9 +24,11 @@ import (
 // fleet: a worker silent for longer than the TTL — crashed, hung, or cut
 // off — is forgotten by the monitor, which supersedes its lease (the job
 // requeues at its original rank) and answers its parked poll 204; its next
-// message registers it afresh. The lease table holds only live leases, so
-// a result naming one that is gone is refused: the requeued attempt is the
-// job's one path to settlement, however the messages are ordered.
+// message registers it afresh. A lease is held by its worker and found
+// only through it, so a result settles a job only when its poster holds
+// the lease it names: one that is gone, or another worker's, is refused,
+// and the job's live attempt is its one path to settlement, however the
+// messages are ordered.
 
 // FleetOptions tunes the worker-fleet transport.
 type FleetOptions struct {
@@ -41,11 +43,10 @@ type FleetOptions struct {
 }
 
 // lease tracks one delivered job while it is live: from assignment until
-// its result settles the job or its worker loses it, when it leaves the
-// table and its finish is called once.
+// its result settles the job or its worker loses it, when its worker lets
+// go of it and its finish is called once.
 type lease struct {
-	id     string
-	worker string
+	id string
 	// spec is the leasing worker's capability at assignment time; it prices
 	// the job when this lease's result settles it.
 	spec   backend.ServerSpec
@@ -63,7 +64,7 @@ type fleetWorker struct {
 	// transitions happen under fleetTransport.mu, so a channel no longer
 	// registered here is guaranteed to resolve without blocking.
 	park  chan Assignment
-	lease *lease
+	lease *lease // the live lease this worker holds; no other copy exists
 }
 
 // idle reports whether the worker can take a job now: unleased, and with a
@@ -88,7 +89,6 @@ type fleetTransport struct {
 
 	mu      sync.Mutex
 	workers map[string]*fleetWorker
-	leases  map[string]*lease // live leases only: each is its worker's lease
 	seq     uint64
 	closed  bool
 
@@ -108,7 +108,6 @@ func newFleetTransport(s *Server, opts FleetOptions, reg *obs.Registry) *fleetTr
 		ttl:         opts.LeaseTTL,
 		wait:        opts.PollWait,
 		workers:     make(map[string]*fleetWorker),
-		leases:      make(map[string]*lease),
 		stopc:       make(chan struct{}),
 		monitorDone: make(chan struct{}),
 		met: fleetMetrics{
@@ -175,11 +174,9 @@ func (f *fleetTransport) start(_ context.Context, sl slot, tk *queue.Ticket[*rec
 	f.seq++
 	l := &lease{
 		id:     "lease-" + strconv.FormatUint(f.seq, 10),
-		worker: w.id,
 		spec:   w.spec,
 		finish: finish,
 	}
-	f.leases[l.id] = l
 	w.lease = l
 	f.met.busyG.Add(1)
 	ch := w.park
@@ -191,7 +188,7 @@ func (f *fleetTransport) start(_ context.Context, sl slot, tk *queue.Ticket[*rec
 		Video: rec.task.Video, CRF: rec.task.CRF, Refs: rec.task.Refs,
 		Preset: string(rec.task.Preset),
 		Frames: f.s.cfg.Proto.Frames, Scale: f.s.cfg.Proto.Scale, Seed: f.s.cfg.Proto.Seed,
-		SegStart: rec.seg.Start, SegEnd: rec.seg.End, Rung: rec.rung,
+		SegStart: rec.seg.Start, SegEnd: rec.seg.End,
 		WantStream: rec.parent != nil,
 		LeaseTTLMs: f.ttl.Milliseconds(),
 	}
@@ -282,10 +279,9 @@ func (f *fleetTransport) supersedeLocked(w *fleetWorker) *lease {
 	return l
 }
 
-// releaseLocked ends w's lease: it leaves the table, so any later message
+// releaseLocked ends w's lease: w no longer holds it, so any later message
 // naming it finds it not live, and w is free again.
 func (f *fleetTransport) releaseLocked(w *fleetWorker) {
-	delete(f.leases, w.lease.id)
 	w.lease = nil
 	f.met.busyG.Add(-1)
 }
@@ -355,8 +351,7 @@ func (f *fleetTransport) handleHeartbeat(w http.ResponseWriter, r *http.Request)
 	fw.jobs = hb.JobsDone
 	leaseValid := true
 	if hb.LeaseID != "" {
-		l := f.leases[hb.LeaseID]
-		leaseValid = l != nil && l.worker == hb.WorkerID
+		leaseValid = fw.lease != nil && fw.lease.id == hb.LeaseID
 	}
 	f.mu.Unlock()
 	writeJSON(w, http.StatusOK, HeartbeatReply{LeaseValid: leaseValid})
@@ -446,16 +441,17 @@ func (f *fleetTransport) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.mu.Lock()
-	l := f.leases[res.LeaseID]
-	if l == nil {
-		// Settled already, or superseded and its job requeued: the live
-		// attempt, not this one, settles the job.
+	fw := f.workers[res.WorkerID]
+	if fw == nil || fw.lease == nil || fw.lease.id != res.LeaseID {
+		// Settled already, superseded and its job requeued, or held by
+		// another worker: the live attempt, not this one, settles the job.
 		f.mu.Unlock()
 		f.met.late.Inc()
 		writeJSON(w, http.StatusOK, ResultReply{Accepted: false, Reason: "unknown_lease"})
 		return
 	}
-	f.releaseLocked(f.workers[l.worker])
+	l := fw.lease
+	f.releaseLocked(fw)
 	f.mu.Unlock()
 	l.finish(f.outcomeOf(l, res))
 	writeJSON(w, http.StatusOK, ResultReply{Accepted: true})

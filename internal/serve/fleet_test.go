@@ -186,12 +186,18 @@ func waitUntil(t *testing.T, d time.Duration, what string, f func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// leases is how many leases the fleet's table holds.
+// leases is how many leases the fleet's workers hold.
 func (h *fleetHarness) leases() int {
 	ft := h.s.transport.(*fleetTransport)
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	return len(ft.leases)
+	n := 0
+	for _, w := range ft.workers {
+		if w.lease != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // unknownLease is the one reply to a result naming a lease that is not live.
@@ -273,6 +279,67 @@ func TestFleetSupersededLeaseResultIsRefused(t *testing.T) {
 	}
 	if tot := h.s.Totals(); tot.Completed != 1 || tot.Failed != 0 || tot.Canceled != 0 {
 		t.Fatalf("totals %+v, want exactly one completion", tot)
+	}
+	if got := h.leases(); got != 0 {
+		t.Fatalf("%d leases after the settle, want 0", got)
+	}
+}
+
+// TestFleetResultFromNonHolderIsRefused: w1 holds a live lease and w9, a
+// registered worker that holds none, posts a result naming it. The result
+// is refused and the job stays running on w1; w1's own result then settles
+// it once, with w1's seconds, priced at w1's spec.
+func TestFleetResultFromNonHolderIsRefused(t *testing.T) {
+	h := newFleetHarness(t, 10*time.Second) // TTL long: no lease expires mid-test
+	w1 := &protoWorker{t: t, base: h.ts.URL, id: "w1", cfg: "baseline", price: 60}
+	w9 := &protoWorker{t: t, base: h.ts.URL, id: "w9", cfg: "baseline", price: 900}
+
+	view, err := h.s.Submit(context.Background(), JobRequest{Video: "bbb"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a1, ok := w1.poll()
+	if !ok {
+		t.Fatal("w1 got no assignment")
+	}
+	if reply := w9.beat(""); !reply.LeaseValid {
+		t.Fatal("idle heartbeat answered lease_valid false")
+	}
+	if reply := w9.beat(a1.LeaseID); reply.LeaseValid {
+		t.Fatal("heartbeat validated another worker's lease")
+	}
+	if reply := w9.result(a1, 9.0, ""); reply != unknownLease {
+		t.Fatalf("non-holder's result reply %+v, want %+v", reply, unknownLease)
+	}
+	if got := h.counter("fleet_results_late"); got != 1 {
+		t.Fatalf("fleet_results_late %d, want 1", got)
+	}
+	if got := h.leases(); got != 1 {
+		t.Fatalf("%d leases after the refused result, want w1's one", got)
+	}
+	if got, _ := h.s.Job(view.ID); got.State != StateRunning || got.Server != "w1" {
+		t.Fatalf("after the refused result job %+v, want running on w1", got)
+	}
+	if tot := h.s.Totals(); tot.Completed != 0 || tot.CostCents != 0 {
+		t.Fatalf("totals %+v after the refused result, want nothing settled or billed", tot)
+	}
+
+	if reply := w1.result(a1, 2.0, ""); reply != (ResultReply{Accepted: true}) {
+		t.Fatalf("holder's result reply %+v, want accepted", reply)
+	}
+	final, err := h.s.WaitJob(context.Background(), view.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateDone || final.SimSeconds != 2.0 || final.Attempts != 1 || final.Server != "w1" {
+		t.Fatalf("final %+v, want done @2.0s after 1 attempt on w1", final)
+	}
+	spec := backend.ServerSpec{Backend: backend.Software, Config: uarch.Baseline(), PriceCentsHour: 60}.FillDefaults()
+	if want := spec.CostCents(2.0); final.CostCents != want {
+		t.Fatalf("cost %.17g cents, want %.17g (w1's spec)", final.CostCents, want)
+	}
+	if tot := h.s.Totals(); tot.Completed != 1 || tot.CostCents != final.CostCents {
+		t.Fatalf("totals %+v, want exactly one completion billed once", tot)
 	}
 	if got := h.leases(); got != 0 {
 		t.Fatalf("%d leases after the settle, want 0", got)

@@ -38,37 +38,34 @@ func mixedFleet() sched.Fleet {
 func TestCostAwareBeatsFleetSecondsDeterministic(t *testing.T) {
 	ctx := context.Background()
 	tasks := sched.GenerateTasks(6, 42)
-	first, err := RunCostComparison(ctx, mixedFleet(), tasks, tinyProto, 42)
-	if err != nil {
-		t.Fatal(err)
+	cfg := Config{Servers: mixedFleet(), Objective: sched.ObjectiveSeconds, Proto: tinyProto, Seed: 42}
+	toCost := func(c *Config) { c.Objective = sched.ObjectiveCost }
+	secs, cost := closedLoopAB(ctx, t, cfg, toCost, tasks)
+	secs2, cost2 := closedLoopAB(ctx, t, cfg, toCost, tasks)
+	if secs != secs2 || cost != cost2 {
+		t.Fatalf("cost comparison not deterministic:\nfirst:  seconds %+v cost %+v\nsecond: seconds %+v cost %+v",
+			secs, cost, secs2, cost2)
 	}
-	second, err := RunCostComparison(ctx, mixedFleet(), tasks, tinyProto, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != second {
-		t.Fatalf("cost comparison not deterministic:\nfirst:  %+v\nsecond: %+v", first, second)
-	}
-	if first.Seconds.Completed != first.Cost.Completed || first.Cost.Completed != int64(len(tasks)) {
+	if secs.Completed != cost.Completed || cost.Completed != int64(len(tasks)) {
 		t.Fatalf("unequal work: seconds completed %d, cost completed %d, want %d",
-			first.Seconds.Completed, first.Cost.Completed, len(tasks))
+			secs.Completed, cost.Completed, len(tasks))
 	}
-	if first.Seconds.DeadlineMisses != first.Cost.DeadlineMisses {
+	if secs.DeadlineMisses != cost.DeadlineMisses {
 		t.Fatalf("unequal deadline misses: seconds %d, cost %d",
-			first.Seconds.DeadlineMisses, first.Cost.DeadlineMisses)
+			secs.DeadlineMisses, cost.DeadlineMisses)
 	}
-	if first.Cost.CostCents >= first.Seconds.CostCents {
+	if cost.CostCents >= secs.CostCents {
 		t.Fatalf("cost objective did not save money: %.9f¢ vs %.9f¢ under seconds",
-			first.Cost.CostCents, first.Seconds.CostCents)
+			cost.CostCents, secs.CostCents)
 	}
 	// The flip side of the trade: the seconds objective must have bought
 	// real speed with those dollars (it routed accel-feasible jobs to the
 	// ASIC), otherwise the fleets degenerated to the same placement.
-	if first.Seconds.SimSeconds >= first.Cost.SimSeconds {
+	if secs.SimSeconds >= cost.SimSeconds {
 		t.Fatalf("seconds objective not faster: %.6fs vs %.6fs under cost",
-			first.Seconds.SimSeconds, first.Cost.SimSeconds)
+			secs.SimSeconds, cost.SimSeconds)
 	}
-	if sav := first.Savings(); sav <= 0 || sav > 1 {
+	if sav := (secs.CostCents - cost.CostCents) / secs.CostCents; sav <= 0 || sav > 1 {
 		t.Fatalf("savings fraction %f out of range", sav)
 	}
 }

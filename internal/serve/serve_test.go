@@ -93,30 +93,42 @@ func TestSmartBeatsRandomDeterministic(t *testing.T) {
 	tasks := sched.GenerateTasks(8, 7)
 	ctx := context.Background()
 
-	first, err := RunComparison(ctx, fleet, tasks, tinyProto, 42)
-	if err != nil {
-		t.Fatal(err)
+	cfg := Config{Servers: fleet, Policy: PolicySmart, Proto: tinyProto, Seed: 42}
+	toRandom := func(c *Config) { c.Policy = PolicyRandom }
+	smart, random := closedLoopAB(ctx, t, cfg, toRandom, tasks)
+	smart2, random2 := closedLoopAB(ctx, t, cfg, toRandom, tasks)
+	if smart != smart2 || random != random2 {
+		t.Fatalf("comparison not deterministic:\n first smart %+v random %+v\nsecond smart %+v random %+v",
+			smart, random, smart2, random2)
 	}
-	second, err := RunComparison(ctx, fleet, tasks, tinyProto, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first != second {
-		t.Fatalf("comparison not deterministic:\n first %+v\nsecond %+v", first, second)
-	}
-	if got := first.Smart.Completed; got != int64(len(tasks)) {
+	if got := smart.Completed; got != int64(len(tasks)) {
 		t.Fatalf("smart completed %d of %d jobs", got, len(tasks))
 	}
-	if got := first.Random.Completed; got != int64(len(tasks)) {
+	if got := random.Completed; got != int64(len(tasks)) {
 		t.Fatalf("random completed %d of %d jobs", got, len(tasks))
 	}
-	if first.Smart.SimSeconds >= first.Random.SimSeconds {
+	if smart.SimSeconds >= random.SimSeconds {
 		t.Fatalf("smart placement (%f fleet-seconds) did not beat random (%f)",
-			first.Smart.SimSeconds, first.Random.SimSeconds)
+			smart.SimSeconds, random.SimSeconds)
 	}
-	if d := first.Delta(); d <= 0 || d >= 1 {
+	if d := (random.SimSeconds - smart.SimSeconds) / random.SimSeconds; d <= 0 || d >= 1 {
 		t.Fatalf("delta %f out of (0,1)", d)
 	}
+}
+
+// closedLoopAB serves tasks twice through RunClosedLoop, under cfg and then
+// under cfg as flip changes it: the two arms of one comparison.
+func closedLoopAB(ctx context.Context, t *testing.T, cfg Config, flip func(*Config), tasks []sched.Task) (a, b Totals) {
+	t.Helper()
+	a, err := RunClosedLoop(ctx, cfg, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flip(&cfg)
+	if b, err = RunClosedLoop(ctx, cfg, tasks); err != nil {
+		t.Fatal(err)
+	}
+	return a, b
 }
 
 // TestColdThenLearned pins the cold-start path: with an unwarmed cost

@@ -19,7 +19,7 @@ import (
 // This file is the transport half of the dispatcher split: the dispatcher
 // (dispatch.go) owns admission, ordering and placement; a transport owns
 // delivery and completion. Two transports exist: the in-process loopback
-// below (kept so RunComparison and single-process deployments work
+// below (kept so RunClosedLoop and single-process deployments work
 // unchanged) and the networked pull-based worker fleet (fleet.go). Both end
 // in Execute — the loopback calls it directly, fleet workers
 // (internal/worker) call it on their side of the wire.
@@ -130,7 +130,7 @@ func Execute(ctx context.Context, spec backend.ServerSpec, job core.Job) (float6
 // loopback is the in-process transport: the fleet is simulated by running
 // every placed job through Execute on its own goroutine, one busy flag per
 // configured server and at most Config.Workers jobs at once. It is the
-// transport behind RunComparison and any serve instance without Fleet
+// transport behind RunClosedLoop and any serve instance without Fleet
 // options.
 type loopback struct {
 	fleet   sched.Fleet // per-server specs

@@ -84,9 +84,6 @@ type Assignment struct {
 	// siblings.
 	SegStart int `json:"seg_start,omitempty"`
 	SegEnd   int `json:"seg_end,omitempty"`
-	// Rung names the ABR-ladder rendition this job belongs to (logs and
-	// worker-side observability; placement does not read it).
-	Rung string `json:"rung,omitempty"`
 	// WantStream asks the worker to return the encoded bitstream in its
 	// ResultReport (segment parts of a stitchable rendition).
 	WantStream bool `json:"want_stream,omitempty"`
@@ -115,10 +112,11 @@ type ResultReport struct {
 }
 
 // ResultReply tells the worker whether its result settled the job. Only a
-// result naming a live lease is accepted; one naming a lease that was
-// settled or superseded is refused with Reason "unknown_lease" (its job
-// settles through its requeued attempt). Either reply is final: the worker
-// stops retrying.
+// result from the worker that holds the live lease it names is accepted;
+// one naming a lease that was settled or superseded, or that another
+// worker holds, is refused with Reason "unknown_lease" (the job settles
+// through its live attempt). Either reply is final: the worker stops
+// retrying.
 type ResultReply struct {
 	Accepted bool   `json:"accepted"`
 	Reason   string `json:"reason,omitempty"`

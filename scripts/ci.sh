@@ -79,6 +79,12 @@ if grep -rnE '\bw\.g[o]ne\b|\brev[i]ved\b|fleet_worker_[u]til_pct|exec\.Str[e]am
 # holds live leases alone, and the reconciliation of results for superseded
 # leases (its settle path, its reply reason, its lease flag) was deleted.
 if grep -rnE 'late[S]ettle|late_[d]iscarded|\.[s]uperseded\b|^\s*[s]uperseded\s+bool' --include='*.go' --exclude='*_test.go' .; then exit 1; fi
+# Each serving rule is said once: a lease is found through the worker that
+# holds it (no lease table beside the workers), sched.Admits alone decides
+# where a job may run (no dispatcher-side copy of it), and a comparison is
+# two serve.RunClosedLoop runs (no comparison types wrapping them).
+if grep -rnE '^\s*[l]eases\s+map\[' --include='*.go' --exclude='*_test.go' internal/serve; then exit 1; fi
+if grep -rnE '\bRun(Cost)?[C]omparison\b|\bCost[C]omparison\b|func \(s \*Server\) [e]xecutable\b' --include='*.go' --exclude='*_test.go' .; then exit 1; fi
 # A cached decode keeps each frame's visible pixels, not the padded frame:
 # every caller materializes frames of its own from them, so the deep copy
 # of shared cached frames was deleted and does not come back.
@@ -106,9 +112,11 @@ go test -race -count=2 ./internal/serve/... ./internal/worker/...
 # eviction, and a job that settles before Submit returns is retained. A
 # fleet result naming a lease that is no longer live (superseded, settled,
 # disclaimed) gets the one reply unknown_lease, whatever the order of
-# messages, and the lease table holds only live leases; a worker counts
-# only the results it was told were accepted.
-go test -race -count=5 -run 'TestParentSettlesInPartOrder|TestRetentionForgetsInSettleOrder|TestGoneVersusUnknown|TestWaitJobOutlivesEviction|TestSettledBeforeSubmitReturnsIsRetained|TestFleetSupersededLeaseResultIsRefused|TestFleetLateResultLosesToRetry|TestFleetDuplicateResultIsIdempotent|TestFleetRejoinReclaimsOrphanedJob' ./internal/serve
+# messages, and only live leases are held; a result from a worker that
+# does not hold the lease it names gets the same reply and settles and
+# bills nothing. A worker counts only the results it was told were
+# accepted.
+go test -race -count=5 -run 'TestParentSettlesInPartOrder|TestRetentionForgetsInSettleOrder|TestGoneVersusUnknown|TestWaitJobOutlivesEviction|TestSettledBeforeSubmitReturnsIsRetained|TestFleetSupersededLeaseResultIsRefused|TestFleetLateResultLosesToRetry|TestFleetDuplicateResultIsIdempotent|TestFleetRejoinReclaimsOrphanedJob|TestFleetResultFromNonHolderIsRefused' ./internal/serve
 go test -race -count=5 -run 'TestWorkerCountsOnlyAcceptedResults' ./internal/worker
 go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSnapshotFootprint|TestSnapshotLayersShareLevels|TestEveryCacheLayerReportsBytes|TestEvictedLayerRebuildsBitIdentical|TestEngineSoakHoldsBudget|TestSweepOverBudgetBuildsEachTitleOnce' ./internal/core/...
 # Eviction under concurrency is a matter of interleavings — a waiter whose
