@@ -467,7 +467,9 @@ func fig7(ctx context.Context) error {
 	return nil
 }
 
-// fig8 measures AutoFDO and Graphite speedups per video.
+// fig8 measures AutoFDO and Graphite speedups per video: one plan of
+// three points per (video, combination) cell — the baseline, the same job
+// on the AutoFDO image trained on it, and the Graphite-tuned job.
 func fig8(ctx context.Context) error {
 	// Parameter combinations averaged per video (a reduced version of the
 	// paper's 32-combination average).
@@ -479,75 +481,79 @@ func fig8(ctx context.Context) error {
 		{codec.PresetMedium, 23, 3},
 		{codec.PresetVeryfast, 30, 1},
 	}
-	rows := [][]string{}
-	var sumF, sumG float64
+	const (
+		base = iota
+		fdo
+		gr
+		variants
+	)
 	videos := vbench.Names()
-	for _, v := range videos {
-		w := core.Workload{Video: v, Frames: *flagFrames}
-		var fdoSum, grSum float64
-		for _, cb := range combos {
+	pts := core.Sweep(ctx, core.Plan{
+		N: len(videos) * len(combos) * variants,
+		Build: func(i int) (core.Job, core.Point, error) {
+			v, cb := videos[i/variants/len(combos)], combos[i/variants%len(combos)]
+			pt := core.Point{Video: v, CRF: cb.crf, Refs: cb.refs, Preset: cb.preset}
+			w := core.Workload{Video: v, Frames: *flagFrames}
 			opt := codec.Options{RC: codec.RCCRF, CRF: cb.crf, QP: 26, KeyintMax: 250}
 			if err := codec.ApplyPreset(&opt, cb.preset); err != nil {
-				return err
+				return core.Job{}, pt, err
 			}
 			opt.Refs = cb.refs
-
-			base, err := core.Run(ctx, core.Job{Workload: w, Options: opt, Config: uarch.Baseline()})
-			if err != nil {
-				return err
+			job := core.Job{Workload: w, Options: opt, Config: uarch.Baseline()}
+			switch i % variants {
+			case fdo:
+				stream, err := core.Mezzanine(ctx, w)
+				if err != nil {
+					return core.Job{}, pt, err
+				}
+				if job.Image, err = autofdo.Train(stream, opt); err != nil {
+					return core.Job{}, pt, err
+				}
+			case gr:
+				job.Options.Tune = graphite.All().Tuning()
 			}
-			stream, err := core.Mezzanine(ctx, w)
-			if err != nil {
-				return err
-			}
-			img, err := autofdo.Train(stream, opt)
-			if err != nil {
-				return err
-			}
-			fdo, err := core.Run(ctx, core.Job{Workload: w, Options: opt, Config: uarch.Baseline(), Image: img})
-			if err != nil {
-				return err
-			}
-			gopt := opt
-			gopt.Tune = graphite.All().Tuning()
-			gr, err := core.Run(ctx, core.Job{Workload: w, Options: gopt, Config: uarch.Baseline()})
-			if err != nil {
-				return err
-			}
-			fdoSum += (base.Report.Seconds/fdo.Report.Seconds - 1) * 100
-			grSum += (base.Report.Seconds/gr.Report.Seconds - 1) * 100
+			return job, pt, nil
+		},
+		Opts: sweepOpts(),
+	})
+	if err := pts.FirstErr(); err != nil {
+		return err
+	}
+	rows := [][]string{}
+	labels := make([]string, 0, len(videos)+1)
+	fdoSeries := report.Series{Name: "AutoFDO"}
+	grSeries := report.Series{Name: "Graphite"}
+	add := func(label string, f, g float64) {
+		rows = append(rows, []string{label, report.F(f, 2), report.F(g, 2)})
+		labels = append(labels, label)
+		fdoSeries.Points = append(fdoSeries.Points, f)
+		grSeries.Points = append(grSeries.Points, g)
+	}
+	var sumF, sumG float64
+	for vi, v := range videos {
+		var fdoSum, grSum float64
+		for ci := range combos {
+			cell := pts[(vi*len(combos)+ci)*variants:]
+			baseS := cell[base].Report.Seconds
+			fdoSum += (baseS/cell[fdo].Report.Seconds - 1) * 100
+			grSum += (baseS/cell[gr].Report.Seconds - 1) * 100
 		}
 		f := fdoSum / float64(len(combos))
 		g := grSum / float64(len(combos))
 		sumF += f
 		sumG += g
-		rows = append(rows, []string{v, report.F(f, 2), report.F(g, 2)})
+		add(v, f, g)
 	}
-	rows = append(rows, []string{"average",
-		report.F(sumF/float64(len(videos)), 2), report.F(sumG/float64(len(videos)), 2)})
+	add("average", sumF/float64(len(videos)), sumG/float64(len(videos)))
 	if err := report.Table(os.Stdout, []string{"video", "AutoFDO speedup %", "Graphite speedup %"}, rows); err != nil {
 		return err
 	}
 	if out := svgOut("fig8_compiler_speedups.svg"); out != nil {
 		defer out.Close()
-		labels := make([]string, 0, len(rows))
-		fdo := report.Series{Name: "AutoFDO"}
-		gr := report.Series{Name: "Graphite"}
-		for _, r := range rows {
-			labels = append(labels, r[0])
-			fdo.Points = append(fdo.Points, parseF(r[1]))
-			gr.Points = append(gr.Points, parseF(r[2]))
-		}
 		return report.SVGBars(out, "Figure 8: compiler-optimization speedups", "% speedup", labels,
-			[]report.Series{fdo, gr})
+			[]report.Series{fdoSeries, grSeries})
 	}
 	return nil
-}
-
-func parseF(s string) float64 {
-	var v float64
-	fmt.Sscanf(s, "%f", &v)
-	return v
 }
 
 // sanitize converts a figure title into a file-name fragment.

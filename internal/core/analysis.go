@@ -67,12 +67,13 @@ func (e *Engine) sharedAnalysis(ctx context.Context, w Workload, dopt codec.Deco
 }
 
 // anaSnapKey identifies one analysis-machine snapshot: a machine of one
-// configuration (with the default code image) that has consumed one
-// workload's decode trace plus the shared artifact's lookahead events.
+// configuration and one code image that has consumed one workload's
+// decode trace plus the shared artifact's lookahead events.
 type anaSnapKey struct {
 	w    Workload
 	dopt codec.DecoderOptions
 	cfg  uarch.Config
+	img  *trace.Image
 	p    codec.AnalysisParams
 }
 
@@ -96,14 +97,14 @@ func (e *Engine) parsedAnalysisTrace(ctx context.Context, w Workload, dopt codec
 // replaying the shared parsed view of the artifact's recorded events
 // into that machine and freezing it again, sharing cache levels with the
 // title's other landed configurations as decodedMachine does.
-func (e *Engine) analysisMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, a *codec.Analysis) (*uarch.Snapshot, error) {
+func (e *Engine) analysisMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, img *trace.Image, a *codec.Analysis) (*uarch.Snapshot, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
-	key := anaSnapKey{w: w, dopt: dopt, cfg: cfg, p: a.Params}
+	key := anaSnapKey{w: w, dopt: dopt, cfg: cfg, img: img, p: a.Params}
 	return e.anaSnap.get(ctx, key, func() (*uarch.Snapshot, error) {
-		snap, err := e.decodedMachine(context.Background(), w, dopt, cfg)
+		snap, err := e.decodedMachine(context.Background(), w, dopt, cfg, img)
 		if err != nil {
 			return nil, err
 		}

@@ -84,7 +84,8 @@ type Job struct {
 	// segmented encode (codec.EncodeSegments, TestSegmentStitchByteIdentical).
 	Segment codec.Segment
 	// Image overrides the default code layout (used by the AutoFDO study);
-	// nil selects the compiler-default layout.
+	// nil selects the compiler-default layout. The image is part of the
+	// machine snapshots' identity: jobs on one image share its snapshots.
 	Image *trace.Image
 	// StageMetrics attaches a per-encode-stage latency observer that feeds
 	// the encode_stage_<stage>_ns histograms in obs.Default(). Opt-in: the
@@ -370,32 +371,34 @@ func (e *Engine) ParsedDecodeTrace(ctx context.Context, w Workload, opt codec.De
 }
 
 // snapKey identifies one decoded-machine snapshot: a machine of one
-// configuration (with the default code image) that has already consumed
-// one workload's decode event stream.
+// configuration and one code image that has already consumed one
+// workload's decode event stream.
 type snapKey struct {
 	w   Workload
 	opt codec.DecoderOptions
 	cfg uarch.Config
+	img *trace.Image
 }
 
-// defaultImage is the compiler-ordered code image every decode machine
-// runs. A machine only reads its image, so one serves them all.
+// defaultImage is the compiler-ordered code image of every job that sets
+// no Job.Image. A machine only reads its image, so one serves them all.
 var defaultImage = trace.NewImage(nil)
 
 // decodedMachine returns the cached post-decode machine snapshot for a
-// (workload, decoder options, configuration) triple, building it on first
-// use by replaying the shared parsed view of the recorded decode trace
-// into a fresh machine (one validation serves every configuration) and
+// (workload, decoder options, configuration, code image) tuple, building
+// it on first use by replaying the shared parsed view of the recorded
+// decode trace into a fresh machine (one validation serves every
+// configuration and image: events name functions, not addresses) and
 // freezing it. A Snapshot takes no events: each job thaws its own Machine.
 // The freeze shares each cache level with the title's other landed
-// configurations whose level ended in the same state.
-func (e *Engine) decodedMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config) (*uarch.Snapshot, error) {
+// snapshots whose level ended in the same state.
+func (e *Engine) decodedMachine(ctx context.Context, w Workload, dopt codec.DecoderOptions, cfg uarch.Config, img *trace.Image) (*uarch.Snapshot, error) {
 	w, err := w.normalized()
 	if err != nil {
 		return nil, err
 	}
-	return e.snap.get(ctx, snapKey{w: w, opt: dopt, cfg: cfg}, func() (*uarch.Snapshot, error) {
-		m := uarch.NewMachine(cfg, defaultImage)
+	return e.snap.get(ctx, snapKey{w: w, opt: dopt, cfg: cfg, img: img}, func() (*uarch.Snapshot, error) {
+		m := uarch.NewMachine(cfg, img)
 		parsed, err := e.ParsedDecodeTrace(context.Background(), w, dopt)
 		if err != nil {
 			return nil, err
@@ -465,53 +468,41 @@ func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
 	}
 
 	// The decode is simulated once per (workload, decoder options) and its
-	// event stream recorded; each job then gets the post-decode machine
-	// state without re-running codec.Decoder. The machine is a
-	// deterministic event consumer, so its state — and therefore the
-	// profile — is bit-for-bit what a live decode into the job's machine
-	// produces (TestReplayRunEquivalence).
-	var machine *uarch.Machine
+	// event stream recorded; each job then thaws a machine snapshot of its
+	// configuration and code image without re-running codec.Decoder. The
+	// machine is a deterministic event consumer, so its state — and
+	// therefore the profile — is bit-for-bit what a live decode into the
+	// job's machine produces (TestReplayRunEquivalence).
+	var snap *uarch.Snapshot
 	var analysis *codec.Analysis
 	dopt := decoderOptions(job.Options)
+	img := job.Image
+	if img == nil {
+		img = defaultImage
+	}
 	dec, err := e.decoded(ctx, job.Workload, dopt)
 	if err != nil {
 		return nil, err
 	}
-	if job.Image == nil && job.Options.RC != codec.RCABR2 {
+	if job.Options.RC != codec.RCABR2 {
 		// Shared analysis: the crf/refs-invariant lookahead work is
 		// memoized once per workload, and the machine snapshot has already
 		// consumed both the decode trace and the artifact's recorded
 		// lookahead events — the encode starts past the lookahead at
 		// memcpy speed. (Two-pass ABR interleaves a full first-pass encode
 		// before its lookahead, so its tracer state cannot resume from the
-		// artifact.)
+		// artifact; it thaws the post-decode snapshot and runs its own.)
 		if analysis, err = e.sharedAnalysis(ctx, job.Workload, dopt, job.Options, job.Segment); err != nil {
 			return nil, err
 		}
-		snap, err := e.analysisMachine(ctx, job.Workload, dopt, job.Config, analysis)
-		if err != nil {
-			return nil, err
-		}
-		machine = snap.Machine()
-	} else if job.Image == nil {
-		// Default code image: thaw the cached post-decode machine
-		// snapshot — the decode half at memcpy speed.
-		snap, err := e.decodedMachine(ctx, job.Workload, dopt, job.Config)
-		if err != nil {
-			return nil, err
-		}
-		machine = snap.Machine()
+		snap, err = e.analysisMachine(ctx, job.Workload, dopt, job.Config, img, analysis)
 	} else {
-		// Custom image (e.g. the AutoFDO study): snapshots are keyed on
-		// the default layout, so re-drive the shared parsed view into
-		// this job's machine instead.
-		machine = uarch.NewMachine(job.Config, job.Image)
-		parsed, err := e.ParsedDecodeTrace(ctx, job.Workload, dopt)
-		if err != nil {
-			return nil, err
-		}
-		machine.ReplayEvents(parsed)
+		snap, err = e.decodedMachine(ctx, job.Workload, dopt, job.Config, img)
 	}
+	if err != nil {
+		return nil, err
+	}
+	machine := snap.Machine()
 	input, err := jobInput(dec.pictures, job.Segment)
 	if err != nil {
 		return nil, err

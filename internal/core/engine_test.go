@@ -127,7 +127,7 @@ func TestEvictedLayerRebuildsBitIdentical(t *testing.T) {
 		ctx, w, dopt := context.Background(), job.Workload, decoderOptions(job.Options)
 		_, err = eng.Mezzanine(ctx, w)
 		if err == nil {
-			_, err = eng.decodedMachine(ctx, w, dopt, job.Config)
+			_, err = eng.decodedMachine(ctx, w, dopt, job.Config, defaultImage)
 		}
 		if err == nil {
 			_, err = eng.ParsedDecodeTrace(ctx, w, dopt)

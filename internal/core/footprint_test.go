@@ -109,7 +109,7 @@ func TestSnapshotFootprint(t *testing.T) {
 	ctx, w, dopt := context.Background(), footprintWorkload(), codec.DecoderOptions{}
 	eng := NewEngine(DefaultCacheBudget)
 	for _, cfg := range uarch.Extended() {
-		snap, err := eng.decodedMachine(ctx, w, dopt, cfg)
+		snap, err := eng.decodedMachine(ctx, w, dopt, cfg, defaultImage)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +161,11 @@ func TestSnapshotLayersShareLevels(t *testing.T) {
 	before := heapAfterGC()
 	var shared []*uarch.Snapshot
 	for _, cfg := range uarch.TableIV() {
-		dec, err := eng.decodedMachine(ctx, w, dopt, cfg)
+		dec, err := eng.decodedMachine(ctx, w, dopt, cfg, defaultImage)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ana, err := eng.analysisMachine(ctx, w, dopt, cfg, a)
+		ana, err := eng.analysisMachine(ctx, w, dopt, cfg, defaultImage, a)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,7 +91,7 @@ func TestResultLevelConservation(t *testing.T) {
 		}
 	}
 	for _, cfg := range uarch.Extended() {
-		snap, err := eng.decodedMachine(ctx, w, dopt, cfg)
+		snap, err := eng.decodedMachine(ctx, w, dopt, cfg, defaultImage)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,10 +223,11 @@ func TestParsedReplayMachineEquivalence(t *testing.T) {
 }
 
 // TestParsedRunEquivalence is the fidelity guarantee of the parsed fan-out
-// at the experiment level. The custom code image forces Run's per-job
-// replay branch (the parsed view driven straight into the job's machine);
-// the unique seed forces every cache layer to build cold through the
-// default snapshot path.
+// at the experiment level. The custom code image is a snapshot identity of
+// its own, so Run builds that image's decode and analysis snapshots from
+// the parsed views the default image's jobs already cached; the unique
+// seed forces every cache layer to build cold through the default image's
+// snapshots.
 func TestParsedRunEquivalence(t *testing.T) {
 	w := tinyWorkload("cricket")
 	opt := codec.Defaults()
@@ -237,6 +238,114 @@ func TestParsedRunEquivalence(t *testing.T) {
 	cold := w
 	cold.Seed = 424242
 	requireReference(t, Job{Workload: cold, Options: opt, Config: uarch.Baseline()})
+}
+
+// relaidImage is an AutoFDO-shaped code image: the encoder's hot kernels
+// placed first and hot/cold split, everything else after them unpacked.
+func relaidImage() *trace.Image {
+	order := []trace.FuncID{trace.FnSAD, trace.FnSATD, trace.FnMEHex, trace.FnSubpel, trace.FnInterp, trace.FnAnalyse, trace.FnLookahead, trace.FnCAVLC}
+	packed := make(map[trace.FuncID]bool, len(order))
+	for _, f := range order {
+		packed[f] = true
+	}
+	return trace.NewImage(nil).Relayout(order, packed)
+}
+
+// TestCustomImageRunEquivalence: a job on a relaid-out code image thaws
+// snapshots of its own image — a CRF job past the shared lookahead, a
+// two-pass ABR job past the decode alone — and reports bit for bit what a
+// live transcode into a machine of that image reports. The image must
+// matter, or the test would pass on a machine that ignored it.
+func TestCustomImageRunEquivalence(t *testing.T) {
+	w := tinyWorkload("cricket")
+	img := relaidImage()
+	opt := codec.Defaults()
+	opt.CRF = 31
+	opt.Refs = 2
+	crf := requireReference(t, Job{Workload: w, Options: opt, Config: uarch.Baseline(), Image: img})
+	def, err := Run(context.Background(), Job{Workload: w, Options: opt, Config: uarch.Baseline()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crf.Report.Seconds == def.Report.Seconds {
+		t.Fatalf("relaid-out image ran in exactly the default image's %g s", def.Report.Seconds)
+	}
+
+	opt.RC = codec.RCABR2
+	opt.BitrateKbps = 400
+	requireReference(t, Job{Workload: w, Options: opt, Config: uarch.Baseline(), Image: img})
+}
+
+// TestCustomImageSnapshotsBuildOnce: the code image is part of a snapshot's
+// identity. Two runs on one image and configuration miss the snapshot and
+// ana_snapshot layers once each (the shared layers below them hit), and
+// then every run hits.
+func TestCustomImageSnapshotsBuildOnce(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(DefaultCacheBudget)
+	job := Job{Workload: Workload{Video: "cricket", Frames: 4, Scale: 16, Seed: 0x1A6E}, Options: codec.Defaults(), Config: uarch.Baseline()}
+	if _, err := eng.Run(ctx, job); err != nil {
+		t.Fatal(err)
+	}
+	layers := layersOf(eng)
+	job.Image = relaidImage()
+	for run, want := range []map[string]int64{
+		{"snapshot": 1, "ana_snapshot": 1},
+		{},
+	} {
+		missesBefore := cacheCounters("core_cache_misses", layers)
+		hitsBefore := cacheCounters("core_cache_hits", layers)
+		if _, err := eng.Run(ctx, job); err != nil {
+			t.Fatal(err)
+		}
+		missesAfter := cacheCounters("core_cache_misses", layers)
+		hitsAfter := cacheCounters("core_cache_hits", layers)
+		for _, l := range layers {
+			if m := missesAfter[l.name] - missesBefore[l.name]; m != want[l.name] {
+				t.Errorf("run %d on a custom image: layer %s missed %d times, want %d", run, l.name, m, want[l.name])
+			}
+		}
+		// The run looks up the decoded, analysis and ana_snapshot layers.
+		if h := hitsAfter["ana_snapshot"] - hitsBefore["ana_snapshot"]; h != 1-want["ana_snapshot"] {
+			t.Errorf("run %d on a custom image: ana_snapshot hit %d times", run, h)
+		}
+	}
+}
+
+// TestDefaultImageSweepMissCounts: a crf x refs sweep on the default image
+// over two configurations builds each title-level layer once and each
+// snapshot layer once per configuration, as before the image joined the
+// snapshot keys.
+func TestDefaultImageSweepMissCounts(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(DefaultCacheBudget)
+	layers := layersOf(eng)
+	missesBefore := cacheCounters("core_cache_misses", layers)
+	w := Workload{Video: "cricket", Frames: 4, Scale: 16, Seed: 0xD3FA}
+	configs := uarch.TableIV()[:2]
+	crfs, refs := []int{26, 34}, []int{1, 2}
+	pts := eng.Sweep(ctx, Plan{
+		N: len(configs) * len(crfs) * len(refs),
+		Build: func(i int) (Job, Point, error) {
+			opt := codec.Defaults()
+			opt.CRF, opt.Refs = crfs[i/len(refs)%len(crfs)], refs[i%len(refs)]
+			return Job{Workload: w, Options: opt, Config: configs[i/(len(crfs)*len(refs))]},
+				Point{Video: w.Video, CRF: opt.CRF, Refs: opt.Refs}, nil
+		},
+	})
+	if err := pts.FirstErr(); err != nil {
+		t.Fatal(err)
+	}
+	missesAfter := cacheCounters("core_cache_misses", layers)
+	want := map[string]int64{
+		"mezzanine": 1, "decoded": 1, "parsed": 1, "snapshot": 2,
+		"analysis": 1, "ana_parsed": 1, "ana_snapshot": 2,
+	}
+	for _, l := range layers {
+		if m := missesAfter[l.name] - missesBefore[l.name]; m != want[l.name] {
+			t.Errorf("layer %s missed %d times, want %d", l.name, m, want[l.name])
+		}
+	}
 }
 
 // TestDecodedMezzanineCached verifies hits share one build (one event

@@ -196,8 +196,10 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) (JobView, error) {
 	units := []*record{job}
 	s.jobsMu.Lock()
 	s.seq++
+	s.issued++
 	job.seq = s.seq
-	job.id = "job-" + strconv.FormatUint(job.seq, 10)
+	num := s.issued
+	job.id = "job-" + strconv.FormatUint(num, 10)
 	job.task.Name = job.id
 	if multi {
 		units = make([]*record, 0, len(rungs)*len(segs))
@@ -232,12 +234,16 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) (JobView, error) {
 		if err != nil {
 			// All-or-nothing: withdraw the units already admitted and drop
 			// the records. The client never learned the id, so no
-			// settlement is owed.
+			// settlement is owed, and the id goes back unless a later
+			// submission has taken the next one.
 			for _, prev := range tickets[:i] {
 				prev.Cancel()
 			}
 			s.jobsMu.Lock()
 			s.unregisterLocked(job)
+			if s.issued == num {
+				s.issued--
+			}
 			s.jobsMu.Unlock()
 			return s.reject(err)
 		}

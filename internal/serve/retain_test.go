@@ -11,6 +11,9 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/queue"
+	"repro/internal/sched"
+	"repro/internal/uarch"
 )
 
 // hookCtx is a context that is never done and runs hook whenever its Done
@@ -196,6 +199,47 @@ func TestGoneVersusUnknown(t *testing.T) {
 		}
 		if _, err := s.Lookup(id); !errors.Is(err, want) {
 			t.Errorf("Lookup(%s): %v, want %v", id, err, want)
+		}
+	}
+}
+
+// TestIDsCountClientVisibleJobs: job ids number the jobs a client was
+// handed, so an id the server never handed out answers ErrUnknownJob, not
+// ErrGone. Parts take no job number, a submission the all-or-nothing path
+// rejects gives its number back, and a missing part of a held job was
+// never issued.
+func TestIDsCountClientVisibleJobs(t *testing.T) {
+	s := newTestServer(t, Config{
+		Servers:    sched.SoftwareFleet([]uarch.Config{uarch.Baseline()}, 1),
+		QueueDepth: 3,
+	})
+	ctx := context.Background()
+	// Not started: admission only.
+	first, err := s.Submit(ctx, JobRequest{Video: "desktop", Segments: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.ID != "job-1" || len(first.Parts) != 2 {
+		t.Fatalf("first submission is %s with parts %v, want job-1 with two", first.ID, first.Parts)
+	}
+	if _, err := s.Submit(ctx, JobRequest{Video: "desktop", Segments: 2}); !errors.Is(err, queue.ErrFull) {
+		t.Fatalf("two parts into one free slot: %v, want queue full", err)
+	}
+	for _, id := range []string{"job-2", "job-2.1", "job-3", "job-1.3"} {
+		if _, err := s.Lookup(id); !errors.Is(err, ErrUnknownJob) {
+			t.Errorf("Lookup(%s): %v, want ErrUnknownJob", id, err)
+		}
+	}
+	next, err := s.Submit(ctx, JobRequest{Video: "desktop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != "job-2" {
+		t.Fatalf("the job after a two-part job-1 and a rejection is %s, want job-2", next.ID)
+	}
+	for _, id := range append([]string{first.ID, next.ID}, first.Parts...) {
+		if _, err := s.Lookup(id); err != nil {
+			t.Errorf("Lookup(%s): %v", id, err)
 		}
 	}
 }

@@ -343,12 +343,15 @@ type Server struct {
 	// wake); bumped under flowMu, so a waiter on flowCond misses none.
 	changes atomic.Uint64
 
-	// jobsMu guards the records by id, the id counter and the retention
+	// jobsMu guards the records by id, the two counters and the retention
 	// window: settled client-visible jobs in settle order and the sum of
-	// their charges.
+	// their charges. seq numbers every record, parts included (placement
+	// seeds on it); issued numbers the client-visible jobs, whose ids are
+	// "job-<issued>".
 	jobsMu      sync.Mutex
 	jobs        map[string]*record
 	seq         uint64
+	issued      uint64
 	window      []retained
 	windowBytes int64
 	// retainLimit is the window's budget: retainBytes, or what an
@@ -469,28 +472,28 @@ func (s *Server) record(id string) (*record, error) {
 	if rec := s.jobs[id]; rec != nil {
 		return rec, nil
 	}
-	if seq, ok := idSeq(id); ok && seq <= s.seq {
+	// A part is held as long as its job, so a missing part of a held job
+	// was never issued.
+	if num, job, ok := jobNum(id); ok && num <= s.issued && s.jobs[job] == nil {
 		return nil, ErrGone
 	}
 	return nil, ErrUnknownJob
 }
 
-// idSeq is the sequence number an id of this server's form names: N for
-// "job-N", N+K for part K of it ("job-N.K"), which is the number Submit
-// gave that part.
-func idSeq(id string) (uint64, bool) {
+// jobNum parses an id of this server's form, "job-N" or part K of it
+// ("job-N.K"), into N and the id of the job it names or belongs to.
+func jobNum(id string) (uint64, string, bool) {
 	num, ok := strings.CutPrefix(id, "job-")
 	if !ok {
-		return 0, false
+		return 0, "", false
 	}
 	num, part, isPart := strings.Cut(num, ".")
-	seq, ok := counting(num)
+	n, ok := counting(num)
 	if isPart {
-		k, kok := counting(part)
-		ok = ok && kok && seq+k > seq
-		seq += k
+		_, kok := counting(part)
+		ok = ok && kok
 	}
-	return seq, ok
+	return n, "job-" + num, ok
 }
 
 // counting parses a positive decimal as Submit formats it (no sign, no

@@ -89,6 +89,11 @@ if grep -rnE '\bRun(Cost)?[C]omparison\b|\bCost[C]omparison\b|func \(s \*Server\
 # every caller materializes frames of its own from them, so the deep copy
 # of shared cached frames was deleted and does not come back.
 if grep -rn 'clone[F]rames' --include='*.go' .; then exit 1; fi
+# A job's machine is a thawed snapshot keyed on its code image: no per-job
+# machine replays the decode in core, and Fig. 8 is a core.Sweep plan like
+# every other figure, so cmd/paper calls no core.Run.
+if grep -rnE 'NewMachine\(job\.Config, job\.[I]mage\)' --include='*.go' --exclude='*_test.go' internal/core; then exit 1; fi
+if grep -rnE 'core\.R[u]n\(' --include='*.go' cmd/paper; then exit 1; fi
 # DESIGN.md describes the design it has; a change's measurements live in
 # its CHANGES.md entry, not in per-PR logs beside the design.
 if grep -n '^\*\*PR [0-9]*, measured' DESIGN.md; then exit 1; fi
