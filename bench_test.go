@@ -12,6 +12,8 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/frame"
+	"repro/internal/trace"
+	"repro/internal/uarch"
 )
 
 func benchWorkload() Workload { return Workload{Video: "cricket", Frames: 6, Scale: 8} }
@@ -237,9 +239,11 @@ func BenchmarkDecodeReplay(b *testing.B) {
 	b.SetBytes(int64(len(events)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ReplayTrace(events, BaselineConfig()); err != nil {
+		m := uarch.NewMachine(BaselineConfig(), trace.NewImage(nil))
+		if err := trace.Replay(events, m); err != nil {
 			b.Fatal(err)
 		}
+		_ = m.Result()
 	}
 }
 
@@ -256,7 +260,7 @@ func BenchmarkParse(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseTrace(events); err != nil {
+		if _, err := trace.Parse(events); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -74,18 +74,6 @@ func TestApplyPresetLeavesRateControlAlone(t *testing.T) {
 	}
 }
 
-func TestMEMethodParse(t *testing.T) {
-	for m := MEDia; m <= METesa; m++ {
-		got, err := ParseMEMethod(m.String())
-		if err != nil || got != m {
-			t.Errorf("roundtrip %v failed", m)
-		}
-	}
-	if _, err := ParseMEMethod("zigzag"); err == nil {
-		t.Fatal("bad method accepted")
-	}
-}
-
 func TestMedianMVProperties(t *testing.T) {
 	f := func(ax, ay, bx, by, cx, cy int16) bool {
 		a := MV{int32(ax), int32(ay)}

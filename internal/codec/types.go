@@ -55,16 +55,6 @@ func (m MEMethod) String() string {
 	return [...]string{"dia", "hex", "umh", "esa", "tesa"}[m]
 }
 
-// ParseMEMethod parses an x264-style me name.
-func ParseMEMethod(s string) (MEMethod, error) {
-	for m := MEDia; m <= METesa; m++ {
-		if m.String() == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("codec: unknown me method %q", s)
-}
-
 // Partitions selects which macroblock subdivisions the analyser may use,
 // mirroring x264's --partitions.
 type Partitions struct {

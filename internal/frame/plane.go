@@ -106,24 +106,6 @@ func (p *Plane) CopyFrom(src *Plane) {
 	copy(p.Pix, src.Pix)
 }
 
-// Fill sets every pixel of the visible area to v (padding included).
-func (p *Plane) Fill(v uint8) {
-	for i := range p.Pix {
-		p.Pix[i] = v
-	}
-}
-
-// Mean returns the average pixel value of the visible area.
-func (p *Plane) Mean() float64 {
-	var sum uint64
-	for y := 0; y < p.H; y++ {
-		for _, v := range p.Row(y) {
-			sum += uint64(v)
-		}
-	}
-	return float64(sum) / float64(p.W*p.H)
-}
-
 // BlockVariance returns the population variance of the w x h block whose
 // top-left visible coordinate is (x, y). It is the activity measure used by
 // adaptive quantization.

@@ -1,7 +1,5 @@
 package frame
 
-import "math"
-
 // SSIM constants for 8-bit depth (the standard k1=0.01, k2=0.03 with
 // L=255).
 const (
@@ -56,13 +54,4 @@ func PlaneSSIM(a, b *Plane) float64 {
 // comparisons.
 func SSIM(a, b *Frame) float64 {
 	return PlaneSSIM(&a.Y, &b.Y)
-}
-
-// SSIMToDB converts an SSIM index to the conventional decibel form
-// (-10*log10(1-ssim)); identical content maps to +Inf.
-func SSIMToDB(ssim float64) float64 {
-	if ssim >= 1 {
-		return math.Inf(1)
-	}
-	return -10 * math.Log10(1-ssim)
 }

@@ -47,18 +47,6 @@ func TestSSIMBounded(t *testing.T) {
 	}
 }
 
-func TestSSIMToDB(t *testing.T) {
-	if !math.IsInf(SSIMToDB(1), 1) {
-		t.Fatal("perfect SSIM must map to +Inf dB")
-	}
-	if db := SSIMToDB(0.99); math.Abs(db-20) > 1e-9 {
-		t.Fatalf("0.99 -> %f dB, want 20", db)
-	}
-	if SSIMToDB(0.9) >= SSIMToDB(0.99) {
-		t.Fatal("SSIM dB not monotone")
-	}
-}
-
 func TestY4MRoundtrip(t *testing.T) {
 	var frames []*Frame
 	for i := 0; i < 3; i++ {

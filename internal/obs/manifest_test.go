@@ -41,8 +41,12 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := want.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadManifest(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	got := new(Manifest)
+	if err := json.Unmarshal(data, got); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {

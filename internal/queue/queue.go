@@ -1,15 +1,14 @@
-// Package queue is the admission edge of the serving layer: a bounded,
-// deadline/priority job queue with per-class fairness, context-driven
-// cancellation and backpressure signals.
+// Package queue is the admission edge of the serving layer: a bounded
+// job queue with per-class fairness, context-driven cancellation and
+// backpressure signals.
 //
 // The design follows what the paper's §III-D2 scheduler needs once tasks
 // *arrive* instead of being known upfront: admission control keeps the
 // queue from absorbing unbounded load (a full queue rejects with a typed
-// reason the API layer can map to 429/503), per-class round-robin keeps one
-// tenant's burst from starving the others, and within a class the dequeue
-// order is priority, then earliest deadline, then FIFO — so a latency-
-// critical live job overtakes a backlog of batch re-encodes without any
-// global re-sort.
+// reason the API layer can map to 429/503), and the dequeue order is three
+// rules. Within a class, jobs leave in arrival order. Across classes, the
+// queue takes one job per class in turn, so one tenant's burst cannot
+// starve the others. A requeued ticket goes back to its original rank.
 //
 // Everything is safe for concurrent use. The exactly-once guarantee the
 // dispatcher builds on: every submitted ticket is observed by exactly one
@@ -56,11 +55,6 @@ type SubmitOptions struct {
 	// Class is the fairness class (tenant, traffic tier). Empty is a valid
 	// class of its own.
 	Class string
-	// Priority orders tickets within a class: higher dequeues first.
-	Priority int
-	// Deadline orders tickets of equal priority: earlier dequeues first.
-	// The zero time sorts after every real deadline.
-	Deadline time.Time
 }
 
 // Ticket is one queued submission. A ticket is handed out by Submit and
@@ -68,18 +62,17 @@ type SubmitOptions struct {
 // Cancel or the submission context). A dequeued ticket whose execution
 // attempt failed externally — an expired worker lease — may travel back
 // through Requeue any number of times before it settles; every pass keeps
-// its original ordering keys, so reassignment never penalizes the job.
+// its original arrival rank, so reassignment never penalizes the job.
 type Ticket[T any] struct {
 	id      uint64
-	opts    SubmitOptions
+	class   string
 	payload T
 	enq     time.Time
 
-	q        *Queue[T]
-	index    int // heap index while queued; -1 once off the heap
-	state    ticketState
-	attempts int         // completed dequeues (grows by one per Requeue round trip)
-	stop     func() bool // releases the context.AfterFunc watcher
+	q     *Queue[T]
+	index int // heap index while queued; -1 once off the heap
+	state ticketState
+	stop  func() bool // releases the context.AfterFunc watcher
 }
 
 type ticketState int32
@@ -89,9 +82,6 @@ const (
 	stateDequeued
 	stateCanceled
 )
-
-// Class returns the fairness class the ticket was submitted under.
-func (t *Ticket[T]) Class() string { return t.opts.Class }
 
 // Payload returns the submitted value.
 func (t *Ticket[T]) Payload() T { return t.payload }
@@ -103,15 +93,7 @@ func (t *Ticket[T]) Payload() T { return t.payload }
 // that as a canceled job exactly like a never-dequeued one.
 func (t *Ticket[T]) Cancel() bool { return t.q.cancel(t) }
 
-// Attempts returns how many times the ticket has been dequeued so far
-// (1 after its first Dequeue, growing only via Requeue round trips).
-func (t *Ticket[T]) Attempts() int {
-	t.q.mu.Lock()
-	defer t.q.mu.Unlock()
-	return t.attempts
-}
-
-// Queue is a bounded multi-class priority queue. Use New.
+// Queue is a bounded multi-class FIFO queue. Use New.
 type Queue[T any] struct {
 	max int
 	met queueMetrics
@@ -188,7 +170,7 @@ func (q *Queue[T]) Submit(ctx context.Context, payload T, opts SubmitOptions) (*
 	q.seq++
 	t := &Ticket[T]{
 		id:      q.seq,
-		opts:    opts,
+		class:   opts.Class,
 		payload: payload,
 		enq:     time.Now(),
 		q:       q,
@@ -223,9 +205,9 @@ func (q *Queue[T]) Submit(ctx context.Context, payload T, opts SubmitOptions) (*
 
 // Dequeue blocks until a ticket is available and returns it, rotating
 // fairly across classes: each nonempty class yields one ticket per
-// round-robin cycle, and within a class the order is priority desc,
-// deadline asc, FIFO. It returns ctx.Err() when ctx cancels first, and
-// ErrClosed once the queue is closed and drained.
+// round-robin cycle, and within a class tickets leave in arrival order. It
+// returns ctx.Err() when ctx cancels first, and ErrClosed once the queue is
+// closed and drained.
 func (q *Queue[T]) Dequeue(ctx context.Context) (*Ticket[T], error) {
 	if ctx.Done() != nil {
 		// A canceled ctx must wake a parked waiter; Broadcast (not Signal)
@@ -280,7 +262,6 @@ func (q *Queue[T]) popLocked() (t *Ticket[T]) {
 	}
 	t.state = stateDequeued
 	t.index = -1
-	t.attempts++
 	if t.stop != nil {
 		t.stop() // the ticket is off the queue; the ctx watcher is moot
 	}
@@ -298,7 +279,7 @@ func (q *Queue[T]) cancel(t *Ticket[T]) bool {
 	if t.state != stateQueued {
 		return false
 	}
-	heap.Remove(q.classes[t.opts.Class], t.index)
+	heap.Remove(q.classes[t.class], t.index)
 	t.state = stateCanceled
 	t.index = -1
 	q.depth--
@@ -310,9 +291,9 @@ func (q *Queue[T]) cancel(t *Ticket[T]) bool {
 // Requeue re-admits a dequeued ticket whose execution attempt failed
 // externally — the lease-reassignment path of the serving layer: a worker
 // that held the job missed its heartbeats, so the job must go back and run
-// elsewhere. The ticket keeps its class, priority, deadline and original
-// FIFO rank (its sequence id), so a reassigned job overtakes everything
-// that arrived after it rather than rejoining at the tail.
+// elsewhere. The ticket keeps its class and original arrival rank (its
+// sequence id), so a reassigned job overtakes everything that arrived after
+// it rather than rejoining at the tail.
 //
 // Requeue deliberately bypasses both MaxDepth and Close: the job was
 // already admitted once, and dropping it now would violate the
@@ -332,7 +313,7 @@ func (q *Queue[T]) Requeue(t *Ticket[T]) error {
 	t.state = stateQueued
 	// The class heap always exists: classes are created at first Submit and
 	// never removed.
-	heap.Push(q.classes[t.opts.Class], t)
+	heap.Push(q.classes[t.class], t)
 	q.depth++
 	q.met.requeued.Inc()
 	q.met.depth.Set(int64(q.depth))
@@ -366,29 +347,14 @@ func (q *Queue[T]) Pressure() float64 {
 	return float64(q.depth) / float64(q.max)
 }
 
-// classHeap orders one class's tickets: priority desc, then deadline asc
-// (zero deadline last), then submission order.
+// classHeap orders one class's tickets by arrival (sequence id). A heap,
+// not a FIFO slice, because a requeued ticket goes back to its original
+// rank and a canceled one leaves from the middle.
 type classHeap[T any] []*Ticket[T]
 
 func (h classHeap[T]) Len() int { return len(h) }
 
-func (h classHeap[T]) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if a.opts.Priority != b.opts.Priority {
-		return a.opts.Priority > b.opts.Priority
-	}
-	ad, bd := a.opts.Deadline, b.opts.Deadline
-	if !ad.Equal(bd) {
-		if ad.IsZero() {
-			return false
-		}
-		if bd.IsZero() {
-			return true
-		}
-		return ad.Before(bd)
-	}
-	return a.id < b.id
-}
+func (h classHeap[T]) Less(i, j int) bool { return h[i].id < h[j].id }
 
 func (h classHeap[T]) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]

@@ -23,16 +23,19 @@ func mustSubmit(t *testing.T, q *Queue[int], v int, o SubmitOptions) *Ticket[int
 	return tk
 }
 
-func TestPriorityThenDeadlineThenFIFO(t *testing.T) {
+// TestFIFOWithinClass pins the queue's order: two classes submitted
+// interleaved leave alternately, one per class in turn, and each class in
+// its own submission order.
+func TestFIFOWithinClass(t *testing.T) {
 	q, _ := newTest(16)
-	base := time.Now()
-	mustSubmit(t, q, 1, SubmitOptions{Priority: 0})                                    // FIFO floor
-	mustSubmit(t, q, 2, SubmitOptions{Priority: 0})                                    // same class+pri, later
-	mustSubmit(t, q, 3, SubmitOptions{Priority: 1, Deadline: base.Add(2 * time.Hour)}) // high pri, late deadline
-	mustSubmit(t, q, 4, SubmitOptions{Priority: 1, Deadline: base.Add(time.Hour)})     // high pri, early deadline
-	mustSubmit(t, q, 5, SubmitOptions{Priority: 1})                                    // high pri, no deadline: last among pri 1
+	for _, s := range []struct {
+		class string
+		v     int
+	}{{"batch", 1}, {"batch", 2}, {"live", 3}, {"batch", 4}, {"live", 5}, {"live", 6}, {"batch", 7}} {
+		mustSubmit(t, q, s.v, SubmitOptions{Class: s.class})
+	}
 
-	want := []int{4, 3, 5, 1, 2}
+	want := []int{1, 3, 2, 5, 4, 6, 7}
 	for i, w := range want {
 		tk, err := q.Dequeue(context.Background())
 		if err != nil {
@@ -60,7 +63,7 @@ func TestClassRoundRobinFairness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tk.Class() == "live" {
+		if tk.Payload() < 100 { // a live job
 			liveSeen++
 		}
 	}
@@ -190,46 +193,27 @@ func TestTryDequeue(t *testing.T) {
 }
 
 // TestRequeuePreservesOrdering pins the lease-reassignment contract: a
-// requeued ticket keeps its priority, deadline and original FIFO rank, so
-// it dequeues ahead of everything that arrived after it.
+// requeued ticket keeps its original arrival rank, so it dequeues ahead of
+// everything that arrived after it, and the same ticket comes back.
 func TestRequeuePreservesOrdering(t *testing.T) {
 	q, reg := newTest(8)
 	first := mustSubmit(t, q, 1, SubmitOptions{})
 	mustSubmit(t, q, 2, SubmitOptions{})
-	mustSubmit(t, q, 3, SubmitOptions{Priority: 5})
 
-	// Priority wins the first pop; requeue it and it must win again.
+	// Job 1 requeued after job 2 was already waiting still dequeues first
+	// (the original sequence id is its rank).
 	tk, _ := q.TryDequeue()
-	if tk.Payload() != 3 {
-		t.Fatalf("first pop %d, want priority job 3", tk.Payload())
-	}
-	if err := q.Requeue(tk); err != nil {
-		t.Fatal(err)
-	}
-	if tk, _ = q.TryDequeue(); tk.Payload() != 3 {
-		t.Fatalf("pop after priority requeue %d, want 3", tk.Payload())
-	}
-
-	// FIFO rank: job 1 requeued after job 2 was already waiting still
-	// dequeues first (original sequence id is the tiebreak).
-	tk, _ = q.TryDequeue()
-	if tk.Payload() != 1 {
+	if tk != first {
 		t.Fatalf("pop %d, want 1", tk.Payload())
 	}
 	if err := q.Requeue(tk); err != nil {
 		t.Fatal(err)
 	}
-	if tk, _ = q.TryDequeue(); tk.Payload() != 1 {
-		t.Fatalf("pop after FIFO requeue %d, want 1", tk.Payload())
+	if tk, _ = q.TryDequeue(); tk != first {
+		t.Fatalf("pop after requeue %d, want the requeued ticket of job 1", tk.Payload())
 	}
-	if got := tk.Attempts(); got != 2 {
-		t.Fatalf("attempts %d, want 2", got)
-	}
-	if got := first.Attempts(); got != 2 {
-		t.Fatalf("first ticket attempts %d, want 2", got)
-	}
-	if got := reg.Snapshot().CounterTotal("queue_requeued"); got != 2 {
-		t.Fatalf("requeued counter %d, want 2", got)
+	if got := reg.Snapshot().CounterTotal("queue_requeued"); got != 1 {
+		t.Fatalf("requeued counter %d, want 1", got)
 	}
 }
 

@@ -66,10 +66,7 @@ func TestStressExactlyOnce(t *testing.T) {
 			for i := 0; i < perSubmitter; i++ {
 				id := s*perSubmitter + i
 				ctx, cancel := context.WithCancel(context.Background())
-				tk, err := q.Submit(ctx, id, SubmitOptions{
-					Class:    classes[rng.Intn(len(classes))],
-					Priority: rng.Intn(3),
-				})
+				tk, err := q.Submit(ctx, id, SubmitOptions{Class: classes[rng.Intn(len(classes))]})
 				if err != nil {
 					cancel()
 					if !errors.Is(err, ErrFull) {
@@ -165,6 +162,7 @@ func TestStressRequeueExactlyOnce(t *testing.T) {
 
 	var (
 		executed [total]atomic.Int32
+		dequeues [total]atomic.Int32 // dequeues per payload, to cap requeues
 		accepted [total]atomic.Bool
 		rejected atomic.Int64
 		canceled atomic.Int64 // cancellations that won (Cancel returned true)
@@ -187,7 +185,7 @@ func TestStressRequeueExactlyOnce(t *testing.T) {
 				}
 				// Simulated lease expiry: put the ticket back instead of
 				// executing, up to maxAttempts total dequeues per ticket.
-				if tk.Attempts() < maxAttempts && rng.Intn(3) == 0 {
+				if dequeues[tk.Payload()].Add(1) < maxAttempts && rng.Intn(3) == 0 {
 					if err := q.Requeue(tk); err != nil {
 						t.Errorf("requeue: %v", err)
 					}
@@ -212,10 +210,7 @@ func TestStressRequeueExactlyOnce(t *testing.T) {
 			for i := 0; i < perSubmitter; i++ {
 				id := s*perSubmitter + i
 				ctx, cancel := context.WithCancel(context.Background())
-				tk, err := q.Submit(ctx, id, SubmitOptions{
-					Class:    classes[rng.Intn(len(classes))],
-					Priority: rng.Intn(3),
-				})
+				tk, err := q.Submit(ctx, id, SubmitOptions{Class: classes[rng.Intn(len(classes))]})
 				if err != nil {
 					cancel()
 					if !errors.Is(err, ErrFull) {

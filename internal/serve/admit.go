@@ -22,22 +22,19 @@ import (
 var ErrDeadlineInfeasible = errors.New("serve: no server class can meet the requested deadline")
 
 // JobRequest is the POST /jobs body: the task parameters of the paper's
-// studies plus the queueing class/priority/deadline of the serving layer.
+// studies plus the fairness class and service deadline of the serving
+// layer. Within a class, jobs are queued in arrival order.
 // Segments and Ladder expand the request into a multi-part job graph: the
 // submitted job becomes a parent record whose rung x segment sub-jobs flow
 // through the queue as ordinary leased units, are placed independently,
 // and settle back into the parent (which completes only when every part
 // has).
 type JobRequest struct {
-	Video    string `json:"video"`
-	CRF      int    `json:"crf,omitempty"`      // 0: 23
-	Refs     int    `json:"refs,omitempty"`     // 0: 3
-	Preset   string `json:"preset,omitempty"`   // "": medium
-	Class    string `json:"class,omitempty"`    // fairness class
-	Priority int    `json:"priority,omitempty"` // higher dequeues first
-	// DeadlineMs is a relative deadline in milliseconds used for intra-class
-	// ordering (0: none).
-	DeadlineMs int64 `json:"deadline_ms,omitempty"`
+	Video  string `json:"video"`
+	CRF    int    `json:"crf,omitempty"`    // 0: 23
+	Refs   int    `json:"refs,omitempty"`   // 0: 3
+	Preset string `json:"preset,omitempty"` // "": medium
+	Class  string `json:"class,omitempty"`  // fairness class
 	// DeadlineSeconds caps the simulated service seconds of each placed
 	// unit (the whole encode, or each part of a segmented/ladder job).
 	// Admission rejects the job with ErrDeadlineInfeasible when no live
@@ -181,7 +178,7 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) (JobView, error) {
 	now := time.Now()
 	unit := func(rg rungSpec, seg codec.Segment) *record {
 		return &record{
-			task: rg.task, opts: rg.opts, class: req.Class, priority: req.Priority,
+			task: rg.task, opts: rg.opts, class: req.Class,
 			seg: seg, rung: rg.name,
 			done: make(chan struct{}), state: StateQueued, enq: now,
 
@@ -220,17 +217,11 @@ func (s *Server) Submit(ctx context.Context, req JobRequest) (JobView, error) {
 	s.registerLocked(job)
 	s.jobsMu.Unlock()
 
-	var deadline time.Time
-	if req.DeadlineMs > 0 {
-		deadline = now.Add(time.Duration(req.DeadlineMs) * time.Millisecond)
-	}
 	tickets := make([]*queue.Ticket[*record], len(units))
 	for i, u := range units {
 		// The queue's own ctx watcher is bypassed (Background) so that the
 		// serving layer observes every cancellation and can settle the record.
-		tk, err := s.q.Submit(context.Background(), u, queue.SubmitOptions{
-			Class: req.Class, Priority: req.Priority, Deadline: deadline,
-		})
+		tk, err := s.q.Submit(context.Background(), u, queue.SubmitOptions{Class: req.Class})
 		if err != nil {
 			// All-or-nothing: withdraw the units already admitted and drop
 			// the records. The client never learned the id, so no

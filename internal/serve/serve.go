@@ -139,7 +139,6 @@ type JobView struct {
 	CRF        int       `json:"crf"`
 	Refs       int       `json:"refs"`
 	Preset     string    `json:"preset"`
-	Priority   int       `json:"priority,omitempty"`
 	Server     string    `json:"server,omitempty"` // config name (loopback) / worker id (fleet)
 	Mode       string    `json:"mode,omitempty"`   // smart | random | cold
 	Attempts   int       `json:"attempts,omitempty"`
@@ -191,14 +190,13 @@ type Totals struct {
 
 // record is the server-side job state; mu guards the mutable fields.
 type record struct {
-	seq      uint64
-	id       string
-	task     sched.Task
-	opts     codec.Options
-	class    string
-	priority int
-	seg      codec.Segment // frame range of a segment part (zero: whole clip)
-	rung     string        // ladder rendition name ("" outside ladders)
+	seq   uint64
+	id    string
+	task  sched.Task
+	opts  codec.Options
+	class string
+	seg   codec.Segment // frame range of a segment part (zero: whole clip)
+	rung  string        // ladder rendition name ("" outside ladders)
 
 	// Economic metadata, immutable after submit. deadlineSeconds caps the
 	// simulated service seconds of this unit; qualityFloor is the worst
@@ -262,7 +260,7 @@ func (r *record) view() JobView {
 	v := JobView{
 		ID: r.id, State: r.state, Class: r.class,
 		Video: r.task.Video, CRF: r.task.CRF, Refs: r.task.Refs,
-		Preset: string(r.task.Preset), Priority: r.priority,
+		Preset: string(r.task.Preset),
 		Server: r.server, Mode: r.mode, Attempts: r.attempts,
 		Submitted: r.enq, Started: r.started, Finished: r.finished,
 		SimSeconds: r.seconds, Error: r.errMsg,
@@ -544,12 +542,13 @@ func (s *Server) WaitJob(ctx context.Context, id string) (JobView, error) {
 // bitstream: the heap one settled record keeps reachable from Server.jobs
 // (the record, its done channel, id strings, map slot, window entry and, for
 // a part, its queue ticket). Measured with go1.24 on the loopback as the heap
-// freed by clearing Server.jobs: 1 685 360 B after 2 000 plain jobs (843 B
-// each), and 3 024 832 B after 300 two-segment, three-rung ladders, of which
-// 997 500 B were part streams and 300 x 843 B the parents (986 B a part).
+// freed by clearing Server.jobs and the window: 1 685 344 B after 2 000
+// plain jobs (843 B each), and 3 066 944 B after 300 two-segment, three-rung
+// ladders, of which 1 095 000 B were part streams and 300 x 843 B the
+// parents (955 B a part).
 const (
 	jobRecordBytes  = 843
-	partRecordBytes = 986
+	partRecordBytes = 955
 )
 
 // retained is one settled client-visible job in the retention window and

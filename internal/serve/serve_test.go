@@ -250,7 +250,7 @@ func TestHTTPLifecycle(t *testing.T) {
 		return resp, view
 	}
 
-	resp, view := post(`{"video":"bbb","class":"live","priority":1}`)
+	resp, view := post(`{"video":"bbb","class":"live"}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit status %d, want 202", resp.StatusCode)
 	}
@@ -359,6 +359,8 @@ func TestHTTPAdmissionFull(t *testing.T) {
 func FuzzSubmitRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"video":"bbb"}`,
+		// priority and deadline_ms are no JobRequest fields: unknown
+		// fields, which the decoder ignores.
 		`{"video":"desktop","crf":40,"refs":2,"preset":"fast","class":"live","priority":3,"deadline_ms":500}`,
 		`{"video":"bbb","refs":8}`,
 		`{"video":"bbb","deadline_seconds":1e-9}`,

@@ -345,14 +345,6 @@ func (t *TAGE) foldedHist(n uint) uint64 {
 	return h ^ (h >> 7) ^ (h >> 13)
 }
 
-func (t *TAGE) index(pc uint64, comp int) uint64 {
-	return (hashPC(pc, t.bits) ^ t.foldedHist(t.hlens[comp])) & ((1 << t.bits) - 1)
-}
-
-func (t *TAGE) tag(pc uint64, comp int) uint16 {
-	return uint16((pc>>2 ^ uint64(comp)<<9 ^ t.foldedHist(t.hlens[comp])*3) & 0x3FF)
-}
-
 // PredictUpdate follows the TAGE algorithm: longest matching component
 // provides the prediction; allocation on mispredict.
 //

@@ -25,14 +25,6 @@ type Stats struct {
 	Misses   uint64
 }
 
-// MissRate returns misses/accesses (0 when idle).
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is a set-associative cache with true-LRU replacement.
 //
 // Each set is assoc contiguous keys held in recency order: way 0 is the

@@ -81,17 +81,6 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Fatal("idle miss rate")
-	}
-	s = Stats{Accesses: 10, Misses: 3}
-	if s.MissRate() != 0.3 {
-		t.Fatalf("miss rate %f", s.MissRate())
-	}
-}
-
 func TestStreamLargerThanCacheMissesEverySweep(t *testing.T) {
 	c := New(Config{Name: "t", Size: 4096, LineSize: 64, Assoc: 4})
 	// Stream 4x the capacity twice: with LRU, the second sweep also misses.

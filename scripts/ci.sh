@@ -85,6 +85,12 @@ if grep -rnE 'late[S]ettle|late_[d]iscarded|\.[s]uperseded\b|^\s*[s]uperseded\s+
 # two serve.RunClosedLoop runs (no comparison types wrapping them).
 if grep -rnE '^\s*[l]eases\s+map\[' --include='*.go' --exclude='*_test.go' internal/serve; then exit 1; fi
 if grep -rnE '\bRun(Cost)?[C]omparison\b|\bCost[C]omparison\b|func \(s \*Server\) [e]xecutable\b' --include='*.go' --exclude='*_test.go' .; then exit 1; fi
+# A class's jobs leave the queue in arrival order: the priority and the
+# wall-clock deadline no client sent were deleted with the three-key order
+# they fed, and so was the ticket's attempt count that only tests read.
+# The facade's trace trio went too (benchmarks call internal/trace).
+if grep -rnE 'Deadline[M]s|deadline_[m]s|\bP[r]iority\b|A[t]tempts\(\)' --include='*.go' --exclude='*_test.go' internal/queue internal/serve; then exit 1; fi
+if grep -nE '\b(ParsedDecode[T]race|Parse[T]race|Replay[T]race)\b' transcoding.go; then exit 1; fi
 # A cached decode keeps each frame's visible pixels, not the padded frame:
 # every caller materializes frames of its own from them, so the deep copy
 # of shared cached frames was deleted and does not come back.

@@ -3,10 +3,11 @@
 #
 # CSV: run cmd/sweep twice on a tiny 2x2 crf×refs grid over the smallest
 # proxy in the vbench catalog (presentation: 1080p source, entropy 0.2,
-# ~480x270 proxy) and cmp the outputs. Each run is a fresh process, so
-# every cache is cold both times; any nondeterminism in the simulator, the
-# worker pool's completion order, or the sweep's row ordering shows up as
-# a byte diff.
+# ~480x270 proxy), once at GOMAXPROCS=1 and once at GOMAXPROCS=4, and cmp
+# the outputs. Each run is a fresh process, so every cache is cold both
+# times, and the two pool widths finish points in different orders; any
+# nondeterminism in the simulator, the worker pool's completion order, or
+# the sweep's row ordering shows up as a byte diff.
 #
 # Segment stitch: for each of 1/2/4 segments, encode the same clip twice —
 # once serially (the reference: fresh encoder per segment, one shared trace
@@ -25,11 +26,12 @@ trap 'rm -rf "$tmp"' EXIT
 
 args=(-mode crf-refs -video presentation -frames 4 -crfs 23,33 -refs 1,2)
 
-go run ./cmd/sweep "${args[@]}" >"$tmp/a.csv"
-go run ./cmd/sweep "${args[@]}" >"$tmp/b.csv"
+go build -o "$tmp/sweep" ./cmd/sweep
+GOMAXPROCS=1 "$tmp/sweep" "${args[@]}" >"$tmp/a.csv"
+GOMAXPROCS=4 "$tmp/sweep" "${args[@]}" >"$tmp/b.csv"
 
 cmp "$tmp/a.csv" "$tmp/b.csv"
-echo "determinism ok: two fresh-process cold-cache sweeps produced byte-identical CSV ($(wc -c <"$tmp/a.csv") bytes)"
+echo "determinism ok: fresh-process cold-cache sweeps at GOMAXPROCS 1 and 4 produced byte-identical CSV ($(wc -c <"$tmp/a.csv") bytes)"
 
 go build -o "$tmp/transcode" ./cmd/transcode
 enc=(-video desktop -frames 8 -scale 8 -crf 28)

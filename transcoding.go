@@ -65,8 +65,6 @@ type (
 	// Plan is a declarative sweep for the generic Sweep engine: a point
 	// count plus an indexed point builder.
 	Plan = core.Plan
-	// MachineResult carries the raw counter state of a finished simulation.
-	MachineResult = uarch.Result
 	// DecoderOptions configure decode-side instrumentation and tuning.
 	DecoderOptions = codec.DecoderOptions
 	// Task is one schedulable transcoding job (a Table III row).
@@ -212,34 +210,6 @@ func SweepCRFRefsWith(ctx context.Context, w Workload, base Options, cfg Config,
 // completes in the background for the next caller.
 func DecodedMezzanine(ctx context.Context, w Workload, opt DecoderOptions) ([]*Frame, []byte, error) {
 	return core.DecodedMezzanine(ctx, w, opt)
-}
-
-// ReplayTrace re-drives a recorded event buffer into a fresh machine of the
-// given configuration and returns its raw counters — the decode half of a
-// transcode at replay speed.
-func ReplayTrace(events []byte, cfg Config) (*MachineResult, error) {
-	m := uarch.NewMachine(cfg, trace.NewImage(nil))
-	if err := trace.Replay(events, m); err != nil {
-		return nil, err
-	}
-	return m.Result(), nil
-}
-
-// EventBuf is a parsed trace: a recorded buffer validated once, with its
-// event count. It views the recorded bytes rather than copying them, and
-// replays into any number of machines without re-checking them.
-type EventBuf = trace.EventBuf
-
-// ParseTrace validates a recorded event buffer into its parsed form.
-func ParseTrace(events []byte) (*EventBuf, error) {
-	return trace.Parse(events)
-}
-
-// ParsedDecodeTrace returns the cached parsed form of a workload's
-// recorded decode trace (built on first use). The returned buffer is
-// shared cache state and must be treated as read-only.
-func ParsedDecodeTrace(ctx context.Context, w Workload, opt DecoderOptions) (*EventBuf, error) {
-	return core.ParsedDecodeTrace(ctx, w, opt)
 }
 
 // SweepPresets profiles the presets at fixed crf/refs (Figure 6).
