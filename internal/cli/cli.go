@@ -143,7 +143,7 @@ func Progress(name string, off bool) func(done, total int) {
 }
 
 // Summary prints the end-of-run telemetry digest on stderr (one line:
-// points, per-point latency quantiles, cache traffic, failures) unless off
+// points, per-run latency quantiles, cache traffic, failures) unless off
 // is true. It reads the default obs registry, so it reflects everything
 // the process ran.
 func Summary(name string, off bool) {
@@ -162,6 +162,9 @@ func SummaryLine(name string, s obs.Snapshot) string {
 		fmt.Fprintf(&b, " %d points", total)
 		if failed := s.CounterTotal("core_sweep_points_failed"); failed > 0 {
 			fmt.Fprintf(&b, " (%d failed)", failed)
+		}
+		if shared := s.CounterTotal("core_sweep_points_shared"); shared > 0 {
+			fmt.Fprintf(&b, " (%d shared a run)", shared)
 		}
 	}
 	if h, ok := s.HistogramByName("core_sweep_point_ns"); ok && h.Count > 0 {

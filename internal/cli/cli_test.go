@@ -51,6 +51,7 @@ func TestSummaryLine(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("core_sweep_points_total").Add(16)
 	r.Counter("core_sweep_points_failed").Add(2)
+	r.Counter("core_sweep_points_shared").Add(5)
 	r.Counter("core_cache_hits", "cache", "snapshot").Add(12)
 	r.Counter("core_cache_misses", "cache", "snapshot").Add(4)
 	r.Counter("core_cache_bytes", "cache", "decoded").Add(3 << 20)
@@ -60,7 +61,7 @@ func TestSummaryLine(t *testing.T) {
 	}
 	line := SummaryLine("sweep", r.Snapshot())
 	for _, want := range []string{
-		"sweep:", "16 points", "(2 failed)", "p50", "p95", "p99",
+		"sweep:", "16 points", "(2 failed)", "(5 shared a run)", "p50", "p95", "p99",
 		"12 hits / 4 misses", "3.0 MiB resident", "5 evicted",
 	} {
 		if !strings.Contains(line, want) {

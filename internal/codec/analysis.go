@@ -77,6 +77,16 @@ func (a *Analysis) SizeBytes() int64 {
 		int64(8*(len(a.look.intra)+len(a.look.fwd)+len(a.look.bwd)))
 }
 
+// ReachableRefs is the most list-0 references any coded frame of an encode
+// with opt over the analyzed clip can use, and at least 1. Frame types are
+// a pure function of the options and the artifact's lookahead costs, and
+// EncodeAll clamps Refs to this same value, so an encode with Refs R and
+// one with min(R, ReachableRefs(opt)) are identical: stream, statistics and
+// trace events. opt must be an option set the artifact was analyzed for.
+func (a *Analysis) ReachableRefs(opt Options) int {
+	return reachableRefs(decideTypes(&opt, &a.look))
+}
+
 // varianceAt returns the cached AQ activity of macroblock (mx, my) of the
 // frame with the given PTS; ok is false when the artifact has no entry (no
 // variance map, or a PTS outside the analyzed clip).

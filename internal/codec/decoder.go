@@ -240,8 +240,8 @@ func (d *Decoder) decodeFrame() (*frame.Frame, FrameType, int, error) {
 	rec.ExtendEdges()
 	if t != FrameB {
 		d.dpb = append([]*frame.Frame{rec}, d.dpb...)
-		if len(d.dpb) > 16 {
-			d.dpb = d.dpb[:16]
+		if len(d.dpb) > dpbSize {
+			d.dpb = d.dpb[:dpbSize]
 		}
 	}
 	return rec, t, frameQP, nil

@@ -102,9 +102,12 @@ func (e *Encoder) allocVA(f *frame.Frame) {
 
 // getRecon returns a reconstruction buffer, reusing retired ones. Like
 // x264's picture pool, buffer reuse keeps the encoder's steady-state
-// footprint at refs+2 frames instead of growing per frame — without it,
-// every frame's first touches would be compulsory cache misses and the
-// cache-capacity effects the experiments study would drown in cold traffic.
+// footprint at dpbSize+1 frames (the anchors pushAnchor keeps, whatever
+// Refs is, plus the picture being coded) instead of growing per frame —
+// without it, every frame's first touches would be compulsory cache misses
+// and the cache-capacity effects the experiments study would drown in cold
+// traffic. Because the DPB depth does not follow Refs, a Refs above what
+// the clip can reach (reachableRefs) leaves the encode unchanged.
 func (e *Encoder) getRecon() *frame.Frame {
 	if n := len(e.pool); n > 0 {
 		f := e.pool[n-1]
@@ -180,7 +183,10 @@ func (e *Encoder) EncodeAll(frames []*frame.Frame) ([]byte, *Stats, error) {
 		e.stageEnd(StageLookahead, t0)
 		e.flushStages()
 	}
-	types := e.decideTypes(frames, lc)
+	types := decideTypes(&e.opt, lc)
+	// No coded frame has more list-0 candidates than the clip can reach, so
+	// equal clamped options give an equal encode.
+	e.opt.Refs = min(e.opt.Refs, reachableRefs(types))
 
 	// A per-call value, not encoder state: the returned *Stats must not pin
 	// the encoder (recon frames, tracer) or change under a later EncodeAll.
@@ -192,39 +198,14 @@ func (e *Encoder) EncodeAll(frames []*frame.Frame) ([]byte, *Stats, error) {
 		dct8x8: e.opt.DCT8x8,
 	})
 
-	// Coding order: anchors first, then the B frames they close.
-	var pendingB []int
-	encodeOne := func(i int, t FrameType) {
+	codingOrder(types, func(i int, t FrameType, _ int) {
 		var list1 *frame.Frame
 		list0 := e.dpb
 		if t == FrameB {
-			if len(e.dpb) < 2 {
-				t = FrameP // not enough anchors; degrade
-			} else {
-				list1 = e.dpb[0]
-				list0 = e.dpb[1:]
-			}
-		}
-		if t != FrameI && len(list0) == 0 {
-			t = FrameI
+			list1, list0 = e.dpb[0], e.dpb[1:]
 		}
 		stats.Frames = append(stats.Frames, e.encodeFrame(frames[i], t, list0, list1))
-	}
-	for i, t := range types {
-		if t == FrameB {
-			pendingB = append(pendingB, i)
-			continue
-		}
-		encodeOne(i, t)
-		for _, b := range pendingB {
-			encodeOne(b, FrameB)
-		}
-		pendingB = pendingB[:0]
-	}
-	// Trailing B frames with no closing anchor degrade to P.
-	for _, b := range pendingB {
-		encodeOne(b, FrameP)
-	}
+	})
 
 	out := e.bw.Bytes()
 	var psnrSum float64
@@ -236,13 +217,74 @@ func (e *Encoder) EncodeAll(frames []*frame.Frame) ([]byte, *Stats, error) {
 	return out, stats, nil
 }
 
+// dpbSize is the most reconstructed anchors the encoder and decoder keep.
+const dpbSize = 16
+
+// codingOrder walks display-order frame types in coding order — each
+// anchor, then the B frames it closes — and calls visit with each frame's
+// display index, the type it is coded as and the list-0 references it has.
+// A B frame with fewer than two anchors, or with no closing anchor, is
+// coded as P; a P frame with no anchor at all is coded as I. EncodeAll
+// encodes in this order and reachableRefs measures it, so the two cannot
+// disagree.
+func codingOrder(types []FrameType, visit func(i int, t FrameType, list0 int)) {
+	anchors := 0
+	code := func(i int, t FrameType) {
+		list0 := anchors
+		if t == FrameB {
+			if anchors < 2 {
+				t = FrameP
+			} else {
+				list0-- // the newest anchor is list 1
+			}
+		}
+		if t == FrameP && list0 == 0 {
+			t = FrameI
+		}
+		if t == FrameI {
+			list0 = 0
+		}
+		visit(i, t, list0)
+		if t != FrameB {
+			anchors = min(anchors+1, dpbSize)
+		}
+	}
+	var pendingB []int
+	for i, t := range types {
+		if t == FrameB {
+			pendingB = append(pendingB, i)
+			continue
+		}
+		code(i, t)
+		for _, b := range pendingB {
+			code(b, FrameB)
+		}
+		pendingB = pendingB[:0]
+	}
+	for _, b := range pendingB {
+		code(b, FrameP)
+	}
+}
+
+// reachableRefs is the most list-0 references any frame of types can use
+// in coding order, and never less than 1, the smallest valid Refs. An
+// encode uses min(Refs, len(list0)) references per frame, so every Refs at
+// or above this value encodes the same.
+func reachableRefs(types []FrameType) int {
+	reach := 1
+	codingOrder(types, func(_ int, _ FrameType, list0 int) {
+		reach = max(reach, list0)
+	})
+	return reach
+}
+
 // pushAnchor inserts a reconstructed anchor at the head of the DPB,
 // recycling the anchor that falls out of reference range.
 func (e *Encoder) pushAnchor(rec *frame.Frame) {
 	e.dpb = append([]*frame.Frame{rec}, e.dpb...)
-	if len(e.dpb) > 16 {
-		e.recycle(e.dpb[16])
-		e.dpb = e.dpb[:16]
+	if len(e.dpb) > dpbSize {
+		e.recycle(e.dpb[dpbSize])
+		e.dpb = e.dpb[:dpbSize]
 	}
 }
 

@@ -122,9 +122,11 @@ func (e *Encoder) lookaheadInter(cur, ref *frame.Frame) int {
 }
 
 // decideTypes assigns a frame type to every display frame using scenecut
-// detection, the keyframe interval, and the configured B-frame policy.
-func (e *Encoder) decideTypes(frames []*frame.Frame, lc *lookaheadCosts) []FrameType {
-	n := len(frames)
+// detection, the keyframe interval, and the configured B-frame policy. It is
+// a pure function of the options and the lookahead costs, so an Analysis
+// artifact decides the same types an encode will (ReachableRefs).
+func decideTypes(opt *Options, lc *lookaheadCosts) []FrameType {
+	n := len(lc.intra)
 	types := make([]FrameType, n)
 	types[0] = FrameI
 	sinceI := 0
@@ -133,12 +135,12 @@ func (e *Encoder) decideTypes(frames []*frame.Frame, lc *lookaheadCosts) []Frame
 	for i := 1; i < n; i++ {
 		sinceI++
 		cut := false
-		if e.opt.Scenecut > 0 {
+		if opt.Scenecut > 0 {
 			// A hard cut makes motion compensation no better than intra.
-			thresh := 0.40 + 0.45*float64(100-e.opt.Scenecut)/100
+			thresh := 0.40 + 0.45*float64(100-opt.Scenecut)/100
 			cut = float64(lc.fwd[i]) > thresh*float64(lc.intra[i])
 		}
-		if sinceI >= e.opt.KeyintMax || cut {
+		if sinceI >= opt.KeyintMax || cut {
 			types[i] = FrameI
 			sinceI = 0
 		} else {
@@ -147,7 +149,7 @@ func (e *Encoder) decideTypes(frames []*frame.Frame, lc *lookaheadCosts) []Frame
 	}
 
 	// Pass 2: upgrade runs between anchors to B frames.
-	if e.opt.BFrames > 0 {
+	if opt.BFrames > 0 {
 		run := 0
 		for i := 1; i < n-1; i++ {
 			if types[i] != FrameP {
@@ -160,7 +162,7 @@ func (e *Encoder) decideTypes(frames []*frame.Frame, lc *lookaheadCosts) []Frame
 				continue
 			}
 			eligible := false
-			switch e.opt.BAdapt {
+			switch opt.BAdapt {
 			case 0:
 				eligible = true
 			case 1:
@@ -172,7 +174,7 @@ func (e *Encoder) decideTypes(frames []*frame.Frame, lc *lookaheadCosts) []Frame
 				}
 				eligible = float64(c) < 0.55*float64(lc.intra[i])
 			}
-			if eligible && run < e.opt.BFrames {
+			if eligible && run < opt.BFrames {
 				types[i] = FrameB
 				run++
 			} else {

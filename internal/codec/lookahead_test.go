@@ -1,10 +1,6 @@
 package codec
 
-import (
-	"testing"
-
-	"repro/internal/frame"
-)
+import "testing"
 
 // syntheticCosts fabricates lookahead costs for unit-testing the type
 // decision without running pixel analysis.
@@ -18,39 +14,26 @@ func syntheticCosts(n int, intra, fwd func(i int) int) *lookaheadCosts {
 	return lc
 }
 
-func newTypeEncoder(t *testing.T, mutate func(*Options)) *Encoder {
-	t.Helper()
+// typeOptions returns the default options with mutate applied.
+func typeOptions(mutate func(*Options)) *Options {
 	opt := Defaults()
 	if mutate != nil {
 		mutate(&opt)
 	}
-	enc, err := NewEncoder(64, 64, 30, opt, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return enc
-}
-
-func dummyFrames(n int) []*frame.Frame {
-	out := make([]*frame.Frame, n)
-	for i := range out {
-		out[i] = frame.New(64, 64)
-		out[i].PTS = i
-	}
-	return out
+	return &opt
 }
 
 func TestDecideTypesFirstFrameIsI(t *testing.T) {
-	enc := newTypeEncoder(t, nil)
+	opt := typeOptions(nil)
 	lc := syntheticCosts(5, func(int) int { return 1000 }, func(int) int { return 100 })
-	types := enc.decideTypes(dummyFrames(5), lc)
+	types := decideTypes(opt, lc)
 	if types[0] != FrameI {
 		t.Fatal("first frame must be I")
 	}
 }
 
 func TestDecideTypesSceneCut(t *testing.T) {
-	enc := newTypeEncoder(t, func(o *Options) { o.BFrames = 0 })
+	opt := typeOptions(func(o *Options) { o.BFrames = 0 })
 	// Frame 3 has inter cost equal to intra cost: a hard cut.
 	lc := syntheticCosts(6, func(int) int { return 1000 }, func(i int) int {
 		if i == 3 {
@@ -58,7 +41,7 @@ func TestDecideTypesSceneCut(t *testing.T) {
 		}
 		return 150
 	})
-	types := enc.decideTypes(dummyFrames(6), lc)
+	types := decideTypes(opt, lc)
 	if types[3] != FrameI {
 		t.Fatalf("cut frame typed %v", types[3])
 	}
@@ -68,9 +51,9 @@ func TestDecideTypesSceneCut(t *testing.T) {
 }
 
 func TestDecideTypesScenecutDisabled(t *testing.T) {
-	enc := newTypeEncoder(t, func(o *Options) { o.Scenecut = 0; o.BFrames = 0 })
+	opt := typeOptions(func(o *Options) { o.Scenecut = 0; o.BFrames = 0 })
 	lc := syntheticCosts(6, func(int) int { return 1000 }, func(i int) int { return 1000 })
-	types := enc.decideTypes(dummyFrames(6), lc)
+	types := decideTypes(opt, lc)
 	for i := 1; i < 6; i++ {
 		if types[i] != FrameP {
 			t.Fatalf("scenecut disabled but frame %d is %v", i, types[i])
@@ -79,9 +62,9 @@ func TestDecideTypesScenecutDisabled(t *testing.T) {
 }
 
 func TestDecideTypesKeyint(t *testing.T) {
-	enc := newTypeEncoder(t, func(o *Options) { o.Scenecut = 0; o.BFrames = 0; o.KeyintMax = 4 })
+	opt := typeOptions(func(o *Options) { o.Scenecut = 0; o.BFrames = 0; o.KeyintMax = 4 })
 	lc := syntheticCosts(10, func(int) int { return 1000 }, func(int) int { return 100 })
-	types := enc.decideTypes(dummyFrames(10), lc)
+	types := decideTypes(opt, lc)
 	for _, i := range []int{0, 4, 8} {
 		if types[i] != FrameI {
 			t.Fatalf("keyint 4: frame %d is %v (%v)", i, types[i], types)
@@ -91,14 +74,14 @@ func TestDecideTypesKeyint(t *testing.T) {
 
 func TestDecideTypesBAdaptive(t *testing.T) {
 	// Low-motion frames become B under b-adapt 1; high-motion do not.
-	enc := newTypeEncoder(t, func(o *Options) { o.BFrames = 3; o.BAdapt = 1 })
+	opt := typeOptions(func(o *Options) { o.BFrames = 3; o.BAdapt = 1 })
 	lc := syntheticCosts(8, func(int) int { return 1000 }, func(i int) int {
 		if i == 4 {
 			return 900 // high motion: stays P
 		}
 		return 100 // low motion: B-eligible
 	})
-	types := enc.decideTypes(dummyFrames(8), lc)
+	types := decideTypes(opt, lc)
 	if types[4] != FrameP && types[4] != FrameI {
 		t.Fatalf("high-motion frame typed %v", types[4])
 	}
@@ -114,9 +97,9 @@ func TestDecideTypesBAdaptive(t *testing.T) {
 }
 
 func TestDecideTypesBRunBounded(t *testing.T) {
-	enc := newTypeEncoder(t, func(o *Options) { o.BFrames = 2; o.BAdapt = 0; o.Scenecut = 0 })
+	opt := typeOptions(func(o *Options) { o.BFrames = 2; o.BAdapt = 0; o.Scenecut = 0 })
 	lc := syntheticCosts(12, func(int) int { return 1000 }, func(int) int { return 10 })
-	types := enc.decideTypes(dummyFrames(12), lc)
+	types := decideTypes(opt, lc)
 	run := 0
 	for _, ft := range types {
 		if ft == FrameB {
@@ -135,9 +118,9 @@ func TestDecideTypesBRunBounded(t *testing.T) {
 }
 
 func TestDecideTypesFrameBeforeIStaysP(t *testing.T) {
-	enc := newTypeEncoder(t, func(o *Options) { o.BFrames = 3; o.BAdapt = 0; o.KeyintMax = 5; o.Scenecut = 0 })
+	opt := typeOptions(func(o *Options) { o.BFrames = 3; o.BAdapt = 0; o.KeyintMax = 5; o.Scenecut = 0 })
 	lc := syntheticCosts(10, func(int) int { return 1000 }, func(int) int { return 10 })
-	types := enc.decideTypes(dummyFrames(10), lc)
+	types := decideTypes(opt, lc)
 	for i := 1; i < len(types); i++ {
 		if types[i] == FrameI && types[i-1] == FrameB {
 			t.Fatalf("B frame immediately before I at %d: %v", i, types)

@@ -14,6 +14,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -454,6 +455,26 @@ func jobInput(pictures []*frame.Picture, seg codec.Segment) ([]*frame.Frame, err
 // completion, which bounds a canceled sweep's overhang to one in-flight
 // job per worker.
 func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
+	in, err := e.prepare(ctx, job)
+	if err != nil {
+		return nil, err
+	}
+	return e.run(ctx, in)
+}
+
+// prepared is a job resolved to the cached title-level inputs its encode
+// starts from.
+type prepared struct {
+	job Job // workload normalized
+	fps int
+	dec *decodedMezz
+	// analysis is the shared lookahead artifact; nil for two-pass ABR.
+	analysis *codec.Analysis
+}
+
+// prepare normalizes a job and fetches its decoded mezzanine and shared
+// analysis, building them on first use.
+func (e *Engine) prepare(ctx context.Context, job Job) (*prepared, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -466,36 +487,56 @@ func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	in := &prepared{job: job, fps: info.FPS}
+	dopt := decoderOptions(job.Options)
+	if in.dec, err = e.decoded(ctx, job.Workload, dopt); err != nil {
+		return nil, err
+	}
+	if job.Options.RC != codec.RCABR2 {
+		// Shared analysis: the crf/refs-invariant lookahead work is
+		// memoized once per workload. (Two-pass ABR interleaves a full
+		// first-pass encode before its lookahead, so its tracer state
+		// cannot resume from the artifact; it runs its own.)
+		if in.analysis, err = e.sharedAnalysis(ctx, job.Workload, dopt, job.Options, job.Segment); err != nil {
+			return nil, err
+		}
+	}
+	return in, nil
+}
 
-	// The decode is simulated once per (workload, decoder options) and its
-	// event stream recorded; each job then thaws a machine snapshot of its
-	// configuration and code image without re-running codec.Decoder. The
-	// machine is a deterministic event consumer, so its state — and
-	// therefore the profile — is bit-for-bit what a live decode into the
-	// job's machine produces (TestReplayRunEquivalence).
-	var snap *uarch.Snapshot
-	var analysis *codec.Analysis
+// canonical returns the job whose run is the same as this one's: Refs
+// clamped to what the clip can reach (codec.Analysis.ReachableRefs), so
+// jobs that differ only in references no frame can use are equal. Invalid
+// options and two-pass ABR, which has no artifact, are left as they are.
+func (in *prepared) canonical() Job {
+	job := in.job
+	if in.analysis != nil && job.Options.Validate() == nil {
+		job.Options.Refs = min(job.Options.Refs, in.analysis.ReachableRefs(job.Options))
+	}
+	return job
+}
+
+// run encodes a prepared job on a thawed machine snapshot.
+//
+// The decode is simulated once per (workload, decoder options) and its
+// event stream recorded; each job then thaws a machine snapshot of its
+// configuration and code image without re-running codec.Decoder. The
+// machine is a deterministic event consumer, so its state — and therefore
+// the profile — is bit-for-bit what a live decode into the job's machine
+// produces (TestReplayRunEquivalence). With a shared analysis the snapshot
+// has also consumed the artifact's recorded lookahead events, so the
+// encode starts past the lookahead at memcpy speed.
+func (e *Engine) run(ctx context.Context, in *prepared) (*Result, error) {
+	job := in.job
 	dopt := decoderOptions(job.Options)
 	img := job.Image
 	if img == nil {
 		img = defaultImage
 	}
-	dec, err := e.decoded(ctx, job.Workload, dopt)
-	if err != nil {
-		return nil, err
-	}
-	if job.Options.RC != codec.RCABR2 {
-		// Shared analysis: the crf/refs-invariant lookahead work is
-		// memoized once per workload, and the machine snapshot has already
-		// consumed both the decode trace and the artifact's recorded
-		// lookahead events — the encode starts past the lookahead at
-		// memcpy speed. (Two-pass ABR interleaves a full first-pass encode
-		// before its lookahead, so its tracer state cannot resume from the
-		// artifact; it thaws the post-decode snapshot and runs its own.)
-		if analysis, err = e.sharedAnalysis(ctx, job.Workload, dopt, job.Options, job.Segment); err != nil {
-			return nil, err
-		}
-		snap, err = e.analysisMachine(ctx, job.Workload, dopt, job.Config, img, analysis)
+	var snap *uarch.Snapshot
+	var err error
+	if in.analysis != nil {
+		snap, err = e.analysisMachine(ctx, job.Workload, dopt, job.Config, img, in.analysis)
 	} else {
 		snap, err = e.decodedMachine(ctx, job.Workload, dopt, job.Config, img)
 	}
@@ -503,19 +544,19 @@ func (e *Engine) Run(ctx context.Context, job Job) (*Result, error) {
 		return nil, err
 	}
 	machine := snap.Machine()
-	input, err := jobInput(dec.pictures, job.Segment)
+	input, err := jobInput(in.dec.pictures, job.Segment)
 	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	enc, err := codec.NewEncoder(input[0].Width, input[0].Height, info.FPS, job.Options, machine)
+	enc, err := codec.NewEncoder(input[0].Width, input[0].Height, in.fps, job.Options, machine)
 	if err != nil {
 		return nil, err
 	}
-	if analysis != nil {
-		if err := enc.SetAnalysis(analysis); err != nil {
+	if in.analysis != nil {
+		if err := enc.SetAnalysis(in.analysis); err != nil {
 			return nil, err
 		}
 	}
@@ -637,7 +678,8 @@ type SweepOpts struct {
 	// point (see Job.StageMetrics).
 	StageMetrics bool
 	// Progress, when non-nil, is called once per finished point with the
-	// running count and the total. Calls are serialized by the engine.
+	// running count and the total; a point that shares another point's run
+	// finishes when that run ends. Calls are serialized by the engine.
 	Progress func(done, total int)
 }
 
@@ -666,6 +708,13 @@ type Plan struct {
 // Points of one title share its cache entries: the first point to need an
 // entry builds it, and the others wait on that build (flightCache), so a
 // sweep builds each title once however its points are scheduled.
+//
+// Points with equal jobs share one run. When a point starts it resolves its
+// canonical job (prepared.canonical: Refs clamped to what the clip can
+// reach) and claims it; the first point to claim a job runs it, and a later
+// point with an equal canonical job returns at once and, once the pool is
+// done, carries the first one's outcome: the same *perf.Report and
+// *codec.Stats, which every holder only reads, or the same error.
 func (e *Engine) Sweep(ctx context.Context, p Plan) Points {
 	met := obs.Default()
 	points := make(Points, p.N)
@@ -684,25 +733,80 @@ func (e *Engine) Sweep(ctx context.Context, p Plan) Points {
 	}
 
 	pointHist := met.Histogram("core_sweep_point_ns")
+	shared := met.Counter("core_sweep_points_shared")
 	met.Counter("core_sweep_points_total").Add(int64(p.N))
-	pool := exec.Pool{OnProgress: p.Opts.Progress}
-	errs, _ := pool.Map(ctx, p.N, func(ctx context.Context, i int) error {
+	var (
+		mu      sync.Mutex
+		claimed = make(map[Job]int) // canonical job -> the point that runs it
+		leader  = make([]int, p.N)  // the point whose run point i carries
+		waiting = make([]int, p.N)  // points waiting on point i's run; -1 once it ended
+		done    int
+	)
+	for i := range leader {
+		leader[i] = i
+	}
+	// report counts n more points finished; mu serializes the calls.
+	report := func(n int) {
+		for ; n > 0; n-- {
+			done++
+			if p.Opts.Progress != nil {
+				p.Opts.Progress(done, p.N)
+			}
+		}
+	}
+	// claim makes point i the runner of canonical job c unless an earlier
+	// point claimed it, and returns the runner. A point that shares a run
+	// is reported finished when that run ends.
+	claim := func(i int, c Job) int {
+		mu.Lock()
+		defer mu.Unlock()
+		l, ok := claimed[c]
+		switch {
+		case !ok:
+			claimed[c] = i
+			return i
+		case waiting[l] < 0:
+			report(1)
+		default:
+			waiting[l]++
+		}
+		return l
+	}
+	errs, _ := exec.Pool{}.Map(ctx, p.N, func(ctx context.Context, i int) error {
+		defer func() {
+			if leader[i] == i {
+				mu.Lock()
+				report(1 + waiting[i])
+				waiting[i] = -1
+				mu.Unlock()
+			}
+		}()
 		if !runnable[i] {
 			return nil // build already failed the point; never run the zero Job
 		}
 		sp := pointHist.Start()
-		res, err := e.Run(ctx, jobs[i])
-		sp.End()
-		if err != nil {
-			return err
+		in, err := e.prepare(ctx, jobs[i])
+		if err == nil {
+			if leader[i] = claim(i, in.canonical()); leader[i] != i {
+				shared.Inc()
+				return nil // not a run: sp is dropped
+			}
+			var res *Result
+			if res, err = e.run(ctx, in); err == nil {
+				points[i].Report, points[i].Stats = res.Report, res.Stats
+			}
 		}
-		points[i].Report = res.Report
-		points[i].Stats = res.Stats
-		return nil
+		sp.End()
+		return err
 	})
 	for i, e := range errs {
 		if e != nil && points[i].Err == nil {
 			points[i].Err = e
+		}
+	}
+	for i, l := range leader {
+		if l != i {
+			points[i].Report, points[i].Stats, points[i].Err = points[l].Report, points[l].Stats, points[l].Err
 		}
 	}
 	if failed := len(points.Failed()); failed > 0 {

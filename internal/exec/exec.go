@@ -1,7 +1,7 @@
 // Package exec is the execution layer shared by every fan-out in the repo:
 // a context-aware job engine that runs indexed jobs on a bounded worker
-// pool with cancellation, per-job panic recovery, a configurable error
-// policy and an optional progress callback.
+// pool with cancellation, per-job panic recovery and a configurable error
+// policy.
 //
 // The sweeps in internal/core, the scheduling measurement matrix in
 // internal/sched and any future sharded or remote execution all funnel
@@ -42,7 +42,7 @@ const (
 var ErrSkipped = errors.New("exec: job skipped after earlier failure")
 
 // Pool configures a bounded worker pool. The zero value is a Collect-policy
-// pool with GOMAXPROCS workers and no progress reporting.
+// pool with GOMAXPROCS workers.
 type Pool struct {
 	// Workers bounds concurrency; 0 means GOMAXPROCS. The pool is fixed:
 	// Workers goroutines pull job indices from a channel, so an 816-point
@@ -50,11 +50,6 @@ type Pool struct {
 	Workers int
 	// Policy selects Collect (default) or FailFast error handling.
 	Policy Policy
-	// OnProgress, when non-nil, is called once per finished job with the
-	// number of jobs completed so far and the total. Calls are serialized
-	// and done is strictly increasing, so the callback needs no locking of
-	// its own.
-	OnProgress func(done, total int)
 	// Metrics selects the registry the pool records its telemetry into
 	// (job counts, queue wait, busy time); nil means obs.Default.
 	Metrics *obs.Registry
@@ -124,7 +119,6 @@ func (p Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i int
 
 	var (
 		mu       sync.Mutex
-		done     int
 		firstErr error // FailFast trigger
 		started  = make([]bool, n)
 	)
@@ -135,17 +129,6 @@ func (p Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i int
 		}
 		mu.Unlock()
 		cancel()
-	}
-	finish := func() {
-		if p.OnProgress == nil {
-			return
-		}
-		// The callback runs under the pool lock: that is what serializes
-		// calls across workers (the callback must not call back into Map).
-		mu.Lock()
-		done++
-		p.OnProgress(done, n)
-		mu.Unlock()
 	}
 
 	m := p.metrics()
@@ -200,7 +183,6 @@ func (p Pool) Map(ctx context.Context, n int, fn func(ctx context.Context, i int
 				if err != nil && p.Policy == FailFast {
 					fail(err)
 				}
-				finish()
 			}
 		}()
 	}

@@ -67,33 +67,6 @@ func TestMapErrorsPerIndex(t *testing.T) {
 	}
 }
 
-// TestMapProgress checks the satellite guarantee: progress calls are
-// serialized, strictly increasing, and their count matches the job count.
-func TestMapProgress(t *testing.T) {
-	const n = 64
-	var calls []int
-	p := Pool{
-		Workers: 8,
-		OnProgress: func(done, total int) {
-			if total != n {
-				t.Errorf("total = %d", total)
-			}
-			calls = append(calls, done) // serialized by the engine
-		},
-	}
-	if _, err := p.Map(context.Background(), n, func(ctx context.Context, i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != n {
-		t.Fatalf("%d progress calls for %d jobs", len(calls), n)
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress call %d reported done=%d", i, d)
-		}
-	}
-}
-
 // TestMapCancel checks prompt cancellation: workers blocked in jobs that
 // honor ctx return, and every unstarted job is marked with ctx.Err().
 func TestMapCancel(t *testing.T) {
@@ -184,7 +157,7 @@ func TestMapFailFast(t *testing.T) {
 // under -race this is the engine's data-race gate (scripts/ci.sh).
 func TestMapFailFastRace(t *testing.T) {
 	const n = 200
-	p := Pool{Workers: 16, Policy: FailFast, OnProgress: func(done, total int) {}}
+	p := Pool{Workers: 16, Policy: FailFast}
 	var failures int32
 	errs, err := p.Map(context.Background(), n, func(ctx context.Context, i int) error {
 		atomic.AddInt32(&failures, 1)

@@ -129,7 +129,11 @@ go test -race -count=2 ./internal/serve/... ./internal/worker/...
 # accepted.
 go test -race -count=5 -run 'TestParentSettlesInPartOrder|TestRetentionForgetsInSettleOrder|TestGoneVersusUnknown|TestWaitJobOutlivesEviction|TestSettledBeforeSubmitReturnsIsRetained|TestFleetSupersededLeaseResultIsRefused|TestFleetLateResultLosesToRetry|TestFleetDuplicateResultIsIdempotent|TestFleetRejoinReclaimsOrphanedJob|TestFleetResultFromNonHolderIsRefused' ./internal/serve
 go test -race -count=5 -run 'TestWorkerCountsOnlyAcceptedResults' ./internal/worker
-go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSnapshotFootprint|TestSnapshotLayersShareLevels|TestEveryCacheLayerReportsBytes|TestEvictedLayerRebuildsBitIdentical|TestEngineSoakHoldsBudget|TestSweepOverBudgetBuildsEachTitleOnce' ./internal/core/...
+# The sweep engine: cancellation, and points with equal canonical jobs
+# sharing one run (TestSweepCancel also matches TestSweepCancelSharedPoints,
+# where a shared point must carry its run's outcome under cancellation),
+# then the cache engine's snapshot and budget paths.
+go test -race -run 'TestSweepCancel|TestSweepPreCanceled|TestSweepSharedPointsMatchRuns|TestSweepSharingKeepsInvalidRefsApart|TestSnapshotFootprint|TestSnapshotLayersShareLevels|TestEveryCacheLayerReportsBytes|TestEvictedLayerRebuildsBitIdentical|TestEngineSoakHoldsBudget|TestSweepOverBudgetBuildsEachTitleOnce' ./internal/core/...
 # Eviction under concurrency is a matter of interleavings — a waiter whose
 # entry is evicted before it wakes, a key rebuilt while its old value is
 # still in use, a canceled builder landing late — so these repeat.
